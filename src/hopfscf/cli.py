@@ -2,8 +2,8 @@
 
 Machine output is JSON (--json) or CSV (--csv); the default is a small aligned
 table for reading.  Exit status: 0 on success, 1 on failed verification, 2 on
-argument or parse errors.  The env var HOPF_SCF_MAX_GROUP overrides the group
-enumeration bound.
+argument or parse errors, and on a group larger than the enumeration bound.
+The env var HOPF_SCF_MAX_GROUP overrides that bound.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 
 from . import nsym, qsym, verify
 from .compositions import Composition, SubsetLabel
+from .groupscf import GroupBoundError
 
 QSYM_BASES = qsym.BASES
 NSYM_BASES = nsym.BASES
@@ -159,6 +160,10 @@ def cmd_verify(args) -> int:
             nus = [int(x) for x in args.nu.split(",")]
         except ValueError as exc:
             raise CliError(f"--nu must be a comma-separated integer list: {exc}") from exc
+        if any(nu < 2 for nu in nus):
+            raise CliError(f"every --nu must be at least 2, got {args.nu}")
+    if args.max_degree is not None and args.max_degree < 0:
+        raise CliError(f"--max-degree must be nonnegative, got {args.max_degree}")
     report = verify.run_suite(name, max_degree=args.max_degree, nus=nus)
     summary = {
         "suite": name,
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, GroupBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

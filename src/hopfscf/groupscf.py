@@ -2,16 +2,28 @@
 
 Superclasses, supercharacters, the graded product m_A / m and coproduct
 delta_k / delta on superclass functions, and the Hall inner product, all
-evaluated on actual group elements with Fraction arithmetic.  Functions are
-stored densely over a mixed-radix enumeration of (g_s)_{s in S}.
+evaluated on actual group elements.  Functions are stored densely over a
+mixed-radix enumeration of (g_s)_{s in S}, as int numerators over one
+positive common denominator, gcd-reduced so that equality stays exact.
+
+The dense kernels are gathers plus integer multiplies.  Their index maps
+(inverse, restriction, tensor embedding, and the composite map of one m_A)
+are built once per group shape from the element enumeration and kept as
+`array` tables in bounded LRU caches; `cache_info()` on each map function
+reports its hits and misses.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .compositions import run_markers
 
@@ -92,54 +104,121 @@ class GroupSpec:
         )
 
 
+class _Values(Sequence):
+    """Read-only view of numerators over one denominator as Fractions.
+
+    Compares and hashes like the tuple of its Fractions; len() builds none.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: tuple[int, ...], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(Fraction(x, self._den) for x in self._nums[i])
+        return Fraction(self._nums[i], self._den)
+
+    def __iter__(self):
+        den = self._den
+        return (Fraction(x, den) for x in self._nums)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Values):
+            return self._nums == other._nums and self._den == other._den
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 class ClassFunction:
-    """Exact rational-valued function on Q_S(nu), stored densely."""
+    """Exact rational-valued function on Q_S(nu), stored densely.
 
-    __slots__ = ("spec", "values")
+    `nums[i] / den` is the value at the i-th element; the pair is gcd-reduced
+    with den > 0.  `values` is the same function as a read-only sequence of
+    Fractions.  Given `den`, `values` are taken as int numerators over it.
+    """
 
-    def __init__(self, spec: GroupSpec, values):
-        values = tuple(Fraction(v) for v in values)
-        if len(values) != spec.order:
+    __slots__ = ("spec", "nums", "den", "values")
+
+    def __init__(self, spec: GroupSpec, values, den: int | None = None):
+        if den is None:
+            nums, den = _over_common_denominator(values)
+        else:
+            nums = tuple(values)
+            if not den:
+                raise ZeroDivisionError("class function with denominator 0")
+        if len(nums) != spec.order:
             raise ValueError(
-                f"expected {spec.order} values for {spec}, got {len(values)}"
+                f"expected {spec.order} values for {spec}, got {len(nums)}"
             )
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
         self.spec = spec
-        self.values = values
+        self.nums = nums
+        self.den = den
+        self.values = _Values(nums, den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ClassFunction)
             and self.spec == other.spec
-            and self.values == other.values
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.spec, self.values))
+        return hash((self.spec, self.nums, self.den))
+
+    def _combine(self, other: "ClassFunction", op) -> "ClassFunction":
+        _require_same_spec(self, other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = map(op, map(a.__mul__, self.nums), map(b.__mul__, other.nums))
+        return ClassFunction(self.spec, nums, den)
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        _require_same_spec(self, other)
-        return ClassFunction(self.spec, (a + b for a, b in zip(self.values, other.values)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        _require_same_spec(self, other)
-        return ClassFunction(self.spec, (a - b for a, b in zip(self.values, other.values)))
+        return self._combine(other, sub)
 
     def scale(self, c) -> "ClassFunction":
         c = Fraction(c)
-        return ClassFunction(self.spec, (c * v for v in self.values))
+        return ClassFunction(
+            self.spec, map(c.numerator.__mul__, self.nums), self.den * c.denominator
+        )
 
     def pointwise_mul(self, other: "ClassFunction") -> "ClassFunction":
         _require_same_spec(self, other)
-        return ClassFunction(self.spec, (a * b for a, b in zip(self.values, other.values)))
+        return ClassFunction(self.spec, map(mul, self.nums, other.nums), self.den * other.den)
 
     def value_at(self, element: tuple[int, ...]) -> Fraction:
-        return self.values[self.spec.index_of(element)]
+        return Fraction(self.nums[self.spec.index_of(element)], self.den)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
     def __repr__(self) -> str:
-        return f"ClassFunction({self.spec}, {self.values})"
+        return f"ClassFunction({self.spec}, {tuple(self.values)})"
+
+
+def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
 def _require_same_spec(a: ClassFunction, b: ClassFunction) -> None:
@@ -152,6 +231,82 @@ def _require_subset(I, S, what: str):
     if not I <= set(S):
         raise ValueError(f"{what} {sorted(I)} is not a subset of the index set {S}")
     return I
+
+
+# ---------------------------------------------------------------------------
+# Gather maps: index tables over the element enumeration, one per group shape.
+# Each cached table is shared by every caller and must not be modified.
+
+
+def _shape(nu: int, rank: int) -> GroupSpec:
+    return GroupSpec(nu, tuple(range(1, rank + 1)))
+
+
+@lru_cache(maxsize=64)
+def support_masks(nu: int, rank: int) -> array:
+    """Per element, the bitmask of the positions where it is not the identity."""
+    elements = _shape(nu, rank).elements()
+    return array("I", (sum(1 << p for p, x in enumerate(g) if x) for g in elements))
+
+
+@lru_cache(maxsize=64)
+def inverse_map(nu: int, rank: int) -> array:
+    """Per element g, the index of g^{-1}; inverses negate componentwise."""
+    spec = _shape(nu, rank)
+    return array("I", (spec.index_of((-x) % nu for x in g) for g in spec.elements()))
+
+
+@lru_cache(maxsize=256)
+def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
+    """Per element h of the subgroup on `positions`, the index of h padded by
+    identities in the rank-`rank` group."""
+    source = _shape(nu, rank)
+    out = []
+    for h in _shape(nu, len(positions)).elements():
+        g = [0] * rank
+        for pos, value in zip(positions, h):
+            g[pos] = value
+        out.append(source.index_of(g))
+    return array("I", out)
+
+
+@lru_cache(maxsize=256)
+def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array, array]:
+    """Per element g of the rank-`rank` group, the indices of its parts on
+    `positions` and on the remaining positions."""
+    rest = tuple(p for p in range(rank) if p not in positions)
+    left, right = _shape(nu, len(positions)), _shape(nu, len(rest))
+    ia, ib = [], []
+    for g in _shape(nu, rank).elements():
+        ia.append(left.index_of(g[p] for p in positions))
+        ib.append(right.index_of(g[p] for p in rest))
+    return array("I", ia), array("I", ib)
+
+
+@lru_cache(maxsize=1024)
+def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
+    """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
+
+    Per element g: the index of the phi argument, the index of the psi
+    argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the two pads
+    and the markers on c2) take a nonidentity value there.  m_A(phi, psi)(g)
+    is phi(a) psi(b) (-1/(nu-1))^e.
+    """
+    k = m + n
+    ac = tuple(i for i in range(1, k + 1) if i not in A)
+    c1, _, c = run_markers(A, k)
+    dropped = set(c.members) | {k}  # restricted away: identity there
+    marker_off = [i - 1 for i in c.members if not c1.contains(i)]
+    left, right = GroupSpec.standard(nu, m), GroupSpec.standard(nu, n)
+    ia, ib, ee = [], [], array("B")
+    for g in GroupSpec.standard(nu, k).elements():
+        h = [0 if i in dropped else g[i - 1] for i in range(1, k + 1)]
+        ia.append(left.index_of(h[i - 1] for i in ac[:-1]))
+        ib.append(right.index_of(h[i - 1] for i in A[:-1]))
+        ee.append(
+            sum(1 for p in marker_off if g[p]) + (h[ac[-1] - 1] != 0) + (h[A[-1] - 1] != 0)
+        )
+    return array("I", ia), array("I", ib), ee
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +382,7 @@ def factor_vector(spec: GroupSpec, on_set, on_factor, off_factor, prefactor=1) -
 
 
 def one(spec: GroupSpec) -> ClassFunction:
-    return ClassFunction(spec, [Fraction(1)] * spec.order)
+    return ClassFunction(spec, (1,) * spec.order, 1)
 
 
 def unit(nu: int) -> ClassFunction:
@@ -235,13 +390,16 @@ def unit(nu: int) -> ClassFunction:
     return one(GroupSpec(nu, ()))
 
 
+def _mask_of(spec: GroupSpec, I) -> int:
+    return sum(1 << p for p, label in enumerate(spec.index_set) if label in I)
+
+
 def kappa(spec: GroupSpec, I) -> ClassFunction:
     """Indicator of the superclass cl_I: elements with support exactly I."""
     I = _require_subset(I, spec.index_set, "superclass label")
-    values = [
-        Fraction(1 if spec.support_of(g) == I else 0) for g in spec.elements()
-    ]
-    return ClassFunction(spec, values)
+    want = _mask_of(spec, I)
+    nums = [1 if s == want else 0 for s in support_masks(spec.nu, spec.rank)]
+    return ClassFunction(spec, nums, 1)
 
 
 def kappa_factor_vector(spec: GroupSpec, I) -> FactorVector:
@@ -252,9 +410,18 @@ def kappa_factor_vector(spec: GroupSpec, I) -> FactorVector:
 
 
 def chi(spec: GroupSpec, I) -> ClassFunction:
-    """Supercharacter: trivial factors on I, reg - 1 off I."""
-    fv = factor_vector(spec, I, f_one(spec.nu), f_reg_minus_one(spec.nu))
-    return fv.expand()
+    """Supercharacter: trivial factors on I, reg - 1 off I.
+
+    The factor reg - 1 is nu - 1 at the identity and -1 elsewhere, so the
+    value at g is (-1)^e (nu-1)^{|S \\ I| - e} with e the number of indices
+    off I where g is not the identity.
+    """
+    I = _require_subset(I, spec.index_set, "supercharacter label")
+    off = ~_mask_of(spec, I) & ((1 << spec.rank) - 1)
+    width = spec.rank - len(I)
+    by_count = [(-1) ** e * (spec.nu - 1) ** (width - e) for e in range(width + 1)]
+    nums = [by_count[(s & off).bit_count()] for s in support_masks(spec.nu, spec.rank)]
+    return ClassFunction(spec, nums, 1)
 
 
 def dot_chi(spec: GroupSpec, I) -> ClassFunction:
@@ -293,14 +460,9 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
     spec = phi.spec
     T = _require_subset(T, spec.index_set, "restriction target")
     target = GroupSpec(spec.nu, tuple(sorted(T)))
-    positions = [spec.index_set.index(label) for label in target.index_set]
-    values = []
-    for h in target.elements():
-        g = [0] * spec.rank
-        for pos, value in zip(positions, h):
-            g[pos] = value
-        values.append(phi.values[spec.index_of(tuple(g))])
-    return ClassFunction(target, values)
+    positions = tuple(spec.index_set.index(label) for label in target.index_set)
+    gather = restriction_map(spec.nu, spec.rank, positions)
+    return ClassFunction(target, map(phi.nums.__getitem__, gather), phi.den)
 
 
 def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
@@ -313,14 +475,10 @@ def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
             f"index sets {sa.index_set} and {sb.index_set} do not partition the target"
         )
     target = GroupSpec(sa.nu, tuple(sorted(sa.index_set + sb.index_set)))
-    pos_a = [target.index_set.index(label) for label in sa.index_set]
-    pos_b = [target.index_set.index(label) for label in sb.index_set]
-    values = []
-    for g in target.elements():
-        a = tuple(g[p] for p in pos_a)
-        b = tuple(g[p] for p in pos_b)
-        values.append(phi.values[sa.index_of(a)] * psi.values[sb.index_of(b)])
-    return ClassFunction(target, values)
+    positions = tuple(target.index_set.index(label) for label in sa.index_set)
+    ia, ib = embedding_map(sa.nu, target.rank, positions)
+    nums = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
+    return ClassFunction(target, nums, phi.den * psi.den)
 
 
 def relabel(phi: ClassFunction, index_set) -> ClassFunction:
@@ -334,72 +492,87 @@ def relabel(phi: ClassFunction, index_set) -> ClassFunction:
         raise ValueError(
             f"cannot relabel {phi.spec.rank} indices onto {index_set}"
         )
-    return ClassFunction(GroupSpec(phi.spec.nu, index_set), phi.values)
-
-
-def standardize_labels(phi: ClassFunction) -> ClassFunction:
-    """Inverse of relabel: move phi onto the standard indices 1..t."""
-    return relabel(phi, range(1, phi.spec.rank + 1))
+    return ClassFunction(GroupSpec(phi.spec.nu, index_set), phi.nums, phi.den)
 
 
 # ---------------------------------------------------------------------------
 # The product
 
 
-def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> ClassFunction:
-    """The A-indexed summand m_A of the graded product.
-
-    phi must live on Q_m(nu) and psi on Q_n(nu) (standard index sets); A is a
-    size-n subset of [m+n] saying which slots the psi side occupies.
-    """
+def _check_product_operands(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> None:
     nu = phi.spec.nu
     if psi.spec.nu != nu:
         raise ValueError("operands must share nu")
     if phi.spec != GroupSpec.standard(nu, m) or psi.spec != GroupSpec.standard(nu, n):
         raise ValueError("operands must live on standard groups Q_m, Q_n")
+
+
+def _scalar_product(phi: ClassFunction, psi: ClassFunction, m: int) -> ClassFunction:
+    # one side lives in degree 0, where a function is a scalar
+    scalar = phi.values[0] if m == 0 else psi.values[0]
+    return (psi if m == 0 else phi).scale(scalar)
+
+
+def _off_weights(nu: int, k: int) -> tuple[list[int], int]:
+    """(-1/(nu-1))^e for e = 0..k+1 as numerators over one denominator.
+
+    m_A on Q_k carries at most k + 1 factors (nu-1)^{-1}(reg - 1).
+    """
+    return [(-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)], (nu - 1) ** (k + 1)
+
+
+def _mA_nums(phi: ClassFunction, psi: ClassFunction, A: tuple[int, ...], m: int, n: int, weights):
+    ia, ib, ee = product_map(phi.spec.nu, m, n, A)
+    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
+    return map(mul, pairs, map(weights.__getitem__, ee))
+
+
+def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> ClassFunction:
+    """The A-indexed summand m_A of the graded product.
+
+    phi must live on Q_m(nu) and psi on Q_n(nu) (standard index sets); A is a
+    size-n subset of [m+n] saying which slots the psi side occupies.  m_A pads
+    each side by (nu-1)^{-1}(reg - 1) on its top slot, places phi on the
+    complement of A and psi on A, restricts away the run markers c and
+    tensors on the marker factor: 1 on c1, (nu-1)^{-1}(reg - 1) on c2.
+    """
+    _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
-        scalar = phi.values[0] if m == 0 else psi.values[0]
-        other = psi if m == 0 else phi
-        return other.scale(scalar)
+        return _scalar_product(phi, psi, m)
     A = frozenset(A)
     if len(A) != n or not A <= set(range(1, m + n + 1)):
         raise ValueError(f"A must be a size-{n} subset of [{m + n}], got {sorted(A)}")
-
-    def padded(f: ClassFunction, deg: int) -> ClassFunction:
-        # f tensor_1 (reg-1)/(nu-1) on Q_[deg]
-        pad = ClassFunction(GroupSpec(nu, (deg,)), f_dot_off(nu))
-        return tensor_embed(f, pad)
-
-    a_sorted = tuple(sorted(A))
-    ac_sorted = tuple(sorted(set(range(1, m + n + 1)) - A))
-    left = relabel(padded(phi, m), ac_sorted)
-    right = relabel(padded(psi, n), a_sorted)
-    s_a = tensor_embed(left, right)
-
-    c1, _, c = run_markers(A, m + n)
-    keep = tuple(i for i in range(1, m + n) if not c.contains(i))
-    restricted = restrict(s_a, keep)
-
-    marker_spec = GroupSpec(nu, c.members)
-    marker = factor_vector(
-        marker_spec, c1.members, f_one(nu), f_dot_off(nu)
-    ).expand()
-    return tensor_embed(marker, restricted)
+    nu = phi.spec.nu
+    weights, den = _off_weights(nu, m + n)
+    nums = _mA_nums(phi, psi, tuple(sorted(A)), m, n, weights)
+    return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
 
 
 def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
     """Sum of m_A over all size-n subsets A of [m+n]."""
+    _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
-        return product_mA(phi, psi, frozenset(), m, n)
+        return _scalar_product(phi, psi, m)
+    nu = phi.spec.nu
+    weights, den = _off_weights(nu, m + n)
     total = None
     for A in itertools.combinations(range(1, m + n + 1), n):
-        term = product_mA(phi, psi, frozenset(A), m, n)
-        total = term if total is None else total + term
-    return total
+        term = _mA_nums(phi, psi, A, m, n, weights)
+        total = list(term) if total is None else list(map(add, total, term))
+    return ClassFunction(GroupSpec.standard(nu, m + n), total, phi.den * psi.den * den)
 
 
 # ---------------------------------------------------------------------------
 # The coproduct
+
+
+@lru_cache(maxsize=64)
+def support_labels(spec: GroupSpec) -> tuple[frozenset, ...]:
+    """The superclass label of each support mask."""
+    return tuple(
+        frozenset(label for p, label in enumerate(spec.index_set) if mask >> p & 1)
+        for mask in range(1 << spec.rank)
+    )
 
 
 def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
@@ -409,17 +582,18 @@ def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
     supercharacter function space.
     """
     spec = phi.spec
-    coeffs: dict[frozenset, Fraction] = {}
-    for g, v in zip(spec.elements(), phi.values):
-        supp = spec.support_of(g)
-        if supp in coeffs:
-            if coeffs[supp] != v:
+    masks = support_masks(spec.nu, spec.rank)
+    labels = support_labels(spec)
+    # keys keep the order in which the supports first appear
+    coeffs = dict(zip(masks, phi.nums))
+    if tuple(map(coeffs.__getitem__, masks)) != phi.nums:
+        first: dict[int, int] = {}
+        for s, v in zip(masks, phi.nums):
+            if first.setdefault(s, v) != v:
                 raise ValueError(
-                    f"not a superclass function: differs on cl_{sorted(supp)}"
+                    f"not a superclass function: differs on cl_{sorted(labels[s])}"
                 )
-        else:
-            coeffs[supp] = v
-    return {supp: v for supp, v in coeffs.items()}
+    return {labels[s]: Fraction(v, phi.den) for s, v in coeffs.items()}
 
 
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
@@ -459,6 +633,7 @@ def coproduct(phi: ClassFunction, n: int) -> dict[int, list[tuple[ClassFunction,
     return {k: coproduct_k(phi, k, n) for k in range(n + 1)}
 
 
+
 # ---------------------------------------------------------------------------
 # Hall inner product and the axiom checker
 
@@ -467,22 +642,37 @@ def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     """(1/|G|) sum_g phi(g) psi(g^{-1}); inverses negate componentwise."""
     _require_same_spec(phi, psi)
     spec = phi.spec
-    total = Fraction(0)
-    for g, v in zip(spec.elements(), phi.values):
-        inv = tuple((-x) % spec.nu for x in g)
-        total += v * psi.values[spec.index_of(inv)]
-    return total / spec.order
+    inverse = inverse_map(spec.nu, spec.rank)
+    total = sum(map(mul, phi.nums, map(psi.nums.__getitem__, inverse)))
+    return Fraction(total, phi.den * psi.den * spec.order)
+
+
+def _hall_gram(functions: list[ClassFunction]) -> list[list[int]]:
+    """Upper triangle of sum_g f_i(g) f_j(g^{-1}) over the numerators:
+    row i lists j = i, i+1, ...; divide by den_i den_j |G| for the Hall product."""
+    if not functions:
+        return []
+    spec = functions[0].spec
+    inverse = inverse_map(spec.nu, spec.rank)
+    flipped = [tuple(map(f.nums.__getitem__, inverse)) for f in functions]
+    return [
+        [sum(map(mul, f.nums, g)) for g in flipped[i:]]
+        for i, f in enumerate(functions)
+    ]
 
 
 @dataclass
 class CheckReport:
-    """Outcome of a verification sweep: named checks with optional witnesses."""
+    """Outcome of a verification sweep: named checks with optional witnesses.
+
+    A report that holds no checks examined nothing and does not pass.
+    """
 
     checks: list[tuple[str, bool, str]]
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return bool(self.checks) and all(ok for _, ok, _ in self.checks)
 
     def failures(self) -> list[tuple[str, str]]:
         return [(name, detail) for name, ok, detail in self.checks if not ok]
@@ -501,8 +691,9 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     chis = {I: chi(spec, I) for I in subsets}
 
     # C1: the identity is its own superclass
-    identity_only = [Fraction(1 if i == 0 else 0) for i in range(spec.order)]
-    ok = kappas[frozenset()].values == tuple(identity_only)
+    identity_only = tuple(1 if i == 0 else 0 for i in range(spec.order))
+    empty = kappas[frozenset()]
+    ok = empty.den == 1 and empty.nums == identity_only
     checks.append(("C1 identity superclass", ok, "" if ok else "cl_emptyset != {0}"))
 
     # C2: equally many superclasses and supercharacter blocks, all nonempty/distinct
@@ -533,14 +724,22 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     ok = total == one(spec)
     checks.append(("superclass partition", ok, "" if ok else "sum of kappas != 1"))
 
+    # Hall products from one integer Gram matrix per family
+    chi_list = [chis[I] for I in subsets]
+    kappa_list = [kappas[I] for I in subsets]
+    chi_gram, kappa_gram = _hall_gram(chi_list), _hall_gram(kappa_list)
+
+    def hall(family, gram, i, j):
+        return Fraction(gram[i][j - i], family[i].den * family[j].den * spec.order)
+
     # Hall orthogonality within each family
     witness = ""
     ok = True
-    for I, J in itertools.combinations(subsets, 2):
-        if hall_inner(chis[I], chis[J]) != 0:
+    for (i, I), (j, J) in itertools.combinations(enumerate(subsets), 2):
+        if chi_gram[i][j - i] != 0:
             ok, witness = False, f"<chi^{sorted(I)}, chi^{sorted(J)}> != 0"
             break
-        if hall_inner(kappas[I], kappas[J]) != 0:
+        if kappa_gram[i][j - i] != 0:
             ok, witness = False, f"<kappa_{sorted(I)}, kappa_{sorted(J)}> != 0"
             break
     checks.append(("Hall orthogonality", ok, witness))
@@ -549,13 +748,13 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     # the reciprocal of the display it is usually quoted as.
     witness = ""
     ok = True
-    for I in subsets:
+    for i, I in enumerate(subsets):
         off = spec.rank - len(I)
-        if hall_inner(chis[I], chis[I]) != Fraction((spec.nu - 1) ** off):
+        if hall(chi_list, chi_gram, i, i) != Fraction((spec.nu - 1) ** off):
             ok, witness = False, f"chi norm at I={sorted(I)}"
             break
         expected = Fraction((spec.nu - 1) ** len(I), spec.nu**spec.rank)
-        if hall_inner(kappas[I], kappas[I]) != expected:
+        if hall(kappa_list, kappa_gram, i, i) != expected:
             ok, witness = False, f"kappa norm at I={sorted(I)}"
             break
     checks.append(("Hall norms", ok, witness))

@@ -183,6 +183,10 @@ def suite_diagrams(nu_degrees: dict[int, int] | None = None) -> CheckReport:
 
 def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
     nu_degrees = nu_degrees or GROUP_AXIOM_DEGREES
+    # building the largest group, of order nu^(bound-1), raises GroupBoundError
+    # before any degree runs
+    for nu, bound in nu_degrees.items():
+        GroupSpec.standard(nu, max(bound, 0))
     checks: list[tuple[str, bool, str]] = []
     for nu, bound in sorted(nu_degrees.items()):
         for n in range(0, bound + 1):

@@ -119,3 +119,32 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    @pytest.mark.parametrize("nus", ["1", "0", "2,1", "-3"])
+    def test_nu_below_two_exits_2(self, capsys, nus):
+        code = main(["verify", "--suite", "group-axioms", "--max-degree", "2", "--nu", nus])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("suite", ["group-axioms", "dualities"])
+    def test_negative_max_degree_exits_2(self, capsys, suite):
+        code = main(["verify", "--suite", suite, "--nu", "2", "--max-degree", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_oversized_group_exits_2_before_any_degree(self, capsys, monkeypatch):
+        from hopfscf import groupscf
+
+        ran = []
+        monkeypatch.setattr(groupscf, "verify_axioms", lambda spec: ran.append(spec))
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "100")
+        code = main(["verify", "--suite", "group-axioms", "--nu", "2", "--max-degree", "9"])
+        assert code == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "HOPF_SCF_MAX_GROUP" in captured.err

@@ -7,6 +7,7 @@ import pytest
 
 from hopfscf.compositions import SubsetLabel, a_shuffle, near_concat, compositions_of, set_of_comp
 from hopfscf.groupscf import (
+    CheckReport,
     factor_vector,
     ClassFunction,
     GroupBoundError,
@@ -269,6 +270,19 @@ class TestProduct:
                                 GroupSpec.standard(nu, m + n), label.members
                             )
 
+    def test_product_maps_are_cached_and_bounded(self):
+        from hopfscf.groupscf import product_map
+
+        assert product_map.cache_info().maxsize is not None
+        phi = kappa(GroupSpec.standard(3, 3), {1})
+        psi = kappa(GroupSpec.standard(3, 2), set())
+        first = product_m(phi, psi, 3, 2)
+        before = product_map.cache_info()
+        assert product_m(phi, psi, 3, 2) == first
+        after = product_map.cache_info()
+        assert after.hits - before.hits == 10  # one per size-2 subset A of [5]
+        assert after.misses == before.misses
+
     def test_arity_violations_rejected(self):
         phi = dot_chi(GroupSpec.standard(2, 3), {1})
         psi = dot_chi(GroupSpec.standard(2, 2), set())
@@ -529,6 +543,24 @@ class TestAxioms:
     def test_axioms_pass(self, nu, n):
         report = verify_axioms(GroupSpec.standard(nu, n))
         assert report.passed, report.failures()
+
+    def test_empty_report_fails(self):
+        assert not CheckReport([]).passed
+        assert CheckReport([("one check", True, "")]).passed
+        assert not CheckReport([("one check", False, "why")]).passed
+
+    def test_oversized_request_refused_before_any_degree(self, monkeypatch):
+        from hopfscf import groupscf, verify
+
+        ran = []
+        monkeypatch.setattr(groupscf, "verify_axioms", lambda spec: ran.append(spec))
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "100")
+        with pytest.raises(GroupBoundError):
+            verify.suite_group_axioms({2: 9})
+        assert ran == []
+        with pytest.raises(GroupBoundError):
+            verify.suite_group_axioms({3: 2, 2: 9})
+        assert ran == []
 
     def test_not_superclass_function_detected(self):
         # nu = 3 so the superclass cl_{1} = {(1), (2)} has two elements

@@ -1,0 +1,131 @@
+"""The integer gather kernels of groupscf against the per-element Fraction oracle."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import groupscf_oracle as oracle
+from hopfscf.groupscf import (
+    ClassFunction,
+    GroupSpec,
+    chi,
+    f_one,
+    f_reg_minus_one,
+    factor_vector,
+    hall_inner,
+    product_m,
+    product_mA,
+    restrict,
+    tensor_embed,
+)
+
+# largest total degree m + n per nu, so that groups stay at most 5^3 elements
+TOP_DEGREE = {2: 6, 3: 5, 5: 4}
+SETTINGS = settings(max_examples=60, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+nus = st.sampled_from(sorted(TOP_DEGREE))
+
+
+def functions_on(spec: GroupSpec):
+    """Random rational class functions, not only superclass functions."""
+    return st.lists(rationals, min_size=spec.order, max_size=spec.order).map(
+        lambda values: ClassFunction(spec, values)
+    )
+
+
+@st.composite
+def specs(draw, max_rank=None):
+    nu = draw(nus)
+    rank = draw(st.integers(0, max_rank if max_rank is not None else TOP_DEGREE[nu] - 2))
+    labels = draw(st.lists(st.integers(1, 9), min_size=rank, max_size=rank, unique=True))
+    return GroupSpec(nu, tuple(sorted(labels)))
+
+
+@st.composite
+def product_operands(draw):
+    nu = draw(nus)
+    k = draw(st.integers(0, TOP_DEGREE[nu]))
+    m = draw(st.integers(0, k))
+    n = k - m
+    A = draw(st.sampled_from(list(itertools.combinations(range(1, k + 1), n))))
+    phi = draw(functions_on(GroupSpec.standard(nu, m)))
+    psi = draw(functions_on(GroupSpec.standard(nu, n)))
+    return phi, psi, A, m, n
+
+
+@SETTINGS
+@given(st.data())
+def test_tensor_embed_matches_oracle(data):
+    spec = data.draw(specs())
+    split = data.draw(st.lists(st.booleans(), min_size=spec.rank, max_size=spec.rank))
+    left = GroupSpec(spec.nu, tuple(i for i, s in zip(spec.index_set, split) if s))
+    right = GroupSpec(spec.nu, tuple(i for i, s in zip(spec.index_set, split) if not s))
+    phi = data.draw(functions_on(left))
+    psi = data.draw(functions_on(right))
+    assert tensor_embed(phi, psi) == oracle.tensor_embed(phi, psi)
+
+
+@SETTINGS
+@given(st.data())
+def test_restrict_matches_oracle(data):
+    spec = data.draw(specs())
+    phi = data.draw(functions_on(spec))
+    T = data.draw(st.sets(st.sampled_from(spec.index_set))) if spec.rank else set()
+    assert restrict(phi, T) == oracle.restrict(phi, T)
+
+
+@SETTINGS
+@given(product_operands())
+def test_product_mA_matches_oracle(operands):
+    phi, psi, A, m, n = operands
+    assert product_mA(phi, psi, A, m, n) == oracle.product_mA(phi, psi, A, m, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_operands())
+def test_product_m_matches_summed_oracle(operands):
+    phi, psi, _, m, n = operands
+    terms = [
+        oracle.product_mA(phi, psi, A, m, n)
+        for A in itertools.combinations(range(1, m + n + 1), n)
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    assert product_m(phi, psi, m, n) == total
+
+
+@SETTINGS
+@given(st.data())
+def test_hall_inner_matches_oracle(data):
+    spec = data.draw(specs(max_rank=3))
+    phi = data.draw(functions_on(spec))
+    psi = data.draw(functions_on(spec))
+    assert hall_inner(phi, psi) == oracle.hall_inner(phi, psi)
+
+
+@SETTINGS
+@given(st.data())
+def test_chi_matches_factor_vector(data):
+    spec = data.draw(specs())
+    I = data.draw(st.sets(st.sampled_from(spec.index_set))) if spec.rank else set()
+    fv = factor_vector(spec, I, f_one(spec.nu), f_reg_minus_one(spec.nu))
+    assert chi(spec, I) == fv.expand()
+
+
+@SETTINGS
+@given(st.data())
+def test_common_scalings_compare_and_hash_equal(data):
+    spec = data.draw(specs(max_rank=2))
+    values = data.draw(st.lists(rationals, min_size=spec.order, max_size=spec.order))
+    scale = data.draw(st.integers(1, 12).flatmap(lambda c: st.sampled_from((c, -c))))
+    reduced = ClassFunction(spec, values)
+    den = reduced.den * scale
+    rescaled = ClassFunction(spec, [x * scale for x in reduced.nums], den)
+    assert rescaled == reduced
+    assert hash(rescaled) == hash(reduced)
+    assert rescaled.den > 0
+    assert rescaled.values == tuple(values)
