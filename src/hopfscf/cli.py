@@ -93,9 +93,13 @@ def cmd_expand(args) -> int:
         elem = nsym.convert(nsym.NSymElem.basis_elem(basis, comp), target)
         payload = elem.to_json_dict()
     else:
+        if target not in QSYM_BASES:
+            raise CliError(f"cannot expand a QSym element in basis {target!r}")
         nu = args.nu
-        if (basis == "Pi" or target == "Pi") and nu is None:
+        if "Pi" in (basis, target) and nu is None:
             raise CliError("the Pi basis needs --nu")
+        if "Pi" in (basis, target) and nu < 2:
+            raise CliError(f"the Pi basis needs --nu of at least 2, got {nu}")
         source = qsym.QSymElem.basis_elem(basis, comp, nu=nu if basis == "Pi" else None)
         elem = qsym.convert(source, target, nu=nu if target == "Pi" else None)
         payload = elem.to_json_dict()
@@ -113,6 +117,10 @@ def cmd_expand(args) -> int:
 
 def cmd_structconst(args) -> int:
     k = args.k
+    if k < 0:
+        raise CliError(f"--k must be nonnegative, got {k}")
+    if args.filter_m is not None and not 0 <= args.filter_m <= k:
+        raise CliError(f"--filter-m must lie in [0, {k}], got {args.filter_m}")
     K = parse_subset(args.K)
     if not K <= set(range(1, k)):
         raise CliError(f"K={sorted(K)} is not a subset of [{k - 1}]")

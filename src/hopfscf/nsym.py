@@ -21,14 +21,10 @@ from .compositions import (
     runs_composition,
     set_of_comp,
 )
-from .qsym import QSymElem, convert as qsym_convert, _add_term
+from .qsym import QSymElem, _add_term, _full_mask, convert as qsym_convert
 from .scalars import ONE, Q, T, ScalarQT, parse_scalar, rational
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
-
-
-def _full_mask(n: int) -> int:
-    return (1 << (n - 1)) - 1 if n >= 1 else 0
 
 
 class NSymElem:
@@ -397,8 +393,9 @@ def counit(x: NSymElem) -> ScalarQT:
 def structure_constant(k: int, K, m: int, I, J) -> ScalarQT:
     """C^K_{I,J}(q,t): the closed sum over admissible selectors A.
 
-    The t^{-|I|-|J|} prefactor goes through the fraction field; polynomiality
-    with integer coefficients is asserted by the verification suites, not here.
+    The t^{-|I|-|J|} prefactor is a division by a monomial, exact in the
+    Laurent ring; polynomiality with integer coefficients is asserted by the
+    verification suites, not here.
     """
     n = k - m
     if n < 0:

@@ -213,12 +213,6 @@ def M_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
     return Fraction(1, (1 - nu) ** jj) * Fraction(nu - 1, nu) ** ((n - 1) - ii)
 
 
-def transition_matrix(entry, n: int, nu: int) -> list[list[Fraction]]:
-    """Dense matrix [rows][cols] of one of the four displays above."""
-    size = 1 << max(n - 1, 0)
-    return [[entry(n, r, c, nu) for c in range(size)] for r in range(size)]
-
-
 # ---------------------------------------------------------------------------
 # Basis conversion
 

@@ -1,22 +1,153 @@
-"""Exact coefficient arithmetic: sparse polynomials in q, t and their fractions.
+"""Exact coefficient arithmetic in Q(q,t): Laurent polynomials, and quotients.
 
-Rationals are fractions.Fraction throughout.  A ScalarQT is a quotient of two
-PolyQT values; equality is decided by cross-multiplication, so fraction
-reduction is best-effort (strip common monomial and integer content, collapse
-when the denominator divides exactly) rather than a full multivariate gcd.
+A ScalarQT is almost always a canonical sparse Laurent polynomial: a dict from
+(q, t) exponents, possibly negative, to nonzero coefficients (int when
+integral, else Fraction; never float).  Sums, products, division by a one-term
+scalar and powers of a one-term scalar stay in that form and reduce no
+fraction; two Laurent values are equal exactly when their dicts are.  Only
+division by a scalar of more than one term builds a true quotient, reduced
+best-effort (common monomial and integer content, exact collapse) rather than
+by a multivariate gcd, folded back when its denominator comes out a monomial,
+and compared by cross-multiplication.  The canonical string is 'num / den'
+with coprime integer coefficients, e.g. `1 / q^2`, `1 / 2`, `3*q + 2*t / 6`,
+or the polynomial alone when it has integer coefficients, e.g. `q*t + t^2`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 Monomial = tuple[int, int]  # (q-exponent, t-exponent)
+_UNIT = {(0, 0): 1}
 
 
 def _display_key(mono: Monomial) -> tuple[int, int]:
     # total degree descending, then q-degree descending
     return (-(mono[0] + mono[1]), -mono[0])
+
+
+def _rational(value):
+    """value as an exact rational: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+# -- sparse term dicts: {(q, t): nonzero coefficient} -------------------------
+
+
+def _add(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    for mono, coeff in b.items():
+        if mono in out:
+            coeff += out[mono]
+            if not coeff:
+                del out[mono]
+                continue
+        out[mono] = coeff
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {mono: -coeff for mono, coeff in a.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((q2, t2), c2), = b.items()
+        if q2 == t2 == 0:
+            return {mono: c1 * c2 for mono, c1 in a.items()}
+        return {(q1 + q2, t1 + t2): c1 * c2 for (q1, t1), c1 in a.items()}
+    out: dict = {}
+    for (q2, t2), c2 in b.items():
+        for (q1, t1), c1 in a.items():
+            mono = (q1 + q2, t1 + t2)
+            out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def _pow(a: dict, k: int) -> dict:
+    """a ** k for k >= 0, by repeated squaring."""
+    out = _UNIT
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return out
+
+
+def _eval(a: dict, q0, t0) -> Fraction:
+    q0, t0 = Fraction(q0), Fraction(t0)
+    return sum((c * q0**e * t0**f for (e, f), c in a.items()), Fraction(0))
+
+
+def _exact_div(num: dict, den: dict) -> dict | None:
+    """num / den if den divides num exactly in Q[q,t], else None."""
+    (dq, dt) = lead = min(den, key=_display_key)
+    quot = {}
+    while num:
+        (rq, rt) = top = min(num, key=_display_key)
+        if rq < dq or rt < dt:
+            return None
+        mono, coeff = (rq - dq, rt - dt), Fraction(num[top]) / den[lead]
+        quot[mono] = coeff
+        num = _add(num, _mul(den, {mono: -coeff}))
+    return quot
+
+
+def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
+    """Best-effort reduced num / den: strip the common monomial, collapse an
+    exact quotient, clear integer content, make den's leading coefficient > 0."""
+    cq = min(q for q, _ in (*num, *den))
+    ct = min(t for _, t in (*num, *den))
+    if cq or ct:
+        num = {(q - cq, t - ct): c for (q, t), c in num.items()}
+        den = {(q - cq, t - ct): c for (q, t), c in den.items()}
+    quotient = _exact_div(num, den)
+    if quotient is not None:
+        num, den = quotient, _UNIT
+    coeffs = [Fraction(c) for c in (*num.values(), *den.values())]
+    factor = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
+    if den[min(den, key=_display_key)] < 0:
+        factor = -factor
+    return (
+        {m: _rational(c * factor) for m, c in num.items()},
+        {m: _rational(c * factor) for m, c in den.items()},
+    )
+
+
+def _laurent_pair(terms: dict) -> tuple[dict, dict]:
+    """Canonical num and den of a Laurent polynomial: den is d * q^a * t^b with
+    the least a, b >= 0 that clear negative exponents and d the lcm of the
+    coefficient denominators, so num has coprime integer coefficients."""
+    a = max(0, -min((q for q, _ in terms), default=0))
+    b = max(0, -min((t for _, t in terms), default=0))
+    d = lcm(*(c.denominator for c in terms.values()))
+    num = {(q + a, t + b): c.numerator * (d // c.denominator) for (q, t), c in terms.items()}
+    return num, {(a, b): d}
+
+
+def _terms_str(terms: dict) -> str:
+    """Monomials by total degree then q-degree, both descending."""
+    if not terms:
+        return "0"
+    parts = []
+    for mono in sorted(terms, key=_display_key):
+        coeff = terms[mono]
+        factors = [str(abs(coeff))] if abs(coeff) != 1 or mono == (0, 0) else []
+        factors += [var if e == 1 else f"{var}^{e}" for var, e in zip("qt", mono) if e]
+        sign = ("-" if coeff < 0 else "") if not parts else ("- " if coeff < 0 else "+ ")
+        parts.append(sign + "*".join(factors))
+    return " ".join(parts)
 
 
 class PolyQT:
@@ -25,23 +156,11 @@ class PolyQT:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
 
     @classmethod
     def constant(cls, c) -> "PolyQT":
         return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def monomial(cls, qexp: int, texp: int, coeff=1) -> "PolyQT":
-        if qexp < 0 or texp < 0:
-            raise ValueError("polynomial exponents must be nonnegative")
-        return cls({(qexp, texp): Fraction(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -56,140 +175,64 @@ class PolyQT:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "PolyQT") -> "PolyQT":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return PolyQT(out)
+        return PolyQT(_add(self.terms, other.terms))
 
     def __neg__(self) -> "PolyQT":
-        return PolyQT({m: -c for m, c in self.terms.items()})
+        return PolyQT(_neg(self.terms))
 
     def __sub__(self, other: "PolyQT") -> "PolyQT":
-        return self + (-other)
+        return PolyQT(_add(self.terms, _neg(other.terms)))
 
     def __mul__(self, other: "PolyQT") -> "PolyQT":
-        out: dict[Monomial, Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                mono = (a1 + a2, b1 + b2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return PolyQT(out)
-
-    def scale(self, c) -> "PolyQT":
-        c = Fraction(c)
-        return PolyQT({m: v * c for m, v in self.terms.items()})
+        return PolyQT(_mul(self.terms, other.terms))
 
     def __pow__(self, k: int) -> "PolyQT":
         if k < 0:
             raise ValueError("negative power of a polynomial; use ScalarQT")
-        out = PolyQT.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return PolyQT(_pow(self.terms, k))
 
     def eval_at(self, q0, t0) -> Fraction:
-        q0, t0 = Fraction(q0), Fraction(t0)
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * q0**a * t0**b
-        return total
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        mono = min(self.terms, key=_display_key)
-        return mono, self.terms[mono]
-
-    def exact_div(self, divisor: "PolyQT") -> "PolyQT | None":
-        """Quotient if divisor divides self exactly, else None."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return PolyQT()
-        (dq, dt), dc = divisor.leading()
-        quot: dict[Monomial, Fraction] = {}
-        rem = self
-        while not rem.is_zero():
-            (rq, rt), rc = rem.leading()
-            if rq < dq or rt < dt:
-                return None
-            mono = (rq - dq, rt - dt)
-            coeff = rc / dc
-            quot[mono] = coeff
-            rem = rem - divisor * PolyQT({mono: coeff})
-        return PolyQT(quot)
+        return _eval(self.terms, q0, t0)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def min_exponents(self) -> Monomial:
-        if self.is_zero():
-            return (0, 0)
-        return (
-            min(a for a, _ in self.terms),
-            min(b for _, b in self.terms),
-        )
-
-    def shift_down(self, dq: int, dt: int) -> "PolyQT":
-        return PolyQT({(a - dq, b - dt): c for (a, b), c in self.terms.items()})
-
     def __str__(self) -> str:
-        return poly_to_str(self)
+        """Canonical form: monomials by total degree then q-degree, both descending."""
+        return _terms_str(self.terms)
 
     def __repr__(self) -> str:
-        return f"PolyQT({poly_to_str(self)})"
+        return f"PolyQT({self})"
 
 
-POLY_ZERO = PolyQT()
-POLY_ONE = PolyQT.constant(1)
-
-
-def _term_str(mono: Monomial, coeff: Fraction) -> str:
-    a, b = mono
-    factors = []
-    if abs(coeff) != 1 or (a == 0 and b == 0):
-        factors.append(str(abs(coeff)))
-    if a:
-        factors.append("q" if a == 1 else f"q^{a}")
-    if b:
-        factors.append("t" if b == 1 else f"t^{b}")
-    return "*".join(factors)
-
-
-def poly_to_str(p: PolyQT) -> str:
-    """Canonical form: monomials by total degree then q-degree, both descending."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for mono in sorted(p.terms, key=_display_key):
-        coeff = p.terms[mono]
-        body = _term_str(mono, coeff)
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + body)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(parts)
+poly_to_str = PolyQT.__str__
 
 
 class ScalarQT:
-    """Element of the fraction field of PolyQT."""
+    """Element of Q(q,t).  `terms` is the Laurent form, or None for a true
+    quotient, which `quot` holds as a reduced (num, den) of term dicts.
+    ScalarQT(terms) adopts a dict of nonzero Laurent coefficients as it is;
+    ScalarQT(num, den) divides two polynomials, PolyQT or dict."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms", "quot")
 
-    def __init__(self, num: PolyQT, den: PolyQT = POLY_ONE):
-        if den.is_zero():
+    def __init__(self, num: PolyQT | dict, den: PolyQT | dict | None = None):
+        self.quot = None
+        if type(num) is not dict:
+            num = {m: _rational(c) for m, c in num.terms.items()}
+        if den is None:
+            self.terms = num
+            return
+        den = den if type(den) is dict else den.terms
+        if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        self.num, self.den = _reduce(num, den)
+        if len(den) > 1:
+            num, den = _reduce(num, den)
+        if len(den) > 1:
+            self.terms, self.quot = None, (num, den)
+            return
+        ((dq, dt), dc), = den.items()
+        self.terms = {(a - dq, b - dt): _rational(Fraction(c) / dc) for (a, b), c in num.items()}
 
     @classmethod
     def wrap(cls, value) -> "ScalarQT":
@@ -197,224 +240,179 @@ class ScalarQT:
             return value
         if isinstance(value, PolyQT):
             return cls(value)
-        return cls(PolyQT.constant(value))
+        return rational(value)
+
+    def _pair(self) -> tuple[dict, dict]:
+        return self.quot or _laurent_pair(self.terms)
+
+    num = property(lambda self: PolyQT(self._pair()[0]), doc="Numerator of the canonical form.")
+    den = property(lambda self: PolyQT(self._pair()[1]), doc="Denominator of the canonical form.")
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.terms and self.quot is None
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ScalarQT, PolyQT, int, Fraction)):
-            return NotImplemented
-        other = ScalarQT.wrap(other)
-        return self.num * other.den == other.num * self.den
+        if type(other) is not ScalarQT:
+            if not isinstance(other, (PolyQT, int, Fraction)):
+                return NotImplemented
+            other = ScalarQT.wrap(other)
+        if self.quot is None and other.quot is None:
+            return self.terms == other.terms
+        (an, ad), (bn, bd) = self._pair(), other._pair()
+        return _mul(an, bd) == _mul(bn, ad)
 
-    # Equality is cross-multiplication on non-canonical forms; no stable hash.
+    # Quotients compare by cross-multiplication on non-canonical forms; no stable hash.
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other) -> "ScalarQT":
-        other = ScalarQT.wrap(other)
-        if self.den == other.den:
-            return ScalarQT(self.num + other.num, self.den)
-        return ScalarQT(self.num * other.den + other.num * self.den, self.den * other.den)
+        if type(other) is not ScalarQT:
+            other = ScalarQT.wrap(other)
+        if self.quot is None and other.quot is None:
+            return ScalarQT(_add(self.terms, other.terms))
+        (an, ad), (bn, bd) = self._pair(), other._pair()
+        if ad == bd:
+            return ScalarQT(_add(an, bn), ad)
+        return ScalarQT(_add(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarQT":
-        return ScalarQT(-self.num, self.den)
+        if self.quot is None:
+            return ScalarQT(_neg(self.terms))
+        return ScalarQT(_neg(self.quot[0]), self.quot[1])
 
     def __sub__(self, other) -> "ScalarQT":
-        return self + (-ScalarQT.wrap(other))
+        return self + -ScalarQT.wrap(other)
 
     def __rsub__(self, other) -> "ScalarQT":
         return ScalarQT.wrap(other) - self
 
     def __mul__(self, other) -> "ScalarQT":
-        other = ScalarQT.wrap(other)
-        return ScalarQT(self.num * other.num, self.den * other.den)
+        if type(other) is not ScalarQT:
+            other = ScalarQT.wrap(other)
+        if self.quot is None and other.quot is None:
+            return ScalarQT(_mul(self.terms, other.terms))
+        (an, ad), (bn, bd) = self._pair(), other._pair()
+        return ScalarQT(_mul(an, bn), _mul(ad, bd))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ScalarQT":
-        other = ScalarQT.wrap(other)
+        if type(other) is not ScalarQT:
+            other = ScalarQT.wrap(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        return ScalarQT(self.num * other.den, self.den * other.num)
+        if self.quot is None and other.quot is None and len(other.terms) == 1:
+            ((q, t), c), = other.terms.items()
+            return ScalarQT(_mul(self.terms, {(-q, -t): 1 / Fraction(c)}))
+        (an, ad), (bn, bd) = self._pair(), other._pair()
+        return ScalarQT(_mul(an, bd), _mul(ad, bn))
 
     def __rtruediv__(self, other) -> "ScalarQT":
         return ScalarQT.wrap(other) / self
 
     def __pow__(self, k: int) -> "ScalarQT":
+        terms = self.terms
         if k >= 0:
-            return ScalarQT(self.num**k, self.den**k)
+            if terms is None:
+                return ScalarQT(*(_pow(p, k) for p in self.quot))
+            return ScalarQT(_pow(terms, k))
         if self.is_zero():
             raise ZeroDivisionError("negative power of zero")
-        return ScalarQT(self.den ** (-k), self.num ** (-k))
+        if terms is not None and len(terms) == 1:
+            ((q, t), c), = terms.items()
+            return ScalarQT({(q * k, t * k): Fraction(c) ** k})
+        num, den = self._pair()
+        return ScalarQT(_pow(den, -k), _pow(num, -k))
 
     def eval_at(self, q0, t0) -> Fraction:
-        d = self.den.eval_at(q0, t0)
+        num, den = self._pair() if q0 == 0 or t0 == 0 or self.quot else (self.terms, _UNIT)
+        d = _eval(den, q0, t0)
         if d == 0:
-            raise ZeroDivisionError(
-                f"denominator {poly_to_str(self.den)} vanishes at (q,t)=({q0},{t0})"
-            )
-        return self.num.eval_at(q0, t0) / d
+            raise ZeroDivisionError(f"denominator {_terms_str(den)} vanishes at (q,t)=({q0},{t0})")
+        return _eval(num, q0, t0) / d
 
     def substitute(self, q_expr: "ScalarQT", t_expr: "ScalarQT") -> "ScalarQT":
         """Formal composition q -> q_expr, t -> t_expr."""
-
-        def poly_subst(p: PolyQT) -> ScalarQT:
-            total = ZERO
-            for (a, b), c in p.terms.items():
-                total = total + ScalarQT.wrap(c) * q_expr**a * t_expr**b
-            return total
-
-        num_s = poly_subst(self.num)
-        den_s = poly_subst(self.den)
-        if den_s.is_zero():
+        num, den = (
+            sum((rational(c) * q_expr**a * t_expr**b for (a, b), c in p.items()), ZERO)
+            for p in self._pair()
+        )
+        if den.is_zero():
             raise ZeroDivisionError("substitution produced a zero denominator")
-        return num_s / den_s
+        return num / den
 
     def is_polynomial(self) -> bool:
         return self.as_poly() is not None
 
     def as_poly(self) -> PolyQT | None:
-        """The polynomial this scalar equals, when the denominator divides out."""
-        if self.den == POLY_ONE:
-            return self.num
-        return self.num.exact_div(self.den)
+        """The polynomial this scalar equals: a Laurent form with no negative
+        exponent.  A reduced quotient never is one: an exact quotient collapses."""
+        if self.terms is None or any(a < 0 or b < 0 for a, b in self.terms):
+            return None
+        return PolyQT(self.terms)
 
     def as_integer_poly(self) -> PolyQT | None:
         """as_poly restricted to integer coefficients."""
         p = self.as_poly()
-        if p is not None and p.is_integral():
-            return p
-        return None
+        return p if p is not None and p.is_integral() else None
 
     def __str__(self) -> str:
-        if self.den == POLY_ONE:
-            return poly_to_str(self.num)
-        return f"{poly_to_str(self.num)} / {poly_to_str(self.den)}"
+        num, den = self._pair()
+        return _terms_str(num) if den == _UNIT else f"{_terms_str(num)} / {_terms_str(den)}"
 
     def __repr__(self) -> str:
         return f"ScalarQT({self})"
 
 
-def _integer_normalize(num: PolyQT, den: PolyQT) -> tuple[PolyQT, PolyQT]:
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    if not coeffs:
-        return num, den
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = lcm(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-    factor = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(den_lcm)
-    return num.scale(factor), den.scale(factor)
-
-
-def _reduce(num: PolyQT, den: PolyQT) -> tuple[PolyQT, PolyQT]:
-    if num.is_zero():
-        return POLY_ZERO, POLY_ONE
-    if den == POLY_ONE:
-        if num.is_integral():
-            return num, POLY_ONE
-        num, den = _integer_normalize(num, den)
-        if den.leading()[1] < 0:
-            num, den = -num, -den
-        return num, den
-    # common monomial content
-    nq, nt = num.min_exponents()
-    dq, dt = den.min_exponents()
-    cq, ct = min(nq, dq), min(nt, dt)
-    if cq or ct:
-        num = num.shift_down(cq, ct)
-        den = den.shift_down(cq, ct)
-    # collapse exact quotients
-    quotient = num.exact_div(den)
-    if quotient is not None:
-        num, den = quotient, POLY_ONE
-    # integer content and sign of the denominator's leading term
-    num, den = _integer_normalize(num, den)
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    return num, den
-
-
-ZERO = ScalarQT(POLY_ZERO)
-ONE = ScalarQT(POLY_ONE)
-Q = ScalarQT(PolyQT.monomial(1, 0))
-T = ScalarQT(PolyQT.monomial(0, 1))
-
-
 def rational(value) -> ScalarQT:
-    return ScalarQT(PolyQT.constant(Fraction(value)))
+    value = _rational(value)
+    return ScalarQT({(0, 0): value} if value else {})
+
+
+ZERO = ScalarQT({})
+ONE = ScalarQT(_UNIT)
+Q = ScalarQT({(1, 0): 1})
+T = ScalarQT({(0, 1): 1})
 
 
 class ScalarParseError(ValueError):
     """Input does not follow the canonical scalar grammar."""
 
 
-def _parse_poly(text: str) -> PolyQT:
+_FACTOR = r"(?:\d+|[qt](?:\^\d+)?)"
+_TERM = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_POLY = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_SIGNED_TERM = re.compile(rf"([+-]?)({_TERM})")
+
+
+def _parse_poly(text: str) -> dict:
     text = text.replace(" ", "")
-    if not text:
-        raise ScalarParseError("empty polynomial")
-    if text == "0":
-        return PolyQT()
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        start = 1
-    cur = start
-    buf_start = start
-    while cur <= len(text):
-        if cur == len(text) or text[cur] in "+-":
-            chunk = text[buf_start:cur]
-            if not chunk:
-                raise ScalarParseError(f"malformed polynomial {text!r}")
-            terms.append((sign, chunk))
-            if cur < len(text):
-                sign = -1 if text[cur] == "-" else 1
-            buf_start = cur + 1
-        cur += 1
-    out: dict[Monomial, Fraction] = {}
-    for sgn, chunk in terms:
-        coeff = Fraction(sgn)
-        qe = te = 0
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ScalarParseError(f"malformed term {chunk!r}")
-            if factor[0] in "qt":
-                var, caret, exp = factor.partition("^")
-                if var not in ("q", "t"):
-                    raise ScalarParseError(f"unknown variable {var!r}")
-                if caret and not exp:
-                    raise ScalarParseError(f"missing exponent in {factor!r}")
-                e = int(exp) if exp else 1
-                if e < 0:
-                    raise ScalarParseError("negative exponent in polynomial")
-                if var == "q":
-                    qe += e
-                else:
-                    te += e
+    if not _POLY.fullmatch(text):
+        raise ScalarParseError(f"malformed polynomial {text!r}")
+    out: dict = {}
+    for sign, term in _SIGNED_TERM.findall(text):
+        coeff, qe, te = (-1 if sign == "-" else 1), 0, 0
+        for factor in term.split("*"):
+            if factor[0] == "q":
+                qe += int(factor[2:] or 1)
+            elif factor[0] == "t":
+                te += int(factor[2:] or 1)
             else:
-                try:
-                    coeff *= int(factor)
-                except ValueError as exc:
-                    raise ScalarParseError(f"bad coefficient {factor!r}") from exc
-        out[(qe, te)] = out.get((qe, te), Fraction(0)) + coeff
-    return PolyQT(out)
+                coeff *= int(factor)
+        out = _add(out, {(qe, te): coeff} if coeff else {})
+    return out
 
 
 def parse_scalar(text: str) -> ScalarQT:
     """Parse the canonical string form, optionally 'num / den'."""
     pieces = text.split("/")
-    if len(pieces) == 1:
-        return ScalarQT(_parse_poly(pieces[0]))
-    if len(pieces) == 2:
-        return ScalarQT(_parse_poly(pieces[0]), _parse_poly(pieces[1]))
-    raise ScalarParseError(f"more than one '/' in {text!r}")
+    if len(pieces) > 2:
+        raise ScalarParseError(f"more than one '/' in {text!r}")
+    num, *den = map(_parse_poly, pieces)
+    if den and not den[0]:
+        raise ScalarParseError(f"zero denominator in {text!r}")
+    return ScalarQT(num, *den)

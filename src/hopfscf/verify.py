@@ -31,6 +31,7 @@ from .qsym import (
     L_from_pi_entry,
     M_from_pi_entry,
     QSymElem,
+    _full_mask,
     pi_from_L_entry,
     pi_from_M_entry,
 )
@@ -54,10 +55,6 @@ GROUP_AXIOM_DEGREES = {2: 7, 3: 5}
 def _subsets(n: int):
     for r in range(max(n, 1)):
         yield from (frozenset(c) for c in itertools.combinations(range(1, n), r))
-
-
-def _full_mask(n: int) -> int:
-    return (1 << (n - 1)) - 1 if n >= 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +603,7 @@ def fqsym_descent_oracle(max_total: int = 7) -> CheckReport:
 def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = None) -> CheckReport:
     """Dispatch a named suite with optional overrides."""
     if name == "hopf-axioms":
-        return suite_hopf_axioms(max_degree or 5)
+        return suite_hopf_axioms(5 if max_degree is None else max_degree)
     if name == "diagrams":
         degrees = dict(DEFAULT_NU_DEGREES)
         if nus:
@@ -615,13 +612,13 @@ def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = 
             degrees = {nu: max_degree for nu in degrees}
         return suite_diagrams(degrees)
     if name == "dualities":
-        return suite_dualities(max_degree or 6)
+        return suite_dualities(6 if max_degree is None else max_degree)
     if name == "specializations":
-        return suite_specializations(max_degree or 7)
+        return suite_specializations(7 if max_degree is None else max_degree)
     if name == "omega":
-        return suite_omega(max_degree or 6)
+        return suite_omega(6 if max_degree is None else max_degree)
     if name == "overlap":
-        return suite_overlap(max_degree or 8)
+        return suite_overlap(8 if max_degree is None else max_degree)
     if name == "group-axioms":
         degrees = dict(GROUP_AXIOM_DEGREES)
         if nus:
@@ -630,5 +627,5 @@ def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = 
             degrees = {nu: max_degree for nu in degrees}
         return suite_group_axioms(degrees)
     if name == "integrality":
-        return suite_integrality(max_degree or 6)
+        return suite_integrality(6 if max_degree is None else max_degree)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -93,6 +93,26 @@ class TestStructconst:
         assert main(["structconst", "--k", "2", "--K", "1,2"]) == 2
 
 
+class TestOutOfDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--elem", "Pi:(1,2)", "--to", "M", "--nu", "1"],
+            ["expand", "--elem", "M:(1,2)", "--to", "Pi", "--nu", "0"],
+            ["expand", "--elem", "Pi:(1,2)", "--to", "M"],
+            ["expand", "--elem", "M:(1,2)", "--to", "Pi"],
+            ["expand", "--elem", "M:(1)", "--to", "X"],
+            ["structconst", "--k", "-1", "--K", "{}"],
+            ["structconst", "--k", "3", "--K", "{}", "--filter-m", "4"],
+        ],
+    )
+    def test_exits_2_with_an_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 class TestVerify:
     def test_dualities_pass(self, capsys):
         code = main(["verify", "--suite", "dualities", "--max-degree", "3"])
@@ -116,6 +136,17 @@ class TestVerify:
         assert code == 0
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["passed"] is True
+
+    def test_max_degree_zero_examines_degree_zero_only(self, capsys, monkeypatch):
+        from hopfscf import nsym
+
+        degrees = []
+        real = nsym.structure_constant
+        monkeypatch.setattr(
+            nsym, "structure_constant", lambda k, *rest: degrees.append(k) or real(k, *rest)
+        )
+        assert main(["verify", "--suite", "integrality", "--max-degree", "0", "--json"]) == 0
+        assert degrees and max(degrees) == 0
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "nope"]) == 2

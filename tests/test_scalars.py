@@ -169,6 +169,11 @@ class TestStringsAndParsing:
             with pytest.raises(ScalarParseError):
                 parse_scalar(bad)
 
+    def test_zero_denominator_is_a_parse_error(self):
+        for bad in ("1/0", "q / 0", "1 / q - q", "2*t / 0*q"):
+            with pytest.raises(ScalarParseError):
+                parse_scalar(bad)
+
     @given(small_scalars())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random(self, s):

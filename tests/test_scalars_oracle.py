@@ -1,0 +1,115 @@
+"""The Laurent scalar ring against the fraction-field oracle.
+
+Values are drawn as num / den with num a random polynomial with rational
+coefficients and den either a monomial c * q^a * t^b (a Laurent value, the hot
+path) or a polynomial of up to three terms (a true quotient).  Every result
+must print exactly as the oracle prints it, which also pins the value.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalars_oracle as oracle
+from hopfscf import scalars
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = rationals.filter(bool)
+monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def polys(min_size=0):
+    return st.dictionaries(monomials, nonzero_rationals, min_size=min_size, max_size=3)
+
+
+dens = st.one_of(
+    st.builds(lambda mono, c: {mono: c}, monomials, nonzero_rationals),
+    polys(min_size=1),
+)
+
+
+@st.composite
+def pairs(draw):
+    """The same value in both implementations."""
+    num, den = draw(polys()), draw(dens)
+    new = scalars.ScalarQT(scalars.PolyQT(num), scalars.PolyQT(den))
+    old = oracle.ScalarQT(oracle.PolyQT(num), oracle.PolyQT(den))
+    return new, old
+
+
+def _agree(new_op, old_op):
+    """Both raise ZeroDivisionError, or both print the same."""
+    try:
+        want = str(old_op())
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            new_op()
+        return
+    assert str(new_op()) == want
+
+
+@SETTINGS
+@given(pairs(), pairs())
+def test_arithmetic_agrees(x, y):
+    (a, a0), (b, b0) = x, y
+    assert str(a) == str(a0)
+    _agree(lambda: a + b, lambda: a0 + b0)
+    _agree(lambda: a - b, lambda: a0 - b0)
+    _agree(lambda: a * b, lambda: a0 * b0)
+    _agree(lambda: a / b, lambda: a0 / b0)
+    _agree(lambda: (a + b) * a - b / a, lambda: (a0 + b0) * a0 - b0 / a0)
+    assert (a == b) == (a0 == b0)
+    assert a == a + b - b
+
+
+@SETTINGS
+@given(pairs(), rationals)
+def test_mixed_operands_agree(x, c):
+    a, a0 = x
+    _agree(lambda: a + c, lambda: a0 + c)
+    _agree(lambda: a * c, lambda: a0 * c)
+    _agree(lambda: a / c, lambda: a0 / c)
+    _agree(lambda: c - a, lambda: c - a0)
+    assert (a == c) == (a0 == c)
+
+
+@SETTINGS
+@given(pairs(), st.integers(-3, 3))
+def test_powers_agree(x, k):
+    a, a0 = x
+    _agree(lambda: a**k, lambda: a0**k)
+
+
+@SETTINGS
+@given(pairs())
+def test_parse_round_trip_agrees(x):
+    a, a0 = x
+    text = str(a)
+    back = scalars.parse_scalar(text)
+    assert back == a
+    assert str(back) == str(oracle.parse_scalar(text)) == text
+
+
+@SETTINGS
+@given(pairs(), st.tuples(rationals, rationals))
+def test_evaluation_agrees(x, point):
+    a, a0 = x
+    try:
+        want = a0.eval_at(*point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            a.eval_at(*point)
+        return
+    assert a.eval_at(*point) == want
+
+
+def test_division_by_monomials_stays_laurent():
+    c = Fraction(-3, 2)
+    x = (scalars.Q + scalars.T * 2) / (scalars.Q**2 * scalars.T * c)
+    assert x.quot is None
+    assert str(x) == str((oracle.Q + oracle.T * 2) / (oracle.Q**2 * oracle.T * c))
+    assert str(x) == "-2*q - 4*t / 3*q^2*t"
