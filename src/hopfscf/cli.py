@@ -3,13 +3,16 @@
 Machine output is JSON (--json) or CSV (--csv); the default is a small aligned
 table for reading.  Exit status: 0 on success, 1 on failed verification, 2 on
 argument or parse errors, and on a group larger than the enumeration bound.
-The env var HOPF_SCF_MAX_GROUP overrides that bound.
+The env var HOPF_SCF_MAX_GROUP overrides that bound.  `structconst` prints a
+fixed-K table from nsym.structure_constants_table, one pass over the selectors
+per m.  The argument parser is built on the first main call and shared.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -66,6 +69,10 @@ def parse_elem(text: str):
         f"unknown basis {basis!r}; QSym: {', '.join(QSYM_BASES)}; "
         f"NSym: {', '.join(NSYM_BASES)}"
     )
+
+
+def _subset_literal(members) -> str:
+    return "{" + ",".join(map(str, members)) + "}"
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> str:
@@ -125,27 +132,17 @@ def cmd_structconst(args) -> int:
     if not K <= set(range(1, k)):
         raise CliError(f"K={sorted(K)} is not a subset of [{k - 1}]")
     rows = []
+    k_text, K_text = str(k), _subset_literal(sorted(K))
     for m in range(k + 1):
         if args.filter_m is not None and m != args.filter_m:
             continue
-        n = k - m
-        for imask in range(1 << max(m - 1, 0)):
-            I = SubsetLabel(m, imask)
-            for jmask in range(1 << max(n - 1, 0)):
-                J = SubsetLabel(n, jmask)
-                coeff = nsym.structure_constant(k, K, m, I.members, J.members)
-                if coeff.is_zero():
-                    continue
-                rows.append(
-                    [
-                        str(k),
-                        "{" + ",".join(map(str, sorted(K))) + "}",
-                        str(m),
-                        "{" + ",".join(map(str, I.members)) + "}",
-                        "{" + ",".join(map(str, J.members)) + "}",
-                        str(coeff),
-                    ]
-                )
+        table = nsym.structure_constants_table(k, K, m)
+        for imask, jmask in sorted(table):
+            I, J = SubsetLabel(m, imask).members, SubsetLabel(k - m, jmask).members
+            rows.append(
+                [k_text, K_text, str(m), _subset_literal(I), _subset_literal(J),
+                 str(table[imask, jmask])]
+            )
     header = ["k", "K", "m", "I", "J", "polynomial"]
     if args.csv:
         buf = io.StringIO()
@@ -191,7 +188,12 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main call.
+
+    It holds syntax only: main picks the command function by name at each
+    call, so the shared parser keeps no reference to a function."""
     parser = argparse.ArgumentParser(
         prog="hopfscf",
         description="Exact QSym/NSym computations over the q,t fraction field.",
@@ -203,30 +205,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, help="target basis tag")
     p.add_argument("--nu", type=int, help="parameter for the Pi basis")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("structconst", help="table of coproduct structure constants")
     p.add_argument("--k", type=int, required=True, help="total degree")
     p.add_argument("--K", required=True, help="subset literal, e.g. {1,2}")
     p.add_argument("--filter-m", type=int, dest="filter_m", help="only rows with this m")
     p.add_argument("--csv", action="store_true", help="CSV output")
-    p.set_defaults(func=cmd_structconst)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, help=f"one of: {', '.join(verify.SUITES)}")
     p.add_argument("--max-degree", type=int, dest="max_degree", help="degree bound override")
     p.add_argument("--nu", help="comma-separated list of nu values")
     p.add_argument("--json", action="store_true", help="summary only")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"expand": cmd_expand, "structconst": cmd_structconst, "verify": cmd_verify}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (CliError, GroupBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

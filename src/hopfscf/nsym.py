@@ -3,18 +3,24 @@
 H is the free-algebra basis and every conversion is defined against it.  The
 closed product rules (near-concatenation for B, concatenation for Bhat) are
 fast paths; their agreement with the H route is asserted in the test suite
-rather than assumed.
+rather than assumed.  The structure constants C^K_{I,J}(q,t) of the B basis
+come three ways from one closed sum over selectors: per entry
+(structure_constant, the oracle), per fixed K and m
+(structure_constants_table, which the CLI and coproduct_B_comp use) and per
+fixed (I, J) (structure_constants_sweep).
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .compositions import (
     Composition,
     SubsetLabel,
     comp_of_set,
     iter_submasks,
+    mask_of,
     near_concat,
     preshuffle,
     run_markers,
@@ -442,45 +448,79 @@ def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
         _, c2, c = run_markers(A, k)
         if pre.mask & c.mask:
             continue
-        free = c.mask & ~pre.mask
-        sub = free
-        while True:
+        for sub in iter_submasks(c.mask & ~pre.mask):
             kmask = pre.mask | sub
             e_qt = (kmask & c2.mask).bit_count()
             e_t = (kmask & ~c2.mask).bit_count()
             _add_term(acc, kmask, (Q + T) ** e_qt * T**e_t)
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
     denom = T ** (I_lbl.size + J_lbl.size)
     return {kmask: coeff / denom for kmask, coeff in acc.items()}
+
+
+def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], ScalarQT]:
+    """Every nonzero C^K_{I,J}(q,t) for fixed k, K and m, keyed by (imask, jmask).
+
+    One pass over the selectors A of size n = k - m.  The admissibility tests
+    of structure_constant together say preshuffle(I, J, A) = K \\ c(A), and for
+    a fixed A the preshuffle determines (I, J), so each A adds to one row.  I
+    holds the ranks within [k] \\ A of the elements of K \\ c(A) outside A, and
+    J the ranks within A of those inside A.  K \\ c(A) never holds the largest
+    element of A or of its complement: that element is k or lies in c(A).
+    The weight (q+t)^{|K n c2|} t^{|K \\ c2| - |I| - |J|} equals
+    (q+t)^{|K n c2|} t^{|K n c1|}; the selectors are counted per row and pair
+    of exponents, and each row's scalar is built once from its counts.  Agrees
+    with structure_constant entry by entry.
+    """
+    n = k - m
+    if not 0 <= n <= k:
+        raise ValueError(f"m={m} is not in [0, {k}]")
+    kmask = mask_of(K)
+    below_k = _full_mask(k)
+    if kmask & ~below_k:
+        raise ValueError(f"K={sorted(K)} is not a subset of [{k - 1}]")
+    full = (1 << k) - 1
+    counts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for A in itertools.combinations(range(k), n):
+        amask = sum(1 << i for i in A)
+        rest = full & ~amask
+        c1 = amask & ~(amask >> 1) & below_k  # run maxima of A, k removed
+        c2 = rest & ~(rest >> 1) & below_k  # run maxima of [k] \ A, k removed
+        target = kmask & ~(c1 | c2)
+        row = (_ranks_within(target & rest, rest), _ranks_within(target & amask, amask))
+        exps = ((kmask & c2).bit_count(), (kmask & c1).bit_count())
+        per_row = counts.setdefault(row, {})
+        per_row[exps] = per_row.get(exps, 0) + 1
+    table = {}
+    for row, per_row in counts.items():
+        terms: dict[tuple[int, int], int] = {}
+        for (e_qt, e_t), count in per_row.items():
+            for i in range(e_qt + 1):  # (q+t)^e_qt t^e_t, binomially
+                mono = (i, e_qt - i + e_t)
+                terms[mono] = terms.get(mono, 0) + count * comb(e_qt, i)
+        table[row] = ScalarQT(terms)
+    return table
+
+
+def _ranks_within(sub: int, pool: int) -> int:
+    """The mask of the 1-based ranks, within the members of pool, of sub's members."""
+    out, bit = 0, 1
+    while pool:
+        low = pool & -pool
+        if sub & low:
+            out |= bit
+        bit <<= 1
+        pool ^= low
+    return out
 
 
 def coproduct_B_comp(k: int, K) -> NSymTensor:
     """Delta B(q,t)_{comp(K)} straight from the structure constants."""
     acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-    K = frozenset(K)
     for m in range(k + 1):
-        n = k - m
-        for I in _subsets_upto(m):
-            for J in _subsets_upto(n):
-                coeff = structure_constant(k, K, m, I, J)
-                if coeff.is_zero():
-                    continue
-                _add_term(
-                    acc,
-                    (
-                        comp_of_set(SubsetLabel.of(m, I)),
-                        comp_of_set(SubsetLabel.of(n, J)),
-                    ),
-                    coeff,
-                )
+        for (imask, jmask), coeff in structure_constants_table(k, K, m).items():
+            left = comp_of_set(SubsetLabel(m, imask))
+            acc[(left, comp_of_set(SubsetLabel(k - m, jmask)))] = coeff
     return NSymTensor(("B", "B"), acc)
-
-
-def _subsets_upto(m: int):
-    for r in range(max(m, 1)):
-        yield from (frozenset(c) for c in itertools.combinations(range(1, m), r))
 
 
 def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT]]:

@@ -19,6 +19,7 @@ from .compositions import (
     compositions_of,
     descent_rep,
     descent_set,
+    iter_submasks,
     overlapping_shuffles,
     preshuffle,
     run_markers,
@@ -327,17 +328,12 @@ def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
         _, c2, c = run_markers(A, k)
         if pre.mask & c.mask:
             continue
-        free = c.mask & ~pre.mask
-        sub = free
-        while True:
+        for sub in iter_submasks(c.mask & ~pre.mask):
             kmask = pre.mask | sub
             if (kmask & ~c2.mask).bit_count() == I_lbl.size + J_lbl.size:
                 size_count[kmask] = size_count.get(kmask, 0) + 1
             if not kmask & c2.mask:
                 empty_count[kmask] = empty_count.get(kmask, 0) + 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
     return {"size": size_count, "empty": empty_count}
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hopfscf.cli import main, parse_composition, parse_elem, parse_subset
+from hopfscf.cli import build_parser, main, parse_composition, parse_elem, parse_subset
 from hopfscf.compositions import Composition
 
 
@@ -91,6 +91,46 @@ class TestStructconst:
     def test_bad_subset_exits_2(self):
         assert main(["structconst", "--k", "2", "--K", "{5}"]) == 2
         assert main(["structconst", "--k", "2", "--K", "1,2"]) == 2
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        ["expand", "--elem", "B:(1,2)", "--to", "H", "--json"],
+        ["expand", "--elem", "B:(1,2)", "--to", "H"],
+        ["expand", "--elem", "M:(1,2)", "--to", "Pi", "--nu", "2"],
+        ["expand", "--elem", "M:(1,2)", "--to", "Pi"],
+        ["structconst", "--k", "3", "--K", "{1}", "--csv", "--filter-m", "1"],
+        ["structconst", "--k", "3", "--K", "{1}"],
+    ]
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_behaves_as_if_alone(self, capsys):
+        in_a_row = [self.run(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in in_a_row] == [0, 0, 0, 2, 0, 0]
+        json.loads(in_a_row[0][1])
+        assert in_a_row[1][1].startswith("B:(1,2) expanded in H")
+        assert in_a_row[3][1] == "" and in_a_row[3][2].startswith("error:")
+        assert {r["m"] for r in csv.DictReader(io.StringIO(in_a_row[4][1]))} == {"1"}
+        for argv, result in zip(self.SEQUENCE, in_a_row):
+            build_parser.cache_clear()
+            assert self.run(capsys, argv) == result, argv
+
+    def test_command_is_looked_up_at_each_call(self, capsys, monkeypatch):
+        from hopfscf import cli
+
+        assert main(["expand", "--elem", "B:(2)", "--to", "H"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_expand", lambda args: calls.append(args.elem) or 0)
+        assert main(["expand", "--elem", "B:(2)", "--to", "H"]) == 0
+        assert calls == ["B:(2)"]
 
 
 class TestOutOfDomain:

@@ -35,6 +35,7 @@ from hopfscf.nsym import (
     specialize,
     structure_constant,
     structure_constants_sweep,
+    structure_constants_table,
 )
 from hopfscf.qsym import E, L, M
 from hopfscf.scalars import ONE, Q, T, ZERO, parse_scalar, rational
@@ -243,6 +244,33 @@ class TestStructureConstants:
                             K = SubsetLabel(k, kmask).members
                             direct = structure_constant(k, K, m, I, J)
                             assert sweep.get(kmask, ZERO) == direct
+
+    def test_table_matches_per_entry(self):
+        # every (k <= 6, K, m, I, J), zero entries included: 5,917 in all
+        examined = nonzero = 0
+        for k in range(0, 7):
+            for K in subsets(k):
+                for m in range(k + 1):
+                    table = structure_constants_table(k, K, m)
+                    rows = 0
+                    for I in subsets(m):
+                        for J in subsets(k - m):
+                            key = (SubsetLabel.of(m, I).mask, SubsetLabel.of(k - m, J).mask)
+                            got = table.get(key, ZERO)
+                            direct = structure_constant(k, K, m, I, J)
+                            assert got == direct and str(got) == str(direct), (k, K, m, I, J)
+                            examined += 1
+                            rows += not direct.is_zero()
+                    # no zero rows and no keys outside the (I, J) range
+                    assert len(table) == rows
+                    nonzero += rows
+        assert examined == 5917 and nonzero > 0
+
+    def test_table_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            structure_constants_table(3, {1}, 4)  # m exceeds k
+        with pytest.raises(ValueError):
+            structure_constants_table(3, {7}, 1)  # K outside [k-1]
 
     def test_closed_sum_matches_H_route(self):
         for k in range(0, 6):
