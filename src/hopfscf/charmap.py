@@ -3,6 +3,10 @@
 ScfElem is the symbolic side: rational combinations of kappa / normalized-chi
 labels graded by degree.  It lowers to dense ClassFunctions only inside the
 diagram verifier, keeping the Hopf arithmetic independent of group bounds.
+`ch` sums one cached integer row of M coefficients per basis label, read off
+the L and Pi(nu) displays that qsym's basis conversion uses, over one common
+denominator; the per-term route through `qsym.convert` is kept as the test
+oracle (tests/charmap_oracle.py).
 """
 
 from __future__ import annotations
@@ -10,9 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 from . import groupscf, qsym
-from .compositions import SubsetLabel, comp_of_set
+from .compositions import Composition, SubsetLabel, comp_of_set
 from .groupscf import CheckReport, ClassFunction, GroupSpec
 from .qsym import QSymElem, QSymTensor
 from .scalars import rational
@@ -97,20 +103,43 @@ class ScfElem:
         return ScfElem(self.nu, out)
 
 
+@lru_cache(maxsize=4096)
+def _ch_row(
+    nu: int, n: int, tag: str, mask: int
+) -> tuple[int, tuple[tuple[Composition, int], ...]]:
+    """ch of one basis label in M, as a denominator d and (composition,
+    numerator) pairs: the L display for chi_dot, (nu-1)^{|I|} times the
+    Pi(nu) display for kappa.  4096 rows hold both tags at every degree <= 11
+    for one nu."""
+    if tag == CHI_DOT:
+        basis, scale, nu = "L", 1, None
+    else:
+        basis, scale = "Pi", (nu - 1) ** mask.bit_count()
+    # every display entry is a rational constant
+    entries = [
+        (comp_of_set(SubsetLabel(n, imask)), Fraction(scale * c.terms[(0, 0)]))
+        for imask, c in qsym._to_M_terms(basis, n, mask, nu).items()
+    ]
+    d = lcm(*(c.denominator for _, c in entries))
+    return d, tuple((comp, c.numerator * (d // c.denominator)) for comp, c in entries)
+
+
 def ch(x: ScfElem) -> QSymElem:
-    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
-    total = QSymElem.zero("M")
-    for (degree, tag, label), coeff in sorted(
-        x.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].members)
-    ):
-        comp = comp_of_set(label)
-        if tag == CHI_DOT:
-            elem = QSymElem("L", {comp: rational(coeff)})
-        else:
-            scale = Fraction((x.nu - 1) ** label.size) * coeff
-            elem = QSymElem("Pi", {comp: rational(scale)}, nu=x.nu)
-        total = total + qsym.convert(elem, "M")
-    return total
+    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}.
+    Each label's image in M is a cached integer row; the rows are summed as
+    integer numerators over one common denominator."""
+    den, acc = 1, {}  # acc[comp] / den is the coefficient of M_comp
+    for (degree, tag, label), coeff in x.terms.items():
+        d, row = _ch_row(x.nu, degree, tag, label.mask)
+        e = d * coeff.denominator
+        if den % e:
+            grow = e // gcd(den, e)
+            acc = {comp: v * grow for comp, v in acc.items()}
+            den *= grow
+        a = coeff.numerator * (den // e)
+        for comp, c in row:
+            acc[comp] = acc.get(comp, 0) + a * c
+    return QSymElem("M", {comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
 
 
 def _basis_elements(nu: int, degree: int):

@@ -33,12 +33,17 @@ def _full_mask(n: int) -> int:
     return (1 << (n - 1)) - 1 if n >= 1 else 0
 
 
+def _comp(parts) -> Composition:
+    """parts as a Composition; one already built is kept as it is."""
+    return parts if type(parts) is Composition else Composition(parts)
+
+
 def _wrap_terms(terms) -> dict[Composition, ScalarQT]:
     out: dict[Composition, ScalarQT] = {}
     for comp, coeff in terms.items():
         coeff = ScalarQT.wrap(coeff)
         if not coeff.is_zero():
-            out[Composition(comp)] = coeff
+            out[_comp(comp)] = coeff
     return out
 
 
@@ -290,7 +295,8 @@ def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
 # Product, coproduct, antipode
 
 
-@lru_cache(maxsize=None)
+# 4096 entries hold every (I, J) pair with m + n <= 9.
+@lru_cache(maxsize=4096)
 def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int, int], ...]:
     """Multiset of a_shuffle masks over all selectors A, as (mask, mult) pairs."""
     I = SubsetLabel(m, imask)
@@ -340,7 +346,7 @@ class QSymTensor:
         for (ca, cb), coeff in (terms or {}).items():
             coeff = ScalarQT.wrap(coeff)
             if not coeff.is_zero():
-                self.terms[(Composition(ca), Composition(cb))] = coeff
+                self.terms[(_comp(ca), _comp(cb))] = coeff
 
     def convert(self, bases: tuple[str, str]) -> "QSymTensor":
         acc: dict[tuple[Composition, Composition], ScalarQT] = {}
@@ -438,8 +444,8 @@ def antipode_M(alpha) -> QSymElem:
 
 
 def antipode(x: QSymElem) -> QSymElem:
-    m = convert(x, "M")
-    out = QSymElem.zero("M")
-    for comp, coeff in m.terms.items():
-        out = out + antipode_M(comp).scale(coeff)
-    return out
+    acc: dict[Composition, ScalarQT] = {}
+    for comp, coeff in convert(x, "M").terms.items():
+        for gamma, sign in antipode_M(comp).terms.items():
+            _add_term(acc, gamma, sign * coeff)
+    return QSymElem("M", acc)

@@ -307,7 +307,10 @@ class ScalarQT:
             raise ZeroDivisionError("scalar division by zero")
         if self.quot is None and other.quot is None and len(other.terms) == 1:
             ((q, t), c), = other.terms.items()
-            return ScalarQT(_mul(self.terms, {(-q, -t): 1 / Fraction(c)}))
+            inv = 1 / Fraction(c)
+            return ScalarQT(
+                {(a - q, b - t): _rational(v * inv) for (a, b), v in self.terms.items()}
+            )
         (an, ad), (bn, bd) = self._pair(), other._pair()
         return ScalarQT(_mul(an, bd), _mul(ad, bn))
 
@@ -324,7 +327,7 @@ class ScalarQT:
             raise ZeroDivisionError("negative power of zero")
         if terms is not None and len(terms) == 1:
             ((q, t), c), = terms.items()
-            return ScalarQT({(q * k, t * k): Fraction(c) ** k})
+            return ScalarQT({(q * k, t * k): _rational(Fraction(c) ** k)})
         num, den = self._pair()
         return ScalarQT(_pow(den, -k), _pow(num, -k))
 

@@ -1,0 +1,32 @@
+"""The per-term hub route for hopfscf.charmap.ch.
+
+Each term of the ScfElem becomes a one-term QSymElem in L or Pi(nu), goes
+through qsym.convert to M, and is added to the running total.  The cached-row
+`ch` in charmap must agree with it exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hopfscf import qsym
+from hopfscf.charmap import CHI_DOT, ScfElem
+from hopfscf.compositions import comp_of_set
+from hopfscf.qsym import QSymElem
+from hopfscf.scalars import rational
+
+
+def ch(x: ScfElem) -> QSymElem:
+    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
+    total = QSymElem.zero("M")
+    for (degree, tag, label), coeff in sorted(
+        x.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].members)
+    ):
+        comp = comp_of_set(label)
+        if tag == CHI_DOT:
+            elem = QSymElem("L", {comp: rational(coeff)})
+        else:
+            scale = Fraction((x.nu - 1) ** label.size) * coeff
+            elem = QSymElem("Pi", {comp: rational(scale)}, nu=x.nu)
+        total = total + qsym.convert(elem, "M")
+    return total

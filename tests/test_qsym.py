@@ -31,6 +31,21 @@ class TestElements:
         x = QSymElem("M", {Composition((2,)): ZERO})
         assert x.is_zero()
 
+    def test_composition_keys_kept_as_built(self):
+        comp = Composition((1, 2))
+        assert next(iter(QSymElem("M", {comp: 1}).terms)) is comp
+        ((a, b),) = QSymTensor(("M", "M"), {(comp, comp): 1}).terms
+        assert a is comp and b is comp
+
+    def test_plain_tuple_keys_still_validated(self):
+        for bad in ((1, 0), (2, -1), (0,)):
+            with pytest.raises(ValueError):
+                QSymElem("M", {bad: 1})
+            with pytest.raises(ValueError):
+                QSymTensor(("M", "M"), {((1,), bad): 1})
+            with pytest.raises(ValueError):
+                QSymTensor(("L", "E"), {(bad, ()): 1})
+
     def test_equality_across_bases(self):
         # L_(2) = M_(2) + M_(1,1)
         assert L((2,)) == M((2,)) + M((1, 1))
@@ -172,6 +187,15 @@ class TestAntipode:
                     acc = acc + (antipode(M(a)) * M(b)).scale(c)
                 expected = QSymElem.unit("M").scale(counit(x))
                 assert acc == expected, alpha
+
+    def test_linear_on_sums(self):
+        # L_(3) = M_(3) + M_(1,2) + M_(2,1) + M_(1,1,1)
+        x = L((3,)).scale(2) - M((1, 2))
+        expected = QSymElem.zero("M")
+        for alpha in ((3,), (2, 1), (1, 1, 1), (1, 2)):
+            expected = expected + antipode_M(alpha).scale(2)
+        assert antipode(x) == expected - antipode_M((1, 2))
+        assert antipode(x - x).is_zero()
 
     def test_antipode_is_antimultiplicative(self):
         for alpha, beta in (((1,), (2,)), ((1, 1), (1,))):

@@ -181,3 +181,17 @@ class TestStringsAndParsing:
 
     def test_poly_str_of_zero(self):
         assert poly_to_str(PolyQT()) == "0"
+
+
+def test_integral_quotients_and_powers_keep_int_coefficients():
+    from hopfscf import nsym
+
+    for value in (
+        (Q + T) * T / T,
+        Q**-2,
+        rational(Fraction(3, 2)) * T**-1 / rational(Fraction(1, 2)),
+        nsym.structure_constant(3, {1, 2}, 1, (), (1,)),
+    ):
+        assert value.terms and all(type(c) is int for c in value.terms.values()), value.terms
+    assert (Q / 2).terms == {(1, 0): Fraction(1, 2)}
+    assert (rational(Fraction(2, 3)) ** -1).terms == {(0, 0): Fraction(3, 2)}
