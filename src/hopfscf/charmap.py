@@ -3,10 +3,10 @@
 ScfElem is the symbolic side: rational combinations of kappa / normalized-chi
 labels graded by degree.  It lowers to dense ClassFunctions only inside the
 diagram verifier, keeping the Hopf arithmetic independent of group bounds.
-`ch` sums one cached integer row of M coefficients per basis label, read off
-the L and Pi(nu) displays that qsym's basis conversion uses, over one common
-denominator; the per-term route through `qsym.convert` is kept as the test
-oracle (tests/charmap_oracle.py).
+`ch` sums one cached integer row of M coefficients per basis label, expanded
+by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
+denominator; the per-term route through the hub conversion of
+tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ class ScfElem:
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
         """Expand a dense superclass function in the kappa basis."""
         spec = phi.spec
-        if spec != GroupSpec.standard(spec.nu, degree):
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        if spec.index_set != tuple(range(1, degree)):
             raise ValueError("dense lift expects a standard group")
         terms = {}
         for supp, coeff in groupscf.expand_kappa(phi).items():
@@ -108,17 +110,17 @@ def _ch_row(
     nu: int, n: int, tag: str, mask: int
 ) -> tuple[int, tuple[tuple[Composition, int], ...]]:
     """ch of one basis label in M, as a denominator d and (composition,
-    numerator) pairs: the L display for chi_dot, (nu-1)^{|I|} times the
-    Pi(nu) display for kappa.  4096 rows hold both tags at every degree <= 11
-    for one nu."""
+    numerator) pairs: the kernel's L -> M row for chi_dot, (nu-1)^{|I|} times
+    its Pi(nu) -> M row for kappa.  4096 rows hold both tags at every degree
+    <= 11 for one nu."""
     if tag == CHI_DOT:
         basis, scale, nu = "L", 1, None
     else:
         basis, scale = "Pi", (nu - 1) ** mask.bit_count()
-    # every display entry is a rational constant
+    # every QSym factor entry is a rational constant
     entries = [
-        (comp_of_set(SubsetLabel(n, imask)), Fraction(scale * c.terms[(0, 0)]))
-        for imask, c in qsym._to_M_terms(basis, n, mask, nu).items()
+        (comp_of_set(SubsetLabel(n, imask)), scale * c)
+        for imask, c in qsym._expand(qsym._m_factor, basis, nu, "M", None, n, mask).items()
     ]
     d = lcm(*(c.denominator for _, c in entries))
     return d, tuple((comp, c.numerator * (d // c.denominator)) for comp, c in entries)

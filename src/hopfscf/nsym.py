@@ -1,11 +1,12 @@
 """NSym over the q,t fraction field: H, Lambda, R, E*, B(q,t), Bhat(q,t).
 
-H is the free-algebra basis and every conversion is defined against it.  The
-closed product rules (near-concatenation for B, concatenation for Bhat) are
-fast paths; their agreement with the H route is asserted in the test suite
-rather than assumed.  The structure constants C^K_{I,J}(q,t) of the B basis
-come three ways from one closed sum over selectors: per entry
-(structure_constant, the oracle), per fixed K and m
+H is the free-algebra basis and the hub: each basis has one 2x2 factor into
+it, and `convert` expands a label by the composed factor src @ tgt^-1 with
+qsym's Kronecker-factor kernel.  The closed product rules (near-concatenation
+for B, concatenation for Bhat) are fast paths; their agreement with the H
+route is asserted in the test suite rather than assumed.  The structure
+constants C^K_{I,J}(q,t) of the B basis come three ways from one closed sum
+over selectors: per entry (structure_constant, the oracle), per fixed K and m
 (structure_constants_table, which the CLI and coproduct_B_comp use) and per
 fixed (I, J) (structure_constants_sweep).
 """
@@ -27,8 +28,8 @@ from .compositions import (
     runs_composition,
     set_of_comp,
 )
-from .qsym import QSymElem, _add_term, _full_mask, convert as qsym_convert
-from .scalars import ONE, Q, T, ScalarQT, parse_scalar, rational
+from .qsym import QSymElem, _add_term, _expand, _full_mask, convert as qsym_convert
+from .scalars import ONE, Q, T, ZERO, ScalarQT, parse_scalar, rational
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
@@ -60,8 +61,6 @@ class NSymElem:
         return not self.terms
 
     def coefficient(self, parts) -> ScalarQT:
-        from .scalars import ZERO
-
         return self.terms.get(Composition(parts), ZERO)
 
     def scale(self, c) -> "NSymElem":
@@ -162,22 +161,9 @@ def b_to_H_masks(n: int, imask: int, qs: ScalarQT = Q, ts: ScalarQT = T) -> dict
     return out
 
 
-def h_to_B_masks(n: int, imask: int) -> dict[int, ScalarQT]:
-    """Inverse transition: H_{comp(I)} = sum over J disjoint from I of
-    q^{|I|-(n-1)} (-t)^{(n-1)-|I|-|J|} B(q,t)_{comp(J)}."""
-    size_i = imask.bit_count()
-    out: dict[int, ScalarQT] = {}
-    for jmask in iter_submasks(_full_mask(n) & ~imask):
-        size_j = jmask.bit_count()
-        out[jmask] = Q ** (size_i - (n - 1)) * (-T) ** ((n - 1) - size_i - size_j)
-    return out
-
-
 def b_matrix_entry(n: int, imask: int, jmask: int) -> ScalarQT:
     """The transition-matrix entry M_{I,J} = q^{|J\\I|} t^{|J n I|} [I u J = [n-1]]."""
     if (imask | jmask) != _full_mask(n):
-        from .scalars import ZERO
-
         return ZERO
     return Q ** (jmask & ~imask).bit_count() * T ** (jmask & imask).bit_count()
 
@@ -187,75 +173,22 @@ def b_inverse_entry(n: int, imask: int, jmask: int) -> ScalarQT:
     if n == 0:
         return ONE
     if imask & jmask:
-        from .scalars import ZERO
-
         return ZERO
     si, sj = imask.bit_count(), jmask.bit_count()
     return Q ** (sj - (n - 1)) * (-T) ** ((n - 1) - si - sj)
 
 
-def _lambda_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
-    full = _full_mask(n)
-    out = {}
-    for sub in iter_submasks(full & ~smask):
-        jmask = smask | sub
-        out[jmask] = rational((-1) ** ((n - 1) - jmask.bit_count()))
-    return out
-
-
-def _r_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
-    out = {}
-    for tmask in iter_submasks(smask):
-        out[tmask] = rational((-1) ** (smask.bit_count() - tmask.bit_count()))
-    return out
-
-
-def _estar_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
-    full = _full_mask(n)
-    out = {}
-    for sub in iter_submasks(full & ~smask):
-        out[smask | sub] = rational((-1) ** sub.bit_count())
-    return out
-
-
-def _to_H_masks(basis: str, n: int, mask: int) -> dict[int, ScalarQT]:
-    if n == 0:
-        return {0: ONE}  # all bases share the unit
-    if basis == "H":
-        return {mask: ONE}
-    if basis == "Lambda":
-        return _lambda_to_H_masks(n, mask)
-    if basis == "R":
-        return _r_to_H_masks(n, mask)
-    if basis == "Estar":
-        return _estar_to_H_masks(n, mask)
-    if basis == "B":
-        return b_to_H_masks(n, mask)
-    if basis == "Bhat":
-        return b_to_H_masks(n, _full_mask(n) & ~mask)
-    raise AssertionError(basis)
-
-
-def _from_H_masks(target: str, n: int, mask: int) -> dict[int, ScalarQT]:
-    if n == 0:
-        return {0: ONE}
-    full = _full_mask(n)
-    if target == "H":
-        return {mask: ONE}
-    if target == "Lambda":
-        # the signed refinement sum is its own inverse
-        return _lambda_to_H_masks(n, mask)
-    if target == "R":
-        return {tmask: ONE for tmask in iter_submasks(mask)}
-    if target == "Estar":
-        return {mask | sub: ONE for sub in iter_submasks(full & ~mask)}
-    if target == "B":
-        return h_to_B_masks(n, mask)
-    if target == "Bhat":
-        return {
-            full & ~jmask: coeff for jmask, coeff in h_to_B_masks(n, mask).items()
-        }
-    raise AssertionError(target)
+def _h_factor(basis: str, nu=None) -> tuple:
+    """The hub factor into H (no basis takes nu); B's is b_to_H_masks one
+    coordinate at a time and Bhat's is B's with the label bit flipped."""
+    return {
+        "H": ((ONE, ZERO), (ZERO, ONE)),
+        "Lambda": ((-ONE, ONE), (ZERO, ONE)),
+        "R": ((ONE, ZERO), (-ONE, ONE)),
+        "Estar": ((ONE, -ONE), (ZERO, ONE)),
+        "B": ((ZERO, ONE), (Q, T)),
+        "Bhat": ((Q, T), (ZERO, ONE)),
+    }[basis]
 
 
 def convert(x: NSymElem, target: str) -> NSymElem:
@@ -263,17 +196,13 @@ def convert(x: NSymElem, target: str) -> NSymElem:
         raise ValueError(f"unknown NSym basis {target!r}")
     if x.basis == target:
         return x
-    acc: dict[Composition, ScalarQT] = {}
+    acc: dict[tuple[int, int], ScalarQT] = {}  # keyed by (degree, mask)
     for comp, coeff in x.terms.items():
         n = comp.size
-        mask = set_of_comp(comp).mask
-        for hmask, c1 in _to_H_masks(x.basis, n, mask).items():
-            if target == "H":
-                _add_term(acc, comp_of_set(SubsetLabel(n, hmask)), coeff * c1)
-                continue
-            for tmask, c2 in _from_H_masks(target, n, hmask).items():
-                _add_term(acc, comp_of_set(SubsetLabel(n, tmask)), coeff * c1 * c2)
-    return NSymElem(target, acc)
+        row = _expand(_h_factor, x.basis, None, target, None, n, set_of_comp(comp).mask)
+        for tmask, c in row.items():
+            _add_term(acc, (n, tmask), coeff * c)
+    return NSymElem(target, {comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()})
 
 
 def specialize(x: NSymElem, q0, t0) -> NSymElem:
@@ -334,8 +263,6 @@ class NSymTensor:
         return NSymTensor(bases, acc)
 
     def coefficient(self, left, right) -> ScalarQT:
-        from .scalars import ZERO
-
         return self.terms.get((Composition(left), Composition(right)), ZERO)
 
     def __add__(self, other: "NSymTensor") -> "NSymTensor":
@@ -427,8 +354,6 @@ def structure_constant(k: int, K, m: int, I, J) -> ScalarQT:
         term = (Q + T) ** e_qt * T**e_t
         total = term if total is None else total + term
     if total is None:
-        from .scalars import ZERO
-
         return ZERO
     return total / T ** (I_lbl.size + J_lbl.size)
 
@@ -560,8 +485,6 @@ def omega(x: NSymElem) -> NSymElem:
 
 def pairing(f: NSymElem, x: QSymElem) -> ScalarQT:
     """Bilinear extension of (H_alpha, M_beta) = delta_{alpha,beta}."""
-    from .scalars import ZERO
-
     h = convert(f, "H")
     m = qsym_convert(x, "M")
     total = ZERO

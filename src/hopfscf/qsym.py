@@ -1,12 +1,16 @@
 """QSym over the q,t fraction field: bases M, L, E, Pi(nu) and their Hopf structure.
 
-Every element stores one basis tag; mixed-basis arithmetic converts to M
-first.  The order conventions are the refinement-sum ones,
+Every element stores one basis tag; mixed-basis arithmetic meets in M.  The
+order conventions are the refinement-sum ones,
 
     L_{comp(K)} = sum_{K <= I} M_{comp(I)},    E_{comp(K)} = sum_{I <= K} M_{comp(I)},
 
 validated downstream by the duality and Hopf-axiom tests rather than trusted
-from any display.
+from any display.  Every transition between two bases, here and in NSym,
+factors over the n-1 coordinates of a subset mask: each basis has one 2x2
+factor into its hub, and `convert` expands a label by the composed factor
+src @ tgt^-1, one coordinate at a time.  The hub routes through M and H are
+the test oracle (tests/convert_oracle.py).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .compositions import (
     overlapping_shuffles,
     set_of_comp,
 )
-from .scalars import ONE, ScalarQT, parse_scalar, rational
+from .scalars import ONE, ZERO, ScalarQT, _rational, parse_scalar, rational
 
 BASES = ("M", "L", "E", "Pi")
 
@@ -54,6 +58,42 @@ def _add_term(acc: dict, key, coeff) -> None:
         acc.pop(key, None)
     else:
         acc[key] = new
+
+
+# A hub factor F of a basis is its 2x2 transition into the hub at one
+# coordinate of a subset mask: where a label's bit is a, the hub bit b carries
+# F[a][b], and a label's hub expansion is the product of those entries over its
+# coordinates.  The entries are Fractions (QSym, hub M) or ScalarQT (NSym, hub
+# H), so the inverse below stays exact; an integral composed Fraction entry is
+# kept as an int, which keeps the products of the L, E and M rows in ints.
+# 256 cache entries hold every ordered pair of both algebras for dozens of nu.
+@lru_cache(maxsize=256)
+def _transition(hub_factor, src: str, src_nu, tgt: str, tgt_nu) -> tuple:
+    """The composed factor src @ tgt^-1 of hub_factor's bases, as the nonzero
+    (target bit, entry) pairs of its row for source bit 0 and for source bit 1."""
+    (a, b), (c, d) = hub_factor(tgt, tgt_nu)
+    det = a * d - b * c
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    return tuple(
+        tuple(
+            (k, _rational(e) if type(e) is Fraction else e)
+            for k in (0, 1)
+            if (e := x * inv[0][k] + y * inv[1][k])
+        )
+        for x, y in hub_factor(src, src_nu)
+    )
+
+
+def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -> dict:
+    """The label `mask` of degree n in basis src, expanded in tgt as
+    {target mask: entry}.  Each of the n-1 coordinates multiplies in its row of
+    the composed factor and adds a fresh bit, so no two products share a mask."""
+    factor = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
+    out = {0: 1}
+    for i in range(n - 1):
+        row = factor[mask >> i & 1]
+        out = {m | k << i: c * e for m, c in out.items() for k, e in row}
+    return out
 
 
 class QSymElem:
@@ -89,8 +129,6 @@ class QSymElem:
         return not self.terms
 
     def coefficient(self, parts) -> ScalarQT:
-        from .scalars import ZERO
-
         return self.terms.get(Composition(parts), ZERO)
 
     def scale(self, c) -> "QSymElem":
@@ -222,47 +260,17 @@ def M_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
 # Basis conversion
 
 
-def _to_M_terms(basis: str, n: int, mask: int, nu: int | None) -> dict[int, ScalarQT]:
-    if n == 0:
-        return {0: ONE}  # all bases share the unit
-    full = _full_mask(n)
-    out: dict[int, ScalarQT] = {}
-    if basis == "M":
-        out[mask] = ONE
-    elif basis == "L":
-        for sub in iter_submasks(full & ~mask):
-            out[mask | sub] = ONE
-    elif basis == "E":
-        for sub in iter_submasks(mask):
-            out[sub] = ONE
-    elif basis == "Pi":
-        for imask in iter_submasks(full & ~mask):
-            coeff = M_from_pi_entry(n, mask, imask, nu)
-            if coeff:
-                out[imask] = rational(coeff)
-    return out
-
-
-def _from_M_terms(target: str, n: int, mask: int, nu: int | None) -> dict[int, ScalarQT]:
-    if n == 0:
-        return {0: ONE}
-    full = _full_mask(n)
-    out: dict[int, ScalarQT] = {}
-    if target == "M":
-        out[mask] = ONE
-    elif target == "L":
-        for sub in iter_submasks(full & ~mask):
-            out[mask | sub] = rational((-1) ** sub.bit_count())
-    elif target == "E":
-        for sub in iter_submasks(mask):
-            out[sub] = rational((-1) ** (mask.bit_count() - sub.bit_count()))
-    elif target == "Pi":
-        for sub in iter_submasks(mask):
-            jmask = (full & ~mask) | sub
-            coeff = pi_from_M_entry(n, mask, jmask, nu)
-            if coeff:
-                out[jmask] = rational(coeff)
-    return out
+def _m_factor(basis: str, nu: int | None) -> tuple:
+    """The hub factor into M: L_K = sum_{I >= K} M_I, E_K = sum_{I <= K} M_I,
+    and M_from_pi_entry one coordinate at a time."""
+    one, nil = Fraction(1), Fraction(0)
+    if basis == "Pi":
+        return (Fraction(nu - 1, nu), one), (Fraction(-1, nu), nil)
+    return {
+        "M": ((one, nil), (nil, one)),
+        "L": ((one, one), (nil, one)),
+        "E": ((one, nil), (one, one)),
+    }[basis]
 
 
 def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
@@ -275,20 +283,14 @@ def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
         nu = None
     if x.basis == target and x.nu == nu:
         return x
-    acc: dict[Composition, ScalarQT] = {}
+    acc: dict[tuple[int, int], ScalarQT] = {}  # keyed by (degree, mask)
     for comp, coeff in x.terms.items():
         n = comp.size
-        mask = set_of_comp(comp).mask
-        mid = _to_M_terms(x.basis, n, mask, x.nu)
-        for mmask, c1 in mid.items():
-            if target == "M":
-                _add_term(acc, comp_of_set(SubsetLabel(n, mmask)), coeff * c1)
-                continue
-            for tmask, c2 in _from_M_terms(target, n, mmask, nu).items():
-                _add_term(
-                    acc, comp_of_set(SubsetLabel(n, tmask)), coeff * c1 * c2
-                )
-    return QSymElem(target, acc, nu=nu)
+        row = _expand(_m_factor, x.basis, x.nu, target, nu, n, set_of_comp(comp).mask)
+        for tmask, c in row.items():
+            _add_term(acc, (n, tmask), coeff * c)
+    terms = {comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()}
+    return QSymElem(target, terms, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ def _rational(value):
     """value as an exact rational: an int when integral, else a Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -49,6 +50,7 @@ def _add(a: dict, b: dict) -> dict:
             if not coeff:
                 del out[mono]
                 continue
+            coeff = _rational(coeff)
         out[mono] = coeff
     return out
 
@@ -63,14 +65,14 @@ def _mul(a: dict, b: dict) -> dict:
     if len(b) == 1:
         ((q2, t2), c2), = b.items()
         if q2 == t2 == 0:
-            return {mono: c1 * c2 for mono, c1 in a.items()}
-        return {(q1 + q2, t1 + t2): c1 * c2 for (q1, t1), c1 in a.items()}
+            return {mono: _rational(c1 * c2) for mono, c1 in a.items()}
+        return {(q1 + q2, t1 + t2): _rational(c1 * c2) for (q1, t1), c1 in a.items()}
     out: dict = {}
     for (q2, t2), c2 in b.items():
         for (q1, t1), c1 in a.items():
             mono = (q1 + q2, t1 + t2)
             out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
-    return {mono: coeff for mono, coeff in out.items() if coeff}
+    return {mono: _rational(coeff) for mono, coeff in out.items() if coeff}
 
 
 def _pow(a: dict, k: int) -> dict:

@@ -1,15 +1,16 @@
 """The per-term hub route for hopfscf.charmap.ch.
 
 Each term of the ScfElem becomes a one-term QSymElem in L or Pi(nu), goes
-through qsym.convert to M, and is added to the running total.  The cached-row
-`ch` in charmap must agree with it exactly.
+through the hub-route conversion of convert_oracle to M, and is added to the
+running total.  The cached-row `ch` in charmap, whose rows come from qsym's
+conversion kernel, must agree with it exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hopfscf import qsym
+import convert_oracle
 from hopfscf.charmap import CHI_DOT, ScfElem
 from hopfscf.compositions import comp_of_set
 from hopfscf.qsym import QSymElem
@@ -28,5 +29,5 @@ def ch(x: ScfElem) -> QSymElem:
         else:
             scale = Fraction((x.nu - 1) ** label.size) * coeff
             elem = QSymElem("Pi", {comp: rational(scale)}, nu=x.nu)
-        total = total + qsym.convert(elem, "M")
+        total = total + convert_oracle.qsym_convert(elem, "M")
     return total

@@ -1,0 +1,190 @@
+"""The hub routes for hopfscf.qsym.convert and hopfscf.nsym.convert.
+
+This is the basis conversion hopfscf had before its one Kronecker-factor
+kernel, kept whole as the slow oracle: every label is expanded in the hub (M
+for QSym, H for NSym) by its own hand-written display, and every hub term is
+expanded again in the target basis.  The kernel must agree with it exactly.
+"""
+
+from __future__ import annotations
+
+from hopfscf import nsym, qsym
+from hopfscf.compositions import Composition, SubsetLabel, comp_of_set, iter_submasks, set_of_comp
+from hopfscf.nsym import NSymElem, b_to_H_masks
+from hopfscf.qsym import (
+    QSymElem,
+    M_from_pi_entry,
+    _add_term,
+    _full_mask,
+    pi_from_M_entry,
+)
+from hopfscf.scalars import ONE, Q, T, ScalarQT, rational
+
+# ---------------------------------------------------------------------------
+# QSym, through M
+
+
+def _to_M_terms(basis: str, n: int, mask: int, nu: int | None) -> dict[int, ScalarQT]:
+    if n == 0:
+        return {0: ONE}  # all bases share the unit
+    full = _full_mask(n)
+    out: dict[int, ScalarQT] = {}
+    if basis == "M":
+        out[mask] = ONE
+    elif basis == "L":
+        for sub in iter_submasks(full & ~mask):
+            out[mask | sub] = ONE
+    elif basis == "E":
+        for sub in iter_submasks(mask):
+            out[sub] = ONE
+    elif basis == "Pi":
+        for imask in iter_submasks(full & ~mask):
+            coeff = M_from_pi_entry(n, mask, imask, nu)
+            if coeff:
+                out[imask] = rational(coeff)
+    return out
+
+
+def _from_M_terms(target: str, n: int, mask: int, nu: int | None) -> dict[int, ScalarQT]:
+    if n == 0:
+        return {0: ONE}
+    full = _full_mask(n)
+    out: dict[int, ScalarQT] = {}
+    if target == "M":
+        out[mask] = ONE
+    elif target == "L":
+        for sub in iter_submasks(full & ~mask):
+            out[mask | sub] = rational((-1) ** sub.bit_count())
+    elif target == "E":
+        for sub in iter_submasks(mask):
+            out[sub] = rational((-1) ** (mask.bit_count() - sub.bit_count()))
+    elif target == "Pi":
+        for sub in iter_submasks(mask):
+            jmask = (full & ~mask) | sub
+            coeff = pi_from_M_entry(n, mask, jmask, nu)
+            if coeff:
+                out[jmask] = rational(coeff)
+    return out
+
+
+def qsym_convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
+    """Change of basis; linear, invertible, degree-preserving."""
+    if target not in qsym.BASES:
+        raise ValueError(f"unknown QSym basis {target!r}")
+    if target == "Pi" and (nu is None or nu < 2):
+        raise ValueError("converting to Pi needs nu >= 2")
+    if target != "Pi":
+        nu = None
+    if x.basis == target and x.nu == nu:
+        return x
+    acc: dict[Composition, ScalarQT] = {}
+    for comp, coeff in x.terms.items():
+        n = comp.size
+        mask = set_of_comp(comp).mask
+        mid = _to_M_terms(x.basis, n, mask, x.nu)
+        for mmask, c1 in mid.items():
+            if target == "M":
+                _add_term(acc, comp_of_set(SubsetLabel(n, mmask)), coeff * c1)
+                continue
+            for tmask, c2 in _from_M_terms(target, n, mmask, nu).items():
+                _add_term(
+                    acc, comp_of_set(SubsetLabel(n, tmask)), coeff * c1 * c2
+                )
+    return QSymElem(target, acc, nu=nu)
+
+
+# ---------------------------------------------------------------------------
+# NSym, through H
+
+
+def h_to_B_masks(n: int, imask: int) -> dict[int, ScalarQT]:
+    """Inverse transition: H_{comp(I)} = sum over J disjoint from I of
+    q^{|I|-(n-1)} (-t)^{(n-1)-|I|-|J|} B(q,t)_{comp(J)}."""
+    size_i = imask.bit_count()
+    out: dict[int, ScalarQT] = {}
+    for jmask in iter_submasks(_full_mask(n) & ~imask):
+        size_j = jmask.bit_count()
+        out[jmask] = Q ** (size_i - (n - 1)) * (-T) ** ((n - 1) - size_i - size_j)
+    return out
+
+
+def _lambda_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
+    full = _full_mask(n)
+    out = {}
+    for sub in iter_submasks(full & ~smask):
+        jmask = smask | sub
+        out[jmask] = rational((-1) ** ((n - 1) - jmask.bit_count()))
+    return out
+
+
+def _r_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
+    out = {}
+    for tmask in iter_submasks(smask):
+        out[tmask] = rational((-1) ** (smask.bit_count() - tmask.bit_count()))
+    return out
+
+
+def _estar_to_H_masks(n: int, smask: int) -> dict[int, ScalarQT]:
+    full = _full_mask(n)
+    out = {}
+    for sub in iter_submasks(full & ~smask):
+        out[smask | sub] = rational((-1) ** sub.bit_count())
+    return out
+
+
+def _to_H_masks(basis: str, n: int, mask: int) -> dict[int, ScalarQT]:
+    if n == 0:
+        return {0: ONE}  # all bases share the unit
+    if basis == "H":
+        return {mask: ONE}
+    if basis == "Lambda":
+        return _lambda_to_H_masks(n, mask)
+    if basis == "R":
+        return _r_to_H_masks(n, mask)
+    if basis == "Estar":
+        return _estar_to_H_masks(n, mask)
+    if basis == "B":
+        return b_to_H_masks(n, mask)
+    if basis == "Bhat":
+        return b_to_H_masks(n, _full_mask(n) & ~mask)
+    raise AssertionError(basis)
+
+
+def _from_H_masks(target: str, n: int, mask: int) -> dict[int, ScalarQT]:
+    if n == 0:
+        return {0: ONE}
+    full = _full_mask(n)
+    if target == "H":
+        return {mask: ONE}
+    if target == "Lambda":
+        # the signed refinement sum is its own inverse
+        return _lambda_to_H_masks(n, mask)
+    if target == "R":
+        return {tmask: ONE for tmask in iter_submasks(mask)}
+    if target == "Estar":
+        return {mask | sub: ONE for sub in iter_submasks(full & ~mask)}
+    if target == "B":
+        return h_to_B_masks(n, mask)
+    if target == "Bhat":
+        return {
+            full & ~jmask: coeff for jmask, coeff in h_to_B_masks(n, mask).items()
+        }
+    raise AssertionError(target)
+
+
+def nsym_convert(x: NSymElem, target: str) -> NSymElem:
+    if target not in nsym.BASES:
+        raise ValueError(f"unknown NSym basis {target!r}")
+    if x.basis == target:
+        return x
+    acc: dict[Composition, ScalarQT] = {}
+    for comp, coeff in x.terms.items():
+        n = comp.size
+        mask = set_of_comp(comp).mask
+        for hmask, c1 in _to_H_masks(x.basis, n, mask).items():
+            if target == "H":
+                _add_term(acc, comp_of_set(SubsetLabel(n, hmask)), coeff * c1)
+                continue
+            for tmask, c2 in _from_H_masks(target, n, hmask).items():
+                _add_term(acc, comp_of_set(SubsetLabel(n, tmask)), coeff * c1 * c2)
+    return NSymElem(target, acc)

@@ -22,6 +22,19 @@ class TestScfElem:
                 lifted = ScfElem.from_dense(phi, degree)
                 assert lifted.to_dense(degree) == phi
 
+    def test_from_dense_refuses_a_nonstandard_spec_or_degree(self):
+        phi = kappa(GroupSpec.standard(2, 3), {1})
+        for degree in (2, 4):
+            with pytest.raises(ValueError, match="expects a standard group"):
+                ScfElem.from_dense(phi, degree)
+        gapped = kappa(GroupSpec(2, (1, 3)), {1})
+        for degree in (3, 4):
+            with pytest.raises(ValueError, match="expects a standard group"):
+                ScfElem.from_dense(gapped, degree)
+        trivial = kappa(GroupSpec.standard(2, 0), set())
+        with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
+            ScfElem.from_dense(trivial, -1)
+
     def test_dense_round_trip_chi(self):
         nu, degree = 3, 4
         phi = dot_chi(GroupSpec.standard(nu, degree), {2})

@@ -191,6 +191,9 @@ def test_integral_quotients_and_powers_keep_int_coefficients():
         Q**-2,
         rational(Fraction(3, 2)) * T**-1 / rational(Fraction(1, 2)),
         nsym.structure_constant(3, {1, 2}, 1, (), (1,)),
+        rational(Fraction(1, 2)) * 2,
+        rational(Fraction(1, 2)) + rational(Fraction(1, 2)),
+        Q * Fraction(3, 2) * Fraction(2, 3),
     ):
         assert value.terms and all(type(c) is int for c in value.terms.values()), value.terms
     assert (Q / 2).terms == {(1, 0): Fraction(1, 2)}
