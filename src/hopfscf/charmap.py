@@ -1,8 +1,9 @@
 """The characteristic isomorphism between graded superclass functions and QSym.
 
-ScfElem is the symbolic side: rational combinations of kappa / normalized-chi
-labels graded by degree.  It lowers to dense ClassFunctions only inside the
-diagram verifier, keeping the Hopf arithmetic independent of group bounds.
+ScfElem is the symbolic side: a `linear.LinComb` with rational coefficients
+on kappa / normalized-chi labels graded by degree.  It lowers to dense
+ClassFunctions only inside the diagram verifier, keeping the Hopf arithmetic
+independent of group bounds.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
 denominator; the per-term route through the hub conversion of
@@ -11,15 +12,14 @@ tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import groupscf, qsym
-from .compositions import Composition, SubsetLabel, comp_of_set
+from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec
+from .linear import LinComb
 from .qsym import QSymElem, QSymTensor
 from .scalars import rational
 
@@ -29,26 +29,29 @@ CHI_DOT = "chi_dot"
 Key = tuple[int, str, SubsetLabel]
 
 
-@dataclass
-class ScfElem:
-    """Element of the direct sum over n of the supercharacter function spaces."""
+class ScfElem(LinComb):
+    """Element of the direct sum over n of the supercharacter function spaces:
+    rational coefficients on (degree, tag, label) keys, all for one nu."""
 
-    nu: int
-    terms: dict[Key, Fraction] = field(default_factory=dict)
+    __slots__ = _TAG = ("nu",)
+    _coeff = Fraction
 
-    def __post_init__(self) -> None:
-        clean: dict[Key, Fraction] = {}
-        for (degree, tag, label), coeff in self.terms.items():
-            if tag not in (KAPPA, CHI_DOT):
-                raise ValueError(f"unknown basis tag {tag!r}")
-            if label.ambient != degree:
-                raise ValueError(
-                    f"label {label} does not match degree {degree}"
-                )
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[(degree, tag, label)] = coeff
-        self.terms = clean
+    def __init__(self, nu: int, terms=None):
+        self.nu = nu
+        super().__init__(terms)
+
+    @staticmethod
+    def _key(key: Key) -> Key:
+        degree, tag, label = key
+        if tag not in (KAPPA, CHI_DOT):
+            raise ValueError(f"unknown basis tag {tag!r}")
+        if label.ambient != degree:
+            raise ValueError(f"label {label} does not match degree {degree}")
+        return key
+
+    def _label(self, key: Key) -> str:
+        degree, tag, label = key
+        return f"{tag}{list(label.members)} (deg {degree})"
 
     @classmethod
     def kappa(cls, nu: int, degree: int, members=()) -> "ScfElem":
@@ -72,7 +75,7 @@ class ScfElem:
         for supp, coeff in groupscf.expand_kappa(phi).items():
             if coeff:
                 terms[(degree, KAPPA, SubsetLabel.of(degree, supp))] = coeff
-        return cls(spec.nu, terms)
+        return cls(spec.nu)._with_terms(terms)
 
     def to_dense(self, degree: int) -> ClassFunction:
         """Lower the degree-n component to a dense function on Q_n(nu)."""
@@ -87,22 +90,6 @@ class ScfElem:
                 part = groupscf.dot_chi(spec, label.members)
             total = total + part.scale(coeff)
         return total
-
-    def scale(self, c) -> "ScfElem":
-        c = Fraction(c)
-        return ScfElem(self.nu, {k: c * v for k, v in self.terms.items()})
-
-    def __add__(self, other: "ScfElem") -> "ScfElem":
-        if self.nu != other.nu:
-            raise ValueError("cannot mix different nu")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            new = out.get(k, Fraction(0)) + v
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-        return ScfElem(self.nu, out)
 
 
 @lru_cache(maxsize=4096)
@@ -141,14 +128,13 @@ def ch(x: ScfElem) -> QSymElem:
         a = coeff.numerator * (den // e)
         for comp, c in row:
             acc[comp] = acc.get(comp, 0) + a * c
-    return QSymElem("M", {comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
+    return QSymElem("M")._with_terms({comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
 
 
 def _basis_elements(nu: int, degree: int):
     for tag in (KAPPA, CHI_DOT):
-        for r in range(max(degree, 1)):
-            for members in itertools.combinations(range(1, degree), r):
-                yield tag, members
+        for members in subsets_of(degree):
+            yield tag, members
 
 
 def _dense_basis(nu: int, degree: int, tag: str, members) -> ClassFunction:

@@ -7,6 +7,7 @@ one or the other.  Subsets are stored as bit sets over a bounded ambient.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -183,6 +184,12 @@ def compositions_of(n: int):
     full = (1 << (n - 1)) - 1
     for mask in range(full + 1):
         yield comp_of_set(SubsetLabel(n, mask))
+
+
+def subsets_of(n: int):
+    """Every subset of [n-1] as a sorted tuple, by size, then lexicographically."""
+    for r in range(max(n, 1)):
+        yield from itertools.combinations(range(1, n), r)
 
 
 def run_decomposition(members: Iterable[int]) -> tuple[tuple[int, ...], ...]:

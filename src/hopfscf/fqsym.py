@@ -1,8 +1,9 @@
 """Desk-scale FQSym on the F basis: the independent oracle for the A-shuffle laws.
 
-Permutations are tuples in one-line notation.  The product is the shifted
-shuffle, the coproduct de-standardizes prefixes and suffixes, and the
-projection to QSym reads off descent sets.
+`FQSymElem` is a `linear.LinComb` of permutations, which are tuples in
+one-line notation.  The product is the shifted shuffle, the coproduct
+de-standardizes prefixes and suffixes, and the projection to QSym reads off
+descent sets.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from .compositions import (
     shifted_shuffle,
     standardize,
 )
-from .qsym import QSymElem, _add_term
+from .linear import LinComb, _add_term
+from .qsym import QSymElem
 from .scalars import ONE, ScalarQT
 
 Word = tuple[int, ...]
@@ -26,61 +28,22 @@ def _check_permutation(word: Word) -> Word:
     return word
 
 
-class FQSymElem:
+class FQSymElem(LinComb):
     """Linear combination of F_w over permutation words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for word, coeff in (terms or {}).items():
-            coeff = ScalarQT.wrap(coeff)
-            if not coeff.is_zero():
-                self.terms[_check_permutation(word)] = coeff
+    __slots__ = ()
+    basis = "F"
+    _key = staticmethod(_check_permutation)
 
     @classmethod
     def F(cls, word: Word) -> "FQSymElem":
         return cls({tuple(word): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, c) -> "FQSymElem":
-        c = ScalarQT.wrap(c)
-        return FQSymElem({w: v * c for w, v in self.terms.items()})
-
-    def __add__(self, other: "FQSymElem") -> "FQSymElem":
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            _add_term(out, w, v)
-        return FQSymElem(out)
-
-    def __sub__(self, other: "FQSymElem") -> "FQSymElem":
-        return self + other.scale(-1)
+    def _label(self, word: Word) -> str:
+        return f"F{''.join(map(str, word)) or 'e'}"
 
     def __mul__(self, other):
-        if isinstance(other, FQSymElem):
-            return product_F(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FQSymElem):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[w] == other.terms[w] for w in self.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({self.terms[w]})*F{''.join(map(str, w)) or 'e'}"
-            for w in sorted(self.terms)
-        )
+        return product_F(self, other) if isinstance(other, FQSymElem) else self.scale(other)
 
 
 def product_F(x: FQSymElem, y: FQSymElem) -> FQSymElem:
@@ -91,7 +54,7 @@ def product_F(x: FQSymElem, y: FQSymElem) -> FQSymElem:
             coeff = vu * vv
             for word, mult in shifted_shuffle(u, v, len(u)).items():
                 _add_term(out, word, coeff * mult)
-    return FQSymElem(out)
+    return FQSymElem()._with_terms(out)
 
 
 def coproduct_F(word: Word) -> list[tuple[Word, Word]]:
@@ -116,4 +79,4 @@ def project_pi(x: FQSymElem) -> QSymElem:
     terms: dict = {}
     for word, coeff in x.terms.items():
         _add_term(terms, comp_of_set(descent_set(word)), coeff)
-    return QSymElem("L", terms)
+    return QSymElem("L")._with_terms(terms)

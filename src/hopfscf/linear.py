@@ -1,0 +1,127 @@
+"""Finite linear combinations over a labelled basis: the one free-module core.
+
+Every element class of hopfscf is a sparse dict `terms` from basis labels to
+nonzero coefficients: QSym and NSym in one basis, their tensor squares, Sym in
+h, FQSym in F and the superclass functions.  `LinComb` holds everything they
+share; a subclass supplies only
+
+- its tag, the slots named in `_TAG` (a basis, a nu, a pair of bases), and
+  the validation of the tag in its `__init__`;
+- `_key`, the normaliser that validates one label from outside;
+- `_coeff`, the coefficient ring's wrap (`ScalarQT.wrap`, or `Fraction`);
+- `_label`, the printed form of one label;
+- `_hub`, the element in the basis where mixed-basis `==` and `+` meet (the
+  element itself where the class has one basis);
+- its product, by overriding `__mul__`.
+
+Input from outside goes through the public constructor, which validates each
+label and drops zero coefficients.  Results built inside the package (`+`,
+`scale`, products, conversions) have clean terms already and take the trusted
+route `_with_terms`, which checks nothing.  No operation writes into an
+operand's dict: `convert` returns its argument itself when the basis already
+matches, so an accumulator that did would corrupt the caller's element.
+"""
+
+from __future__ import annotations
+
+from .scalars import ScalarQT, parse_scalar
+
+
+def _add_term(acc: dict, key, coeff) -> None:
+    """Add coeff to acc[key], dropping the key when the sum is zero."""
+    cur = acc.get(key)
+    new = coeff if cur is None else cur + coeff
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
+
+
+class LinComb:
+    """A finite linear combination of basis labels, tagged by its basis."""
+
+    __slots__ = ("terms",)
+    _TAG: tuple[str, ...] = ()
+    _coeff = staticmethod(ScalarQT.wrap)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for key, coeff in (terms or {}).items():
+            key, coeff = self._key(key), self._coeff(coeff)
+            if coeff:
+                self.terms[key] = coeff
+
+    def _tag(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._TAG)
+
+    def _with_terms(self, terms: dict):
+        """The trusted constructor: self's tag over terms whose labels are
+        normalised and whose coefficients are wrapped and nonzero."""
+        out = object.__new__(type(self))
+        for name in self._TAG:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _hub(self):
+        return self
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, key):
+        return self.terms.get(self._key(key), self._coeff(0))
+
+    def scale(self, c):
+        c = self._coeff(c)
+        # a product of nonzero field elements is nonzero
+        return self._with_terms({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self, other
+        if a._tag() != b._tag():
+            a, b = a._hub(), b._hub()
+            if a._tag() != b._tag():
+                raise ValueError(f"cannot mix {type(self).__name__}s tagged {a._tag()} and {b._tag()}")
+        out = dict(a.terms)
+        for key, coeff in b.terms.items():
+            _add_term(out, key, coeff)
+        return a._with_terms(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._hub(), other._hub()
+        return a._tag() == b._tag() and a.terms == b.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({self.terms[k]})*{self._label(k)}" for k in sorted(self.terms))
+
+    # JSON, for the classes that name a `basis` and have sequences as labels
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "basis": self.basis,
+            "terms": [{"comp": list(k), "coeff": str(self.terms[k])} for k in sorted(self.terms)],
+        }
+        out.update((name, v) for name, v in zip(self._TAG, self._tag()) if v is not None)
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        terms = {cls._key(item["comp"]): parse_scalar(item["coeff"]) for item in data["terms"]}
+        return cls(terms=terms, **{name: data.get(name) for name in cls._TAG})

@@ -1,8 +1,10 @@
 """NSym over the q,t fraction field: H, Lambda, R, E*, B(q,t), Bhat(q,t).
 
-H is the free-algebra basis and the hub: each basis has one 2x2 factor into
-it, and `convert` expands a label by the composed factor src @ tgt^-1 with
-qsym's Kronecker-factor kernel.  The closed product rules (near-concatenation
+`NSymElem` is a `linear.LinComb` of compositions with one basis tag, and
+`NSymTensor` is qsym's one tensor class over NSym.  H is the free-algebra
+basis and the hub, where mixed-basis `==` and `+` meet.  Each basis has one
+2x2 factor into H, and `convert` expands a label by the composed factor
+src @ tgt^-1 with qsym's Kronecker-factor kernel.  The closed product rules (near-concatenation
 for B, concatenation for Bhat) are fast paths; their agreement with the H
 route is asserted in the test suite rather than assumed.  The structure
 constants C^K_{I,J}(q,t) of the B basis come three ways from one closed sum
@@ -26,28 +28,41 @@ from .compositions import (
     preshuffle,
     run_markers,
     runs_composition,
-    set_of_comp,
 )
-from .qsym import QSymElem, _add_term, _expand, _full_mask, convert as qsym_convert
-from .scalars import ONE, Q, T, ZERO, ScalarQT, parse_scalar, rational
+from .linear import LinComb, _add_term
+from .qsym import QSymElem, Tensor, _comp, _convert_into, _full_mask, convert as qsym_convert
+from .scalars import ONE, Q, T, ZERO, ScalarQT, rational
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
 
-class NSymElem:
-    """A finite linear combination of basis labels in a single basis."""
+def _h_factor(basis: str, nu=None) -> tuple:
+    """The hub factor into H (no basis takes nu); B's is b_to_H_masks one
+    coordinate at a time and Bhat's is B's with the label bit flipped."""
+    return {
+        "H": ((ONE, ZERO), (ZERO, ONE)),
+        "Lambda": ((-ONE, ONE), (ZERO, ONE)),
+        "R": ((ONE, ZERO), (-ONE, ONE)),
+        "Estar": ((ONE, -ONE), (ZERO, ONE)),
+        "B": ((ZERO, ONE), (Q, T)),
+        "Bhat": ((Q, T), (ZERO, ONE)),
+    }[basis]
 
-    __slots__ = ("basis", "terms")
+
+class NSymElem(LinComb):
+    """A finite linear combination of compositions in one basis of NSym."""
+
+    __slots__ = _TAG = ("basis",)
+    _key = staticmethod(_comp)
+    HUB = "H"
+    _factor = staticmethod(_h_factor)
+    nu = None  # the conversion kernel reads (basis, nu); no NSym basis takes a nu
 
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
             raise ValueError(f"unknown NSym basis {basis!r}")
         self.basis = basis
-        self.terms = {}
-        for comp, coeff in (terms or {}).items():
-            coeff = ScalarQT.wrap(coeff)
-            if not coeff.is_zero():
-                self.terms[Composition(comp)] = coeff
+        super().__init__(terms)
 
     @classmethod
     def basis_elem(cls, basis: str, parts) -> "NSymElem":
@@ -57,68 +72,14 @@ class NSymElem:
     def zero(cls, basis: str = "H") -> "NSymElem":
         return cls(basis, {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _hub(self) -> "NSymElem":
+        return self if self.basis == "H" else convert(self, "H")
 
-    def coefficient(self, parts) -> ScalarQT:
-        return self.terms.get(Composition(parts), ZERO)
-
-    def scale(self, c) -> "NSymElem":
-        c = ScalarQT.wrap(c)
-        return NSymElem(self.basis, {a: v * c for a, v in self.terms.items()})
-
-    def __add__(self, other: "NSymElem") -> "NSymElem":
-        if self.basis == other.basis:
-            out = dict(self.terms)
-            for a, v in other.terms.items():
-                _add_term(out, a, v)
-            return NSymElem(self.basis, out)
-        return convert(self, "H") + convert(other, "H")
-
-    def __sub__(self, other: "NSymElem") -> "NSymElem":
-        return self + other.scale(-1)
+    def _label(self, comp: Composition) -> str:
+        return f"{self.basis}{comp!r}"
 
     def __mul__(self, other):
-        if isinstance(other, NSymElem):
-            return product(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NSymElem):
-            return NotImplemented
-        a = self if self.basis == "H" else convert(self, "H")
-        b = other if other.basis == "H" else convert(other, "H")
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[k] == b.terms[k] for k in a.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({self.terms[c]})*{self.basis}{c!r}" for c in sorted(self.terms, key=tuple)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"comp": list(comp), "coeff": str(self.terms[comp])}
-                for comp in sorted(self.terms, key=tuple)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NSymElem":
-        terms = {
-            Composition(item["comp"]): parse_scalar(item["coeff"])
-            for item in data["terms"]
-        }
-        return cls(data["basis"], terms)
+        return product(self, other) if isinstance(other, NSymElem) else self.scale(other)
 
 
 def H(parts) -> NSymElem:
@@ -178,31 +139,9 @@ def b_inverse_entry(n: int, imask: int, jmask: int) -> ScalarQT:
     return Q ** (sj - (n - 1)) * (-T) ** ((n - 1) - si - sj)
 
 
-def _h_factor(basis: str, nu=None) -> tuple:
-    """The hub factor into H (no basis takes nu); B's is b_to_H_masks one
-    coordinate at a time and Bhat's is B's with the label bit flipped."""
-    return {
-        "H": ((ONE, ZERO), (ZERO, ONE)),
-        "Lambda": ((-ONE, ONE), (ZERO, ONE)),
-        "R": ((ONE, ZERO), (-ONE, ONE)),
-        "Estar": ((ONE, -ONE), (ZERO, ONE)),
-        "B": ((ZERO, ONE), (Q, T)),
-        "Bhat": ((Q, T), (ZERO, ONE)),
-    }[basis]
-
-
 def convert(x: NSymElem, target: str) -> NSymElem:
-    if target not in BASES:
-        raise ValueError(f"unknown NSym basis {target!r}")
-    if x.basis == target:
-        return x
-    acc: dict[tuple[int, int], ScalarQT] = {}  # keyed by (degree, mask)
-    for comp, coeff in x.terms.items():
-        n = comp.size
-        row = _expand(_h_factor, x.basis, None, target, None, n, set_of_comp(comp).mask)
-        for tmask, c in row.items():
-            _add_term(acc, (n, tmask), coeff * c)
-    return NSymElem(target, {comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()})
+    out = NSymElem(target)
+    return x if x.basis == target else _convert_into(out, x)
 
 
 def specialize(x: NSymElem, q0, t0) -> NSymElem:
@@ -210,7 +149,7 @@ def specialize(x: NSymElem, q0, t0) -> NSymElem:
     out: dict[Composition, ScalarQT] = {}
     for comp, coeff in x.terms.items():
         _add_term(out, comp, rational(coeff.eval_at(q0, t0)))
-    return NSymElem(x.basis, out)
+    return x._with_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -218,78 +157,22 @@ def specialize(x: NSymElem, q0, t0) -> NSymElem:
 
 
 def product(x: NSymElem, y: NSymElem) -> NSymElem:
-    if x.basis == y.basis and x.basis in ("H", "B", "Bhat"):
-        if x.basis == "B":
-            combine = near_concat
-        else:
-            combine = lambda a, b: Composition(tuple(a) + tuple(b))
-        acc: dict[Composition, ScalarQT] = {}
-        for ca, va in x.terms.items():
-            for cb, vb in y.terms.items():
-                _add_term(acc, combine(ca, cb), va * vb)
-        return NSymElem(x.basis, acc)
-    a, b = convert(x, "H"), convert(y, "H")
-    acc = {}
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
-            _add_term(acc, ca.concat(cb), va * vb)
-    return NSymElem("H", acc)
+    """Concatenation in H and Bhat, near-concatenation in B, through H otherwise."""
+    if not (x.basis == y.basis and x.basis in ("H", "B", "Bhat")):
+        x, y = convert(x, "H"), convert(y, "H")
+    combine = near_concat if x.basis == "B" else Composition.concat
+    acc: dict[Composition, ScalarQT] = {}
+    for ca, va in x.terms.items():
+        for cb, vb in y.terms.items():
+            _add_term(acc, combine(ca, cb), va * vb)
+    return x._with_terms(acc)
 
 
-class NSymTensor:
-    """A sum of pure tensors NSym (x) NSym, one basis tag per side."""
+class NSymTensor(Tensor):
+    """NSym (x) NSym, one basis tag per side."""
 
-    __slots__ = ("bases", "terms")
-
-    def __init__(self, bases: tuple[str, str], terms=None):
-        for b in bases:
-            if b not in BASES:
-                raise ValueError(f"unknown NSym basis {b!r}")
-        self.bases = bases
-        self.terms = {}
-        for (ca, cb), coeff in (terms or {}).items():
-            coeff = ScalarQT.wrap(coeff)
-            if not coeff.is_zero():
-                self.terms[(Composition(ca), Composition(cb))] = coeff
-
-    def convert(self, bases: tuple[str, str]) -> "NSymTensor":
-        acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-        for (ca, cb), coeff in self.terms.items():
-            left = convert(NSymElem(self.bases[0], {ca: ONE}), bases[0])
-            right = convert(NSymElem(self.bases[1], {cb: ONE}), bases[1])
-            for la, va in left.terms.items():
-                for lb, vb in right.terms.items():
-                    _add_term(acc, (la, lb), coeff * va * vb)
-        return NSymTensor(bases, acc)
-
-    def coefficient(self, left, right) -> ScalarQT:
-        return self.terms.get((Composition(left), Composition(right)), ZERO)
-
-    def __add__(self, other: "NSymTensor") -> "NSymTensor":
-        if self.bases != other.bases:
-            return self.convert(("H", "H")) + other.convert(("H", "H"))
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _add_term(out, key, coeff)
-        return NSymTensor(self.bases, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NSymTensor):
-            return NotImplemented
-        a = self.convert(("H", "H")) if self.bases != ("H", "H") else self
-        b = other.convert(("H", "H")) if other.bases != ("H", "H") else other
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[k] == b.terms[k] for k in a.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        bits = [
-            f"({coeff})*{self.bases[0]}{a!r}(x){self.bases[1]}{b!r}"
-            for (a, b), coeff in sorted(self.terms.items())
-        ]
-        return " + ".join(bits) if bits else "0"
+    __slots__ = ()
+    algebra = NSymElem
 
 
 def _coproduct_H_comp(alpha: Composition) -> dict[tuple[Composition, Composition], ScalarQT]:
@@ -312,7 +195,7 @@ def coproduct(x: NSymElem) -> NSymTensor:
     for comp, coeff in h.terms.items():
         for key, c in _coproduct_H_comp(comp).items():
             _add_term(acc, key, coeff * c)
-    return NSymTensor(("H", "H"), acc)
+    return NSymTensor(("H", "H"))._with_terms(acc)
 
 
 def counit(x: NSymElem) -> ScalarQT:
@@ -445,7 +328,7 @@ def coproduct_B_comp(k: int, K) -> NSymTensor:
         for (imask, jmask), coeff in structure_constants_table(k, K, m).items():
             left = comp_of_set(SubsetLabel(m, imask))
             acc[(left, comp_of_set(SubsetLabel(k - m, jmask)))] = coeff
-    return NSymTensor(("B", "B"), acc)
+    return NSymTensor(("B", "B"))._with_terms(acc)
 
 
 def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT]]:
@@ -467,7 +350,7 @@ def coproduct_bhat(k: int) -> NSymTensor:
     acc: dict[tuple[Composition, Composition], ScalarQT] = {}
     for alpha, beta, coeff in bhat_coproduct_terms(k):
         _add_term(acc, (alpha, beta), coeff)
-    return NSymTensor(("Bhat", "Bhat"), acc)
+    return NSymTensor(("Bhat", "Bhat"))._with_terms(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +363,7 @@ def omega(x: NSymElem) -> NSymElem:
     acc: dict[Composition, ScalarQT] = {}
     for comp, coeff in h.terms.items():
         _add_term(acc, comp.reverse(), coeff)
-    return NSymElem("Lambda", acc)
+    return NSymElem("Lambda")._with_terms(acc)
 
 
 def pairing(f: NSymElem, x: QSymElem) -> ScalarQT:
@@ -502,7 +385,7 @@ def b_dual_in_M(n: int, I) -> QSymElem:
     for jmask in iter_submasks(_full_mask(n) & ~imask):
         coeff = b_inverse_entry(n, imask, jmask)
         terms[comp_of_set(SubsetLabel(n, jmask))] = coeff
-    return QSymElem("M", terms)
+    return QSymElem("M")._with_terms(terms)
 
 
 def subset_order_key(n: int, mask: int) -> tuple[int, tuple[int, ...]]:

@@ -1,7 +1,9 @@
 """QSym over the q,t fraction field: bases M, L, E, Pi(nu) and their Hopf structure.
 
-Every element stores one basis tag; mixed-basis arithmetic meets in M.  The
-order conventions are the refinement-sum ones,
+`QSymElem` is a `linear.LinComb` of compositions with one basis tag (and nu
+for Pi); mixed-basis `==` and `+` meet in M.  `Tensor` is the one tensor
+square of both algebras (`QSymTensor` here, `NSymTensor` in nsym).  The order
+conventions are the refinement-sum ones,
 
     L_{comp(K)} = sum_{K <= I} M_{comp(I)},    E_{comp(K)} = sum_{I <= K} M_{comp(I)},
 
@@ -28,7 +30,8 @@ from .compositions import (
     overlapping_shuffles,
     set_of_comp,
 )
-from .scalars import ONE, ZERO, ScalarQT, _rational, parse_scalar, rational
+from .linear import LinComb, _add_term
+from .scalars import ONE, ScalarQT, _rational, rational
 
 BASES = ("M", "L", "E", "Pi")
 
@@ -40,24 +43,6 @@ def _full_mask(n: int) -> int:
 def _comp(parts) -> Composition:
     """parts as a Composition; one already built is kept as it is."""
     return parts if type(parts) is Composition else Composition(parts)
-
-
-def _wrap_terms(terms) -> dict[Composition, ScalarQT]:
-    out: dict[Composition, ScalarQT] = {}
-    for comp, coeff in terms.items():
-        coeff = ScalarQT.wrap(coeff)
-        if not coeff.is_zero():
-            out[_comp(comp)] = coeff
-    return out
-
-
-def _add_term(acc: dict, key, coeff) -> None:
-    cur = acc.get(key)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = new
 
 
 # A hub factor F of a basis is its 2x2 transition into the hub at one
@@ -96,10 +81,46 @@ def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -
     return out
 
 
-class QSymElem:
-    """A finite linear combination of basis labels in a single basis."""
+def _m_factor(basis: str, nu: int | None) -> tuple:
+    """The hub factor into M: L_K = sum_{I >= K} M_I, E_K = sum_{I <= K} M_I,
+    and M_from_pi_entry one coordinate at a time."""
+    one, nil = Fraction(1), Fraction(0)
+    if basis == "Pi":
+        return (Fraction(nu - 1, nu), one), (Fraction(-1, nu), nil)
+    return {
+        "M": ((one, nil), (nil, one)),
+        "L": ((one, one), (nil, one)),
+        "E": ((one, nil), (one, one)),
+    }[basis]
 
-    __slots__ = ("basis", "nu", "terms")
+
+def _convert_into(out, x):
+    """x expanded by the conversion kernel into the basis of out, an empty
+    element of x's algebra with a validated tag."""
+    acc: dict[tuple[int, int], ScalarQT] = {}  # keyed by (degree, mask)
+    for comp, coeff in x.terms.items():
+        n = comp.size
+        row = _expand(x._factor, x.basis, x.nu, out.basis, out.nu, n, set_of_comp(comp).mask)
+        for tmask, c in row.items():
+            _add_term(acc, (n, tmask), coeff * c)
+    return out._with_terms({comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()})
+
+
+def _expand_comp(factor, src: str, tgt: str, comp: Composition) -> dict:
+    """One parameter-free label expanded by the conversion kernel, keyed by
+    composition."""
+    n = comp.size
+    row = _expand(factor, src, None, tgt, None, n, set_of_comp(comp).mask)
+    return {comp_of_set(SubsetLabel(n, m)): e for m, e in row.items()}
+
+
+class QSymElem(LinComb):
+    """A finite linear combination of compositions in one basis of QSym."""
+
+    __slots__ = _TAG = ("basis", "nu")
+    _key = staticmethod(_comp)
+    HUB = "M"
+    _factor = staticmethod(_m_factor)
 
     def __init__(self, basis: str, terms=None, nu: int | None = None):
         if basis not in BASES:
@@ -111,7 +132,7 @@ class QSymElem:
             raise ValueError(f"basis {basis} takes no nu parameter")
         self.basis = basis
         self.nu = nu
-        self.terms = _wrap_terms(terms or {})
+        super().__init__(terms)
 
     @classmethod
     def basis_elem(cls, basis: str, parts, nu: int | None = None) -> "QSymElem":
@@ -125,75 +146,14 @@ class QSymElem:
     def unit(cls, basis: str = "M", nu: int | None = None) -> "QSymElem":
         return cls.basis_elem(basis, (), nu=nu)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _hub(self) -> "QSymElem":
+        return self if self.basis == "M" else convert(self, "M")
 
-    def coefficient(self, parts) -> ScalarQT:
-        return self.terms.get(Composition(parts), ZERO)
-
-    def scale(self, c) -> "QSymElem":
-        c = ScalarQT.wrap(c)
-        return QSymElem(
-            self.basis, {a: v * c for a, v in self.terms.items()}, nu=self.nu
-        )
-
-    def __add__(self, other: "QSymElem") -> "QSymElem":
-        if self.basis == other.basis and self.nu == other.nu:
-            out = dict(self.terms)
-            for a, v in other.terms.items():
-                _add_term(out, a, v)
-            return QSymElem(self.basis, out, nu=self.nu)
-        return convert(self, "M") + convert(other, "M")
-
-    def __sub__(self, other: "QSymElem") -> "QSymElem":
-        return self + other.scale(-1)
+    def _label(self, comp: Composition) -> str:
+        return f"Pi({self.nu}){comp!r}" if self.basis == "Pi" else f"{self.basis}{comp!r}"
 
     def __mul__(self, other):
-        if isinstance(other, QSymElem):
-            return product(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSymElem):
-            return NotImplemented
-        a = self if self.basis == "M" else convert(self, "M")
-        b = other if other.basis == "M" else convert(other, "M")
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[k] == b.terms[k] for k in a.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        tag = f"Pi({self.nu})" if self.basis == "Pi" else self.basis
-        bits = []
-        for comp in sorted(self.terms, key=tuple):
-            bits.append(f"({self.terms[comp]})*{tag}{comp!r}")
-        return " + ".join(bits)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "basis": self.basis,
-            "terms": [
-                {"comp": list(comp), "coeff": str(self.terms[comp])}
-                for comp in sorted(self.terms, key=tuple)
-            ],
-        }
-        if self.nu is not None:
-            out["nu"] = self.nu
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSymElem":
-        terms = {
-            Composition(item["comp"]): parse_scalar(item["coeff"])
-            for item in data["terms"]
-        }
-        return cls(data["basis"], terms, nu=data.get("nu"))
+        return product(self, other) if isinstance(other, QSymElem) else self.scale(other)
 
 
 def M(parts) -> QSymElem:
@@ -260,37 +220,13 @@ def M_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
 # Basis conversion
 
 
-def _m_factor(basis: str, nu: int | None) -> tuple:
-    """The hub factor into M: L_K = sum_{I >= K} M_I, E_K = sum_{I <= K} M_I,
-    and M_from_pi_entry one coordinate at a time."""
-    one, nil = Fraction(1), Fraction(0)
-    if basis == "Pi":
-        return (Fraction(nu - 1, nu), one), (Fraction(-1, nu), nil)
-    return {
-        "M": ((one, nil), (nil, one)),
-        "L": ((one, one), (nil, one)),
-        "E": ((one, nil), (one, one)),
-    }[basis]
-
-
 def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
-    """Change of basis; linear, invertible, degree-preserving."""
-    if target not in BASES:
-        raise ValueError(f"unknown QSym basis {target!r}")
-    if target == "Pi" and (nu is None or nu < 2):
-        raise ValueError("converting to Pi needs nu >= 2")
-    if target != "Pi":
-        nu = None
-    if x.basis == target and x.nu == nu:
+    """Change of basis; linear, invertible, degree-preserving.  nu is read
+    only for the target Pi."""
+    out = QSymElem(target, nu=nu if target == "Pi" else None)
+    if x.basis == out.basis and x.nu == out.nu:
         return x
-    acc: dict[tuple[int, int], ScalarQT] = {}  # keyed by (degree, mask)
-    for comp, coeff in x.terms.items():
-        n = comp.size
-        row = _expand(_m_factor, x.basis, x.nu, target, nu, n, set_of_comp(comp).mask)
-        for tmask, c in row.items():
-            _add_term(acc, (n, tmask), coeff * c)
-    terms = {comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()}
-    return QSymElem(target, terms, nu=nu)
+    return _convert_into(out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +258,7 @@ def product(x: QSymElem, y: QSymElem) -> QSymElem:
                 v = va * vb
                 for mask, mult in pairs:
                     _add_term(acc, comp_of_set(SubsetLabel(m + n, mask)), v * mult)
-        return QSymElem("L", acc)
+        return QSymElem("L")._with_terms(acc)
     a = convert(x, "M")
     b = convert(y, "M")
     acc = {}
@@ -331,75 +267,69 @@ def product(x: QSymElem, y: QSymElem) -> QSymElem:
             v = va * vb
             for gamma, mult in overlapping_shuffles(ca, cb).items():
                 _add_term(acc, gamma, v * mult)
-    return QSymElem("M", acc)
+    return QSymElem("M")._with_terms(acc)
 
 
-class QSymTensor:
-    """A sum of pure tensors QSym (x) QSym, one basis tag per side."""
+class Tensor(LinComb):
+    """A sum of pure tensors A (x) A, one basis tag per side.  A subclass
+    names the algebra A by its element class, whose basis validation, hub,
+    hub factors and product serve both sides."""
 
-    __slots__ = ("bases", "terms")
+    __slots__ = _TAG = ("bases",)
+    algebra: type
 
     def __init__(self, bases: tuple[str, str], terms=None):
-        for b in bases:
-            if b not in ("M", "L", "E"):
-                raise ValueError(f"tensor sides must be parameter-free bases, got {b}")
-        self.bases = bases
-        self.terms = {}
-        for (ca, cb), coeff in (terms or {}).items():
-            coeff = ScalarQT.wrap(coeff)
-            if not coeff.is_zero():
-                self.terms[(_comp(ca), _comp(cb))] = coeff
+        for basis in bases:
+            self.algebra(basis)
+        self.bases = tuple(bases)
+        super().__init__(terms)
 
-    def convert(self, bases: tuple[str, str]) -> "QSymTensor":
-        acc: dict[tuple[Composition, Composition], ScalarQT] = {}
+    @staticmethod
+    def _key(pair) -> tuple[Composition, Composition]:
+        left, right = pair
+        return _comp(left), _comp(right)
+
+    def _hub(self) -> "Tensor":
+        return self.convert((self.algebra.HUB,) * 2)
+
+    def _label(self, pair) -> str:
+        return f"{self.bases[0]}{pair[0]!r}(x){self.bases[1]}{pair[1]!r}"
+
+    def convert(self, bases: tuple[str, str]) -> "Tensor":
+        """Change of basis on each side, one label at a time."""
+        out = type(self)(bases)
+        if out.bases == self.bases:
+            return self
+        factor = self.algebra._factor
         for (ca, cb), coeff in self.terms.items():
-            left = convert(QSymElem(self.bases[0], {ca: ONE}), bases[0])
-            right = convert(QSymElem(self.bases[1], {cb: ONE}), bases[1])
-            for la, va in left.terms.items():
-                for lb, vb in right.terms.items():
-                    _add_term(acc, (la, lb), coeff * va * vb)
-        return QSymTensor(bases, acc)
+            left = _expand_comp(factor, self.bases[0], out.bases[0], ca)
+            right = _expand_comp(factor, self.bases[1], out.bases[1], cb)
+            for la, va in left.items():
+                for lb, vb in right.items():
+                    _add_term(out.terms, (la, lb), coeff * va * vb)
+        return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSymTensor):
-            return NotImplemented
-        a = self.convert(("M", "M")) if self.bases != ("M", "M") else self
-        b = other.convert(("M", "M")) if other.bases != ("M", "M") else other
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[k] == b.terms[k] for k in a.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "QSymTensor") -> "QSymTensor":
-        if self.bases != other.bases:
-            return self.convert(("M", "M")) + other.convert(("M", "M"))
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _add_term(out, key, coeff)
-        return QSymTensor(self.bases, out)
-
-    def product(self, other: "QSymTensor") -> "QSymTensor":
-        """(a (x) b)(c (x) d) = ac (x) bd, both sides in M."""
-        a = self.convert(("M", "M"))
-        b = other.convert(("M", "M"))
-        acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-        for (ca, cb), va in a.terms.items():
-            for (cc, cd), vb in b.terms.items():
+    def product(self, other: "Tensor") -> "Tensor":
+        """(a (x) b)(c (x) d) = ac (x) bd, both sides in the hub."""
+        algebra, hub = self.algebra, self.algebra.HUB
+        out = type(self)((hub, hub))
+        theirs = other.convert(out.bases).terms
+        for (ca, cb), va in self.convert(out.bases).terms.items():
+            for (cc, cd), vb in theirs.items():
                 v = va * vb
-                left = overlapping_shuffles(ca, cc)
-                right = overlapping_shuffles(cb, cd)
-                for gl, ml in left.items():
-                    for gr, mr in right.items():
-                        _add_term(acc, (gl, gr), v * (ml * mr))
-        return QSymTensor(("M", "M"), acc)
+                left = algebra.basis_elem(hub, ca) * algebra.basis_elem(hub, cc)
+                right = algebra.basis_elem(hub, cb) * algebra.basis_elem(hub, cd)
+                for gl, cl in left.terms.items():
+                    for gr, cr in right.terms.items():
+                        _add_term(out.terms, (gl, gr), v * (cl * cr))
+        return out
 
-    def __repr__(self) -> str:
-        bits = [
-            f"({coeff})*{self.bases[0]}{a!r}(x){self.bases[1]}{b!r}"
-            for (a, b), coeff in sorted(self.terms.items())
-        ]
-        return " + ".join(bits) if bits else "0"
+
+class QSymTensor(Tensor):
+    """QSym (x) QSym; the sides take the parameter-free bases M, L, E."""
+
+    __slots__ = ()
+    algebra = QSymElem
 
 
 def coproduct(x: QSymElem) -> QSymTensor:
@@ -420,13 +350,13 @@ def coproduct(x: QSymElem) -> QSymTensor:
                     ),
                     coeff,
                 )
-        return QSymTensor(("L", "L"), acc)
+        return QSymTensor(("L", "L"))._with_terms(acc)
     m = convert(x, "M")
     acc = {}
     for comp, coeff in m.terms.items():
         for k in range(len(comp) + 1):
             _add_term(acc, (Composition(comp[:k]), Composition(comp[k:])), coeff)
-    return QSymTensor(("M", "M"), acc)
+    return QSymTensor(("M", "M"))._with_terms(acc)
 
 
 def counit(x: QSymElem) -> ScalarQT:
@@ -442,7 +372,7 @@ def antipode_M(alpha) -> QSymElem:
     terms: dict[Composition, ScalarQT] = {}
     for sub in iter_submasks(rev_mask):
         terms[comp_of_set(SubsetLabel(n, sub))] = sign
-    return QSymElem("M", terms)
+    return QSymElem("M")._with_terms(terms)
 
 
 def antipode(x: QSymElem) -> QSymElem:
@@ -450,4 +380,4 @@ def antipode(x: QSymElem) -> QSymElem:
     for comp, coeff in convert(x, "M").terms.items():
         for gamma, sign in antipode_M(comp).terms.items():
             _add_term(acc, gamma, sign * coeff)
-    return QSymElem("M", acc)
+    return QSymElem("M")._with_terms(acc)

@@ -254,7 +254,7 @@ class ScalarQT:
         return not self.terms and self.quot is None
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.terms) or self.quot is not None
 
     def __eq__(self, other) -> bool:
         if type(other) is not ScalarQT:

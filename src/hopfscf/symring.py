@@ -1,4 +1,5 @@
-"""Minimal Sym in the h basis: the abelianization comm and generating-set ranks."""
+"""Minimal Sym in the h basis: `SymElem`, a `linear.LinComb` of partitions; the
+abelianization comm and generating-set ranks."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .compositions import compositions_of
+from .linear import LinComb, _add_term
 from .nsym import NSymElem, convert
-from .qsym import _add_term
 from .scalars import ONE, ScalarQT
 
 
@@ -55,37 +56,19 @@ def rearrangement_count(lam: Partition) -> Fraction:
     return Fraction(out)
 
 
-class SymElem:
-    """Element of Sym written in the h basis."""
+class SymElem(LinComb):
+    """Element of Sym written in the h basis, keyed by partition."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        for lam, coeff in (terms or {}).items():
-            coeff = ScalarQT.wrap(coeff)
-            if not coeff.is_zero():
-                self.terms[Partition(lam)] = coeff
+    __slots__ = ()
+    basis = "h"
+    _key = Partition
 
     @classmethod
     def h(cls, parts) -> "SymElem":
         return cls({Partition(parts): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, c) -> "SymElem":
-        c = ScalarQT.wrap(c)
-        return SymElem({k: v * c for k, v in self.terms.items()})
-
-    def __add__(self, other: "SymElem") -> "SymElem":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(out, k, v)
-        return SymElem(out)
-
-    def __sub__(self, other: "SymElem") -> "SymElem":
-        return self + other.scale(-1)
+    def _label(self, lam: Partition) -> str:
+        return f"h{tuple(lam)}"
 
     def __mul__(self, other):
         if not isinstance(other, SymElem):
@@ -94,34 +77,7 @@ class SymElem:
         for la, va in self.terms.items():
             for lb, vb in other.terms.items():
                 _add_term(out, Partition(tuple(la) + tuple(lb)), va * vb)
-        return SymElem(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymElem):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({self.terms[k]})*h{tuple(k)}" for k in sorted(self.terms)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": "h",
-            "terms": [
-                {"comp": list(lam), "coeff": str(self.terms[lam])}
-                for lam in sorted(self.terms)
-            ],
-        }
+        return self._with_terms(out)
 
 
 def comm(x: NSymElem) -> SymElem:
@@ -130,7 +86,7 @@ def comm(x: NSymElem) -> SymElem:
     out: dict[Partition, ScalarQT] = {}
     for comp, coeff in h.terms.items():
         _add_term(out, Partition(comp.partition()), coeff)
-    return SymElem(out)
+    return SymElem()._with_terms(out)
 
 
 def _rank_of_rational_rows(rows: list[list[Fraction]]) -> int:

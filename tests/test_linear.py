@@ -1,0 +1,158 @@
+"""Module laws of the one linear-combination core, over every element class.
+
+Each class draws elements in random bases (and nu, for Pi and the superclass
+functions) with a few terms of degree at most 3.  The laws: `+` commutes and
+associates, `x - x` is zero, `scale` distributes over both sums, `==` and `+`
+across bases meet in the hub, and `+`, `-` and `scale` leave both operands'
+terms as they were.  `convert` hands back its argument itself when the basis
+already matches, so an accumulator writing into an operand's dict would show
+up as a changed operand here.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfscf import nsym, qsym
+from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem
+from hopfscf.compositions import SubsetLabel, comp_of_set
+from hopfscf.fqsym import FQSymElem
+from hopfscf.nsym import NSymElem, NSymTensor
+from hopfscf.qsym import QSymElem, QSymTensor
+from hopfscf.scalars import Q, T, rational
+from hopfscf.symring import Partition, SymElem
+
+SETTINGS = settings(max_examples=40, deadline=None)
+MAX_DEGREE = 3
+
+QSYM_TAGS = [("M", None), ("L", None), ("E", None), ("Pi", 2), ("Pi", 3)]
+QSYM_SIDES = ["M", "L", "E"]
+PERMUTATIONS = [p for n in range(MAX_DEGREE + 1) for p in itertools.permutations(range(1, n + 1))]
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+monomials = st.builds(
+    lambda c, a, b: rational(c) * Q**a * T**b, fractions, st.integers(-1, 2), st.integers(-1, 2)
+)
+scalars = st.lists(monomials, min_size=1, max_size=2).map(lambda ms: sum(ms, rational(0)))
+
+
+@st.composite
+def subsets(draw):
+    n = draw(st.integers(0, MAX_DEGREE))
+    return SubsetLabel(n, draw(st.integers(0, qsym._full_mask(n))))
+
+
+compositions = subsets().map(comp_of_set)
+partitions = compositions.map(Partition)
+
+
+def terms(keys, coeffs=scalars):
+    return st.dictionaries(keys, coeffs, max_size=3)
+
+
+# kind -> (strategy of one element given the shared draw, recast into another basis)
+
+
+def qsym_elem(draw, shared):
+    basis, nu = draw(st.sampled_from(QSYM_TAGS))
+    return QSymElem(basis, draw(terms(compositions)), nu=nu)
+
+
+def qsym_recast(draw, x, shared):
+    basis, nu = draw(st.sampled_from(QSYM_TAGS))
+    return qsym.convert(x, basis, nu=nu)
+
+
+def nsym_elem(draw, shared):
+    return NSymElem(draw(st.sampled_from(nsym.BASES)), draw(terms(compositions)))
+
+
+def nsym_recast(draw, x, shared):
+    return nsym.convert(x, draw(st.sampled_from(nsym.BASES)))
+
+
+def tensor_elem(cls, sides):
+    def elem(draw, shared):
+        bases = draw(st.tuples(st.sampled_from(sides), st.sampled_from(sides)))
+        return cls(bases, draw(terms(st.tuples(compositions, compositions))))
+
+    def recast(draw, x, shared):
+        return x.convert(draw(st.tuples(st.sampled_from(sides), st.sampled_from(sides))))
+
+    return elem, recast
+
+
+def sym_elem(draw, shared):
+    return SymElem(draw(terms(partitions)))
+
+
+def fqsym_elem(draw, shared):
+    return FQSymElem(draw(terms(st.sampled_from(PERMUTATIONS))))
+
+
+@st.composite
+def scf_keys(draw):
+    label = draw(subsets())
+    return (label.ambient, draw(st.sampled_from((KAPPA, CHI_DOT))), label)
+
+
+def scf_elem(draw, shared):
+    return ScfElem(shared, draw(terms(scf_keys(), fractions)))
+
+
+def same(draw, x, shared):
+    return x
+
+
+KINDS = {
+    "qsym": (qsym_elem, qsym_recast, scalars),
+    "nsym": (nsym_elem, nsym_recast, scalars),
+    "qsym_tensor": (*tensor_elem(QSymTensor, QSYM_SIDES), scalars),
+    "nsym_tensor": (*tensor_elem(NSymTensor, nsym.BASES), scalars),
+    "sym": (sym_elem, same, scalars),
+    "fqsym": (fqsym_elem, same, scalars),
+    "scf": (scf_elem, same, fractions),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@SETTINGS
+@given(data=st.data())
+def test_module_laws(kind, data):
+    elem, recast, coeffs = KINDS[kind]
+    draw = data.draw
+    shared = draw(st.sampled_from((2, 3)))  # one nu for all superclass functions
+    x, y, z = (elem(draw, shared) for _ in range(3))
+    a, b = draw(coeffs), draw(coeffs)
+    before = [dict(v.terms) for v in (x, y, z)]
+
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert (x - x).is_zero() and (x - y) + y == x
+    assert (x + y).scale(a) == x.scale(a) + y.scale(a)
+    assert x.scale(a + b) == x.scale(a) + x.scale(b)
+    assert x.scale(a) == x * a and x.scale(2) == 2 * x
+
+    # across bases, == and + meet in the hub
+    x2 = recast(draw, x, shared)
+    assert x2 == x and x == x2
+    assert x2 + y == x + y
+    if not y.is_zero():
+        assert x2 != x + y
+
+    assert [dict(v.terms) for v in (x, y, z)] == before
+
+
+def test_nu_mismatch_refused():
+    with pytest.raises(ValueError):
+        ScfElem.kappa(2, 3, {1}) + ScfElem.kappa(3, 3, {1})
+    assert ScfElem.kappa(2, 3, {1}) != ScfElem.kappa(3, 3, {1})
+
+
+def test_classes_do_not_mix():
+    assert QSymTensor(("M", "M")) != NSymTensor(("H", "H"))
+    with pytest.raises(TypeError):
+        QSymTensor(("M", "M")) + NSymTensor(("H", "H"))

@@ -46,6 +46,32 @@ def subsets(n):
         yield from (frozenset(c) for c in itertools.combinations(range(1, n), r))
 
 
+class TestElements:
+    def test_composition_keys_kept_as_built(self):
+        comp = Composition((1, 2))
+        assert next(iter(NSymElem("B", {comp: 1}).terms)) is comp
+        ((a, b),) = NSymTensor(("H", "B"), {(comp, comp): 1}).terms
+        assert a is comp and b is comp
+
+    def test_plain_tuple_keys_still_validated(self):
+        for bad in ((1, 0), (2, -1), (0,)):
+            with pytest.raises(ValueError):
+                NSymElem("H", {bad: 1})
+            with pytest.raises(ValueError):
+                NSymTensor(("H", "H"), {((1,), bad): 1})
+            with pytest.raises(ValueError):
+                NSymTensor(("B", "Bhat"), {(bad, ()): 1})
+
+    def test_unknown_bases_refused(self):
+        with pytest.raises(ValueError):
+            NSymElem("M")
+        for bases in (("H", "Pi"), ("M", "M")):
+            with pytest.raises(ValueError):
+                NSymTensor(bases)
+        with pytest.raises(ValueError):
+            qsym.QSymTensor(("Pi", "M"))
+
+
 class TestBTransition:
     def test_one_part_is_all_ones_H(self):
         for n in range(1, 6):
