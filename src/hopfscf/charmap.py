@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from . import groupscf, qsym
 from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
-from .groupscf import CheckReport, ClassFunction, GroupSpec
-from .linear import LinComb
+from .groupscf import CheckReport, ClassFunction, GroupSpec, check
+from .linear import LinComb, _add_term
 from .qsym import QSymElem, QSymTensor
 from .scalars import rational
 
@@ -151,61 +151,47 @@ def _ch_of_dense(nu: int, phi: ClassFunction, degree: int) -> QSymElem:
 def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     """Check that ch intertwines the group-side (m, delta) with QSym's product
     and coproduct on every kappa/chi_dot basis tuple up to the degree bound."""
-    checks: list[tuple[str, bool, str]] = []
 
     # products: ch(m(phi, psi)) == ch(phi) * ch(psi)
-    ok, witness = True, ""
-    for m in range(0, degree_bound + 1):
-        for n in range(0, degree_bound + 1 - m):
-            for tag_a, mem_a in _basis_elements(nu, m):
-                for tag_b, mem_b in _basis_elements(nu, n):
-                    phi = _dense_basis(nu, m, tag_a, mem_a)
-                    psi = _dense_basis(nu, n, tag_b, mem_b)
-                    group_side = groupscf.product_m(phi, psi, m, n)
-                    lhs = _ch_of_dense(nu, group_side, m + n)
-                    rhs = qsym.product(
-                        _ch_of_dense(nu, phi, m), _ch_of_dense(nu, psi, n)
-                    )
-                    if lhs != rhs:
-                        ok = False
-                        witness = f"product {tag_a}{sorted(mem_a)} (deg {m}) * {tag_b}{sorted(mem_b)} (deg {n})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("ch intertwines products", ok, witness))
+    def products(case):
+        m, n, (tag_a, mem_a), (tag_b, mem_b) = case
+        phi = _dense_basis(nu, m, tag_a, mem_a)
+        psi = _dense_basis(nu, n, tag_b, mem_b)
+        lhs = _ch_of_dense(nu, groupscf.product_m(phi, psi, m, n), m + n)
+        if lhs != qsym.product(_ch_of_dense(nu, phi, m), _ch_of_dense(nu, psi, n)):
+            return f"product {tag_a}{sorted(mem_a)} (deg {m}) * {tag_b}{sorted(mem_b)} (deg {n})"
 
     # coproducts: (ch x ch)(delta phi) == Delta(ch phi)
-    ok, witness = True, ""
-    for n in range(0, degree_bound + 1):
-        for tag, members in _basis_elements(nu, n):
-            phi = _dense_basis(nu, n, tag, members)
-            acc: dict = {}
-            for k, pairs in groupscf.coproduct(phi, n).items():
-                for left, right in pairs:
-                    ch_l = _ch_of_dense(nu, left, k)
-                    ch_r = _ch_of_dense(nu, right, n - k)
-                    for ca, va in ch_l.terms.items():
-                        for cb, vb in ch_r.terms.items():
-                            qsym._add_term(acc, (ca, cb), va * vb)
-            group_side = QSymTensor(("M", "M"), acc)
-            qsym_side = qsym.coproduct(_ch_of_dense(nu, phi, n))
-            if group_side != qsym_side:
-                ok = False
-                witness = f"coproduct {tag}{sorted(members)} (deg {n})"
-                break
-        if not ok:
-            break
-    checks.append(("ch intertwines coproducts", ok, witness))
+    def coproducts(case):
+        n, (tag, members) = case
+        phi = _dense_basis(nu, n, tag, members)
+        acc: dict = {}
+        for k, pairs in groupscf.coproduct(phi, n).items():
+            for left, right in pairs:
+                ch_l = _ch_of_dense(nu, left, k)
+                ch_r = _ch_of_dense(nu, right, n - k)
+                for ca, va in ch_l.terms.items():
+                    for cb, vb in ch_r.terms.items():
+                        _add_term(acc, (ca, cb), va * vb)
+        if QSymTensor(("M", "M"), acc) != qsym.coproduct(_ch_of_dense(nu, phi, n)):
+            return f"coproduct {tag}{sorted(members)} (deg {n})"
 
     # graded dimensions agree on both sides
-    ok = all(
-        len(list(_basis_elements(nu, n))) == 2 * (1 << max(n - 1, 0))
-        for n in range(0, degree_bound + 1)
-    )
-    checks.append(("graded dimension 2^(n-1)", ok, ""))
+    def dimension(n):
+        if len(list(_basis_elements(nu, n))) != 2 * (1 << max(n - 1, 0)):
+            return ""
 
-    return CheckReport(checks)
+    degrees = range(degree_bound + 1)
+    pairs = (
+        (m, n, a, b)
+        for m in degrees
+        for n in range(degree_bound + 1 - m)
+        for a in _basis_elements(nu, m)
+        for b in _basis_elements(nu, n)
+    )
+    singles = ((n, b) for n in degrees for b in _basis_elements(nu, n))
+    return CheckReport([
+        check("ch intertwines products", pairs, products),
+        check("ch intertwines coproducts", singles, coproducts),
+        check("graded dimension 2^(n-1)", degrees, dimension),
+    ])

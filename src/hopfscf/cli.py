@@ -179,9 +179,9 @@ def cmd_verify(args) -> int:
         ],
     }
     if not args.json:
-        for check, ok, detail in report.checks:
-            line = f"{'PASS' if ok else 'FAIL'} {check}"
-            if not ok and detail:
+        for check, passed, detail in report.checks:
+            line = f"{'PASS' if passed else 'FAIL'} {check}"
+            if not passed and detail:
                 line += f": {detail}"
             print(line)
     print(json.dumps(summary, sort_keys=True))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .compositions import run_markers
+from .compositions import run_markers, subsets_of
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
 MAX_GROUP_ENV = "HOPF_SCF_MAX_GROUP"
@@ -315,10 +315,6 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
 
 def f_one(nu: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1) for _ in range(nu))
-
-
-def f_reg(nu: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(nu if g == 0 else 0) for g in range(nu))
 
 
 def f_reg_minus_one(nu: int) -> tuple[Fraction, ...]:
@@ -675,97 +671,91 @@ class CheckReport:
         return bool(self.checks) and all(ok for _, ok, _ in self.checks)
 
     def failures(self) -> list[tuple[str, str]]:
-        return [(name, detail) for name, ok, detail in self.checks if not ok]
+        return [(name, detail) for name, passed, detail in self.checks if not passed]
 
 
-def _all_subsets(index_set):
-    for r in range(len(index_set) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(index_set, r))
+def check(name: str, cases, fault) -> tuple[str, bool, str]:
+    """One CheckReport row for a sweep over `cases`.
+
+    `fault(case)` returns None while the case holds and the witness string
+    otherwise.  The sweep stops at the first witness, and an empty witness
+    still fails the check.
+    """
+    for case in cases:
+        witness = fault(case)
+        if witness is not None:
+            return name, False, witness
+    return name, True, ""
 
 
 def verify_axioms(spec: GroupSpec) -> CheckReport:
     """Supercharacter-theory axioms C1-C3 plus orthogonality, checked densely."""
-    checks: list[tuple[str, bool, str]] = []
-    subsets = list(_all_subsets(spec.index_set))
-    kappas = {I: kappa(spec, I) for I in subsets}
-    chis = {I: chi(spec, I) for I in subsets}
+    subsets = [
+        frozenset(spec.index_set[p - 1] for p in positions)
+        for positions in subsets_of(spec.rank + 1)
+    ]
+    kappa_list = [kappa(spec, I) for I in subsets]
+    chi_list = [chi(spec, I) for I in subsets]
+    # Hall products from one integer Gram matrix per family
+    chi_gram, kappa_gram = _hall_gram(chi_list), _hall_gram(kappa_list)
 
-    # C1: the identity is its own superclass
-    identity_only = tuple(1 if i == 0 else 0 for i in range(spec.order))
-    empty = kappas[frozenset()]
-    ok = empty.den == 1 and empty.nums == identity_only
-    checks.append(("C1 identity superclass", ok, "" if ok else "cl_emptyset != {0}"))
+    def claim(name, holds, witness):
+        return check(name, [holds], lambda ok: None if ok else witness)
 
-    # C2: equally many superclasses and supercharacter blocks, all nonempty/distinct
-    ok = all(not f.is_zero() for f in kappas.values()) and len(
-        set(kappas.values())
-    ) == len(subsets)
-    checks.append(("C2 superclass count", ok, "" if ok else "superclasses collide"))
-    ok = len(set(chis.values())) == len(subsets)
-    checks.append(("C2 supercharacter count", ok, "" if ok else "supercharacters collide"))
-
-    # C3: each supercharacter is constant on each superclass
-    witness = ""
-    ok = True
-    for I, f in chis.items():
+    def constancy(item):
+        I, f = item
         try:
             expand_kappa(f)
         except ValueError as exc:
-            ok = False
-            witness = f"chi^{sorted(I)}: {exc}"
-            break
-    checks.append(("C3 superclass constancy", ok, witness))
+            return f"chi^{sorted(I)}: {exc}"
 
-    # partition of the group by superclasses
-    total = kappas[frozenset()]
-    for I in subsets:
-        if I:
-            total = total + kappas[I]
-    ok = total == one(spec)
-    checks.append(("superclass partition", ok, "" if ok else "sum of kappas != 1"))
-
-    # Hall products from one integer Gram matrix per family
-    chi_list = [chis[I] for I in subsets]
-    kappa_list = [kappas[I] for I in subsets]
-    chi_gram, kappa_gram = _hall_gram(chi_list), _hall_gram(kappa_list)
-
-    def hall(family, gram, i, j):
-        return Fraction(gram[i][j - i], family[i].den * family[j].den * spec.order)
-
-    # Hall orthogonality within each family
-    witness = ""
-    ok = True
-    for (i, I), (j, J) in itertools.combinations(enumerate(subsets), 2):
+    def orthogonality(pair):
+        (i, I), (j, J) = pair
         if chi_gram[i][j - i] != 0:
-            ok, witness = False, f"<chi^{sorted(I)}, chi^{sorted(J)}> != 0"
-            break
+            return f"<chi^{sorted(I)}, chi^{sorted(J)}> != 0"
         if kappa_gram[i][j - i] != 0:
-            ok, witness = False, f"<kappa_{sorted(I)}, kappa_{sorted(J)}> != 0"
-            break
-    checks.append(("Hall orthogonality", ok, witness))
+            return f"<kappa_{sorted(I)}, kappa_{sorted(J)}> != 0"
 
-    # Hall norms; the dense value for kappa is (nu-1)^{|I|} / nu^{|S|},
-    # the reciprocal of the display it is usually quoted as.
-    witness = ""
-    ok = True
-    for i, I in enumerate(subsets):
-        off = spec.rank - len(I)
-        if hall(chi_list, chi_gram, i, i) != Fraction((spec.nu - 1) ** off):
-            ok, witness = False, f"chi norm at I={sorted(I)}"
-            break
-        expected = Fraction((spec.nu - 1) ** len(I), spec.nu**spec.rank)
-        if hall(kappa_list, kappa_gram, i, i) != expected:
-            ok, witness = False, f"kappa norm at I={sorted(I)}"
-            break
-    checks.append(("Hall norms", ok, witness))
+    # the dense value for kappa is (nu-1)^{|I|} / nu^{|S|}, the reciprocal of
+    # the display it is usually quoted as
+    def norms(item):
+        i, I = item
+        chi_norm = Fraction(chi_gram[i][0], chi_list[i].den ** 2 * spec.order)
+        if chi_norm != (spec.nu - 1) ** (spec.rank - len(I)):
+            return f"chi norm at I={sorted(I)}"
+        kappa_norm = Fraction(kappa_gram[i][0], kappa_list[i].den ** 2 * spec.order)
+        if kappa_norm != Fraction((spec.nu - 1) ** len(I), spec.order):
+            return f"kappa norm at I={sorted(I)}"
 
-    # lattice oracle agrees with the support description of superclasses
-    witness = ""
-    ok = True
-    for I in subsets:
-        if lattice_superclass_oracle(spec, I) != kappas[I]:
-            ok, witness = False, f"lattice superclass at I={sorted(I)}"
-            break
-    checks.append(("lattice superclasses", ok, witness))
+    def lattice(item):
+        I, f = item
+        if lattice_superclass_oracle(spec, I) != f:
+            return f"lattice superclass at I={sorted(I)}"
 
-    return CheckReport(checks)
+    empty = kappa_list[0]
+    identity_only = tuple(1 if i == 0 else 0 for i in range(spec.order))
+    distinct = len(subsets)
+    total = sum(kappa_list[1:], empty)
+    return CheckReport([
+        # C1: the identity is its own superclass
+        claim(
+            "C1 identity superclass",
+            empty.den == 1 and empty.nums == identity_only,
+            "cl_emptyset != {0}",
+        ),
+        # C2: as many superclasses as supercharacters, all nonempty and distinct
+        claim(
+            "C2 superclass count",
+            all(not f.is_zero() for f in kappa_list) and len(set(kappa_list)) == distinct,
+            "superclasses collide",
+        ),
+        claim("C2 supercharacter count", len(set(chi_list)) == distinct, "supercharacters collide"),
+        # C3: each supercharacter is constant on each superclass
+        check("C3 superclass constancy", zip(subsets, chi_list), constancy),
+        # the superclasses partition the group
+        claim("superclass partition", total == one(spec), "sum of kappas != 1"),
+        check("Hall orthogonality", itertools.combinations(enumerate(subsets), 2), orthogonality),
+        check("Hall norms", enumerate(subsets), norms),
+        # the lattice oracle agrees with the support description of superclasses
+        check("lattice superclasses", zip(subsets, kappa_list), lattice),
+    ])

@@ -257,10 +257,8 @@ class ScalarQT:
         return bool(self.terms) or self.quot is not None
 
     def __eq__(self, other) -> bool:
-        if type(other) is not ScalarQT:
-            if not isinstance(other, (PolyQT, int, Fraction)):
-                return NotImplemented
-            other = ScalarQT.wrap(other)
+        if type(other) is not ScalarQT and (other := _operand(other)) is NotImplemented:
+            return other
         if self.quot is None and other.quot is None:
             return self.terms == other.terms
         (an, ad), (bn, bd) = self._pair(), other._pair()
@@ -270,8 +268,8 @@ class ScalarQT:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other) -> "ScalarQT":
-        if type(other) is not ScalarQT:
-            other = ScalarQT.wrap(other)
+        if type(other) is not ScalarQT and (other := _operand(other)) is NotImplemented:
+            return other
         if self.quot is None and other.quot is None:
             return ScalarQT(_add(self.terms, other.terms))
         (an, ad), (bn, bd) = self._pair(), other._pair()
@@ -287,14 +285,16 @@ class ScalarQT:
         return ScalarQT(_neg(self.quot[0]), self.quot[1])
 
     def __sub__(self, other) -> "ScalarQT":
-        return self + -ScalarQT.wrap(other)
+        other = _operand(other)
+        return other if other is NotImplemented else self + -other
 
     def __rsub__(self, other) -> "ScalarQT":
-        return ScalarQT.wrap(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "ScalarQT":
-        if type(other) is not ScalarQT:
-            other = ScalarQT.wrap(other)
+        if type(other) is not ScalarQT and (other := _operand(other)) is NotImplemented:
+            return other
         if self.quot is None and other.quot is None:
             return ScalarQT(_mul(self.terms, other.terms))
         (an, ad), (bn, bd) = self._pair(), other._pair()
@@ -303,8 +303,8 @@ class ScalarQT:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ScalarQT":
-        if type(other) is not ScalarQT:
-            other = ScalarQT.wrap(other)
+        if type(other) is not ScalarQT and (other := _operand(other)) is NotImplemented:
+            return other
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         if self.quot is None and other.quot is None and len(other.terms) == 1:
@@ -317,7 +317,8 @@ class ScalarQT:
         return ScalarQT(_mul(an, bd), _mul(ad, bn))
 
     def __rtruediv__(self, other) -> "ScalarQT":
-        return ScalarQT.wrap(other) / self
+        other = _operand(other)
+        return other if other is NotImplemented else other / self
 
     def __pow__(self, k: int) -> "ScalarQT":
         terms = self.terms
@@ -376,6 +377,18 @@ class ScalarQT:
 def rational(value) -> ScalarQT:
     value = _rational(value)
     return ScalarQT({(0, 0): value} if value else {})
+
+
+def _operand(other):
+    """An arithmetic operand as a ScalarQT, or NotImplemented when it is not a
+    scalar, so that Python asks the other operand (an element's scale)."""
+    if type(other) is ScalarQT:
+        return other
+    if isinstance(other, (int, Fraction)):
+        return rational(other)
+    if isinstance(other, PolyQT):
+        return ScalarQT(other)
+    return NotImplemented
 
 
 ZERO = ScalarQT({})

@@ -1,13 +1,16 @@
 """Named verification suites: the closed-form identities as executable sweeps.
 
 Each suite returns a CheckReport; the CLI prints one pass/fail line per check
-and exits nonzero on any failure.  Degree bounds default to the desk-scale
-values the suites are specified at.
+and exits nonzero on any failure.  Every check is one `groupscf.check` sweep:
+a flat generator of cases and a local fault function that returns None while
+a case holds and the witness string at the first case that does not.  Degree
+bounds default to the desk-scale values the suites are specified at.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from . import charmap, groupscf, nsym, qsym
@@ -27,7 +30,8 @@ from .compositions import (
     shifted_shuffle,
     subsets_of,
 )
-from .groupscf import CheckReport, GroupSpec
+from .groupscf import CheckReport, GroupSpec, check
+from .linear import _add_term
 from .nsym import NSymElem, b_inverse_entry, b_matrix_entry
 from .qsym import (
     L_from_pi_entry,
@@ -37,7 +41,7 @@ from .qsym import (
     pi_from_L_entry,
     pi_from_M_entry,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Q, T
 
 SUITES = (
     "hopf-axioms",
@@ -55,108 +59,94 @@ GROUP_AXIOM_DEGREES = {2: 7, 3: 5}
 
 
 # ---------------------------------------------------------------------------
+# case generators
+
+
+def _compositions_upto(max_degree: int) -> tuple:
+    """Every composition of degree <= max_degree, by degree."""
+    return tuple(alpha for n in range(max_degree + 1) for alpha in compositions_of(n))
+
+
+def _subsets_upto(max_k: int):
+    """(k, K) for every subset K of [k-1], k <= max_k, by k."""
+    return ((k, K) for k in range(max_k + 1) for K in subsets_of(k))
+
+
+def _by_total(bound: int):
+    """(m, n) with m + n <= bound, by total degree, then m."""
+    return ((m, total - m) for total in range(bound + 1) for m in range(total + 1))
+
+
+def _triangle(bound: int):
+    """(m, n) with m + n <= bound, by m, then n."""
+    return ((m, n) for m in range(bound + 1) for n in range(bound + 1 - m))
+
+
+def _composition_pairs(shapes):
+    """(alpha, beta) over the compositions of m and of n, for each (m, n)."""
+    return ((a, b) for m, n in shapes for a in compositions_of(m) for b in compositions_of(n))
+
+
+def _subset_pairs(shapes):
+    """(m, n, I, J) over the subsets I of [m-1] and J of [n-1], for each (m, n)."""
+    return ((m, n, I, J) for m, n in shapes for I in subsets_of(m) for J in subsets_of(n))
+
+
+# ---------------------------------------------------------------------------
 # hopf-axioms
 
 
+def _counit_laws(algebra, elem, witness: str):
+    def fault(alpha):
+        x = elem(alpha)
+        left = right = type(x).zero(x.basis)
+        for (a, b), c in algebra.coproduct(x).terms.items():
+            left = left + elem(b).scale(c * algebra.counit(elem(a)))
+            right = right + elem(a).scale(c * algebra.counit(elem(b)))
+        if left != x or right != x:
+            return f"{witness}{alpha}"
+
+    return fault
+
+
 def suite_hopf_axioms(max_degree: int = 5) -> CheckReport:
-    checks: list[tuple[str, bool, str]] = []
+    def antipode(alpha):
+        x = qsym.M(alpha)
+        left = right = QSymElem.zero("M")
+        for (a, b), c in qsym.coproduct(x).terms.items():
+            left = left + (qsym.antipode(qsym.M(a)) * qsym.M(b)).scale(c)
+            right = right + (qsym.M(a) * qsym.antipode(qsym.M(b))).scale(c)
+        expected = QSymElem.unit("M").scale(qsym.counit(x))
+        if left != expected or right != expected:
+            return f"antipode axiom at M_{alpha}"
 
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            x = qsym.M(alpha)
-            t = qsym.coproduct(x)
-            left = QSymElem.zero("M")
-            right = QSymElem.zero("M")
-            for (a, b), c in t.terms.items():
-                left = left + (qsym.antipode(qsym.M(a)) * qsym.M(b)).scale(c)
-                right = right + (qsym.M(a) * qsym.antipode(qsym.M(b))).scale(c)
-            expected = QSymElem.unit("M").scale(qsym.counit(x))
-            if left != expected or right != expected:
-                ok, witness = False, f"antipode axiom at M_{alpha}"
-                break
-        if not ok:
-            break
-    checks.append(("QSym antipode axiom", ok, witness))
+    def compatibility(pair):
+        alpha, beta = pair
+        x, y = qsym.M(alpha), qsym.M(beta)
+        if qsym.coproduct(x * y) != qsym.coproduct(x).product(qsym.coproduct(y)):
+            return f"compatibility at {alpha}, {beta}"
 
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            x = qsym.M(alpha)
-            t = qsym.coproduct(x)
-            left = QSymElem.zero("M")
-            right = QSymElem.zero("M")
-            for (a, b), c in t.terms.items():
-                left = left + qsym.M(b).scale(c * qsym.counit(qsym.M(a)))
-                right = right + qsym.M(a).scale(c * qsym.counit(qsym.M(b)))
-            if left != x or right != x:
-                ok, witness = False, f"counit law at M_{alpha}"
-                break
-        if not ok:
-            break
-    checks.append(("QSym counit laws", ok, witness))
+    def coassociativity(alpha):
+        for x, cop in ((qsym.M(alpha), qsym.coproduct), (nsym.H(alpha), nsym.coproduct)):
+            left: dict = {}
+            right: dict = {}
+            for (a, b), c in cop(x).terms.items():
+                for (a1, a2), c2 in cop(type(x).basis_elem(x.basis, a)).terms.items():
+                    _add_term(left, (a1, a2, b), c * c2)
+                for (b1, b2), c2 in cop(type(x).basis_elem(x.basis, b)).terms.items():
+                    _add_term(right, (a, b1, b2), c * c2)
+            if left != right:
+                return f"coassociativity at {alpha}"
 
-    ok, witness = True, ""
-    bound = min(max_degree + 1, 6)
-    for total in range(0, bound + 1):
-        for m in range(0, total + 1):
-            for alpha in compositions_of(m):
-                for beta in compositions_of(total - m):
-                    x, y = qsym.M(alpha), qsym.M(beta)
-                    lhs = qsym.coproduct(x * y)
-                    rhs = qsym.coproduct(x).product(qsym.coproduct(y))
-                    if lhs != rhs:
-                        ok, witness = False, f"compatibility at {alpha}, {beta}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("QSym bialgebra compatibility", ok, witness))
-
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            x = nsym.H(alpha)
-            t = nsym.coproduct(x)
-            left = NSymElem.zero("H")
-            right = NSymElem.zero("H")
-            for (a, b), c in t.terms.items():
-                left = left + nsym.H(b).scale(c * nsym.counit(nsym.H(a)))
-                right = right + nsym.H(a).scale(c * nsym.counit(nsym.H(b)))
-            if left != x or right != x:
-                ok, witness = False, f"NSym counit law at H_{alpha}"
-                break
-        if not ok:
-            break
-    checks.append(("NSym counit laws", ok, witness))
-
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            for x, cop, zero in (
-                (qsym.M(alpha), qsym.coproduct, QSymElem.zero("M")),
-                (nsym.H(alpha), nsym.coproduct, NSymElem.zero("H")),
-            ):
-                left: dict = {}
-                right: dict = {}
-                for (a, b), c in cop(x).terms.items():
-                    for (a1, a2), c2 in cop(type(x).basis_elem(x.basis, a)).terms.items():
-                        qsym._add_term(left, (a1, a2, b), c * c2)
-                    for (b1, b2), c2 in cop(type(x).basis_elem(x.basis, b)).terms.items():
-                        qsym._add_term(right, (a, b1, b2), c * c2)
-                if left != right:
-                    ok, witness = False, f"coassociativity at {alpha}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("coassociativity", ok, witness))
-
-    return CheckReport(checks)
+    comps = _compositions_upto(max_degree)
+    pairs = _composition_pairs(_by_total(min(max_degree + 1, 6)))
+    return CheckReport([
+        check("QSym antipode axiom", comps, antipode),
+        check("QSym counit laws", comps, _counit_laws(qsym, qsym.M, "counit law at M_")),
+        check("QSym bialgebra compatibility", pairs, compatibility),
+        check("NSym counit laws", comps, _counit_laws(nsym, nsym.H, "NSym counit law at H_")),
+        check("coassociativity", comps, coassociativity),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +155,17 @@ def suite_hopf_axioms(max_degree: int = 5) -> CheckReport:
 
 def suite_diagrams(nu_degrees: dict[int, int] | None = None) -> CheckReport:
     nu_degrees = nu_degrees or DEFAULT_NU_DEGREES
-    checks: list[tuple[str, bool, str]] = []
-    for nu, bound in sorted(nu_degrees.items()):
-        report = charmap.verify_diagrams(nu, bound)
-        for name, ok, detail in report.checks:
-            checks.append((f"nu={nu} deg<={bound}: {name}", ok, detail))
-    return CheckReport(checks)
+    return CheckReport([
+        (f"nu={nu} deg<={bound}: {name}", ok, detail)
+        for nu, bound in sorted(nu_degrees.items())
+        for name, ok, detail in charmap.verify_diagrams(nu, bound).checks
+    ])
+
+
+def _axiom_failures(shape: tuple[int, int]):
+    report = groupscf.verify_axioms(GroupSpec.standard(*shape))
+    if not report.passed:
+        return "; ".join(f"{name}: {detail}" for name, detail in report.failures())
 
 
 def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
@@ -179,19 +174,11 @@ def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
     # before any degree runs
     for nu, bound in nu_degrees.items():
         GroupSpec.standard(nu, max(bound, 0))
-    checks: list[tuple[str, bool, str]] = []
-    for nu, bound in sorted(nu_degrees.items()):
-        for n in range(0, bound + 1):
-            report = groupscf.verify_axioms(GroupSpec.standard(nu, n))
-            bad = report.failures()
-            checks.append(
-                (
-                    f"nu={nu} n={n}: axioms C1-C3, norms, lattice",
-                    report.passed,
-                    "; ".join(f"{name}: {detail}" for name, detail in bad),
-                )
-            )
-    return CheckReport(checks)
+    return CheckReport([
+        check(f"nu={nu} n={n}: axioms C1-C3, norms, lattice", [(nu, n)], _axiom_failures)
+        for nu, bound in sorted(nu_degrees.items())
+        for n in range(bound + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +186,23 @@ def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
 
 
 def suite_dualities(max_degree: int = 6) -> CheckReport:
-    checks: list[tuple[str, bool, str]] = []
-    pairs = (
-        ("H", nsym.H, "M", qsym.M),
-        ("R", nsym.R, "L", qsym.L),
-        ("Estar", nsym.Estar, "E", qsym.E),
-    )
-    for left_name, left, right_name, right in pairs:
-        ok, witness = True, ""
-        for n in range(0, max_degree + 1):
-            comps = list(compositions_of(n))
-            for x in comps:
-                for y in comps:
-                    expected = ONE if x == y else ZERO
-                    if nsym.pairing(left(x), right(y)) != expected:
-                        ok = False
-                        witness = f"({left_name}_{x}, {right_name}_{y})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        checks.append(
-            (f"pairing matrix ({left_name}, {right_name}) = identity", ok, witness)
+    def dual_bases(left_name, left, right_name, right):
+        def fault(pair):
+            x, y = pair
+            if nsym.pairing(left(x), right(y)) != (ONE if x == y else ZERO):
+                return f"({left_name}_{x}, {right_name}_{y})"
+
+        return check(
+            f"pairing matrix ({left_name}, {right_name}) = identity",
+            _composition_pairs((n, n) for n in range(max_degree + 1)),
+            fault,
         )
-    return CheckReport(checks)
+
+    return CheckReport([
+        dual_bases("H", nsym.H, "M", qsym.M),
+        dual_bases("R", nsym.R, "L", qsym.L),
+        dual_bases("Estar", nsym.Estar, "E", qsym.E),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +210,19 @@ def suite_dualities(max_degree: int = 6) -> CheckReport:
 
 
 def suite_specializations(max_degree: int = 7) -> CheckReport:
-    cases = (
-        ("B(1,0) = H of complement", 1, 0, nsym.H),
-        ("B(-1,1) = Lambda of complement", -1, 1, nsym.Lam),
-        ("B(1,-1) = E* of complement", 1, -1, nsym.Estar),
-    )
-    checks = []
-    for name, q0, t0, target in cases:
-        ok, witness = True, ""
-        for n in range(0, max_degree + 1):
-            for alpha in compositions_of(n):
-                lhs = nsym.specialize(nsym.convert(nsym.B(alpha), "H"), q0, t0)
-                rhs = nsym.convert(target(complement(alpha)), "H")
-                if lhs != rhs:
-                    ok, witness = False, f"at alpha={alpha}"
-                    break
-            if not ok:
-                break
-        checks.append((name, ok, witness))
-    return CheckReport(checks)
+    def specializes(name, q0, t0, target):
+        def fault(alpha):
+            lhs = nsym.specialize(nsym.convert(nsym.B(alpha), "H"), q0, t0)
+            if lhs != nsym.convert(target(complement(alpha)), "H"):
+                return f"at alpha={alpha}"
+
+        return check(name, _compositions_upto(max_degree), fault)
+
+    return CheckReport([
+        specializes("B(1,0) = H of complement", 1, 0, nsym.H),
+        specializes("B(-1,1) = Lambda of complement", -1, 1, nsym.Lam),
+        specializes("B(1,-1) = E* of complement", 1, -1, nsym.Estar),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -257,54 +230,34 @@ def suite_specializations(max_degree: int = 7) -> CheckReport:
 
 
 def suite_omega(max_degree: int = 6) -> CheckReport:
-    from .scalars import Q, T
+    def bhat_image(alpha):
+        n = alpha.size
+        lhs = nsym.omega(nsym.Bhat(alpha))
+        imask = set_of_comp(complement(alpha.reverse())).mask
+        terms = {
+            comp_of_set(SubsetLabel(n, hmask)): coeff
+            for hmask, coeff in nsym.b_to_H_masks(n, imask, qs=-Q, ts=Q + T).items()
+        }
+        if lhs != NSymElem("H", terms):
+            return f"at alpha={alpha}"
 
-    checks = []
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            lhs = nsym.omega(nsym.Bhat(alpha))
-            imask = set_of_comp(complement(alpha.reverse())).mask
-            terms = {
-                comp_of_set(SubsetLabel(n, hmask)): coeff
-                for hmask, coeff in nsym.b_to_H_masks(n, imask, qs=-Q, ts=Q + T).items()
-            }
-            if lhs != NSymElem("H", terms):
-                ok, witness = False, f"at alpha={alpha}"
-                break
-        if not ok:
-            break
-    checks.append(("omega(Bhat(q,t)) = Bhat(-q,q+t) reversed", ok, witness))
+    def involution(alpha):
+        if nsym.omega(nsym.omega(nsym.H(alpha))) != nsym.H(alpha):
+            return f"omega^2 at H_{alpha}"
 
-    ok, witness = True, ""
-    for n in range(0, max_degree + 1):
-        for alpha in compositions_of(n):
-            if nsym.omega(nsym.omega(nsym.H(alpha))) != nsym.H(alpha):
-                ok, witness = False, f"omega^2 at H_{alpha}"
-                break
-        if not ok:
-            break
-    checks.append(("omega is an involution", ok, witness))
+    def anti_homomorphism(pair):
+        alpha, beta = pair
+        lhs = nsym.omega(nsym.H(alpha) * nsym.H(beta))
+        if lhs != nsym.omega(nsym.H(beta)) * nsym.omega(nsym.H(alpha)):
+            return f"at {alpha}, {beta}"
 
-    ok, witness = True, ""
-    for m in range(0, min(max_degree, 4) + 1):
-        for n in range(0, min(max_degree, 4) + 1 - m):
-            for alpha in compositions_of(m):
-                for beta in compositions_of(n):
-                    lhs = nsym.omega(nsym.H(alpha) * nsym.H(beta))
-                    rhs = nsym.omega(nsym.H(beta)) * nsym.omega(nsym.H(alpha))
-                    if lhs != rhs:
-                        ok, witness = False, f"at {alpha}, {beta}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("omega is an anti-homomorphism", ok, witness))
-
-    return CheckReport(checks)
+    comps = _compositions_upto(max_degree)
+    pairs = _composition_pairs(_triangle(min(max_degree, 4)))
+    return CheckReport([
+        check("omega(Bhat(q,t)) = Bhat(-q,q+t) reversed", comps, bhat_image),
+        check("omega is an involution", comps, involution),
+        check("omega is an anti-homomorphism", pairs, anti_homomorphism),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -331,99 +284,65 @@ def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
     return {"size": size_count, "empty": empty_count}
 
 
+def _overlap_shuffles(m: int, n: int, I, J) -> dict:
+    """Overlapping shuffles of the complements of comp(I) and comp(J)."""
+    return overlapping_shuffles(
+        complement(comp_of_set(SubsetLabel.of(m, I))),
+        complement(comp_of_set(SubsetLabel.of(n, J))),
+    )
+
+
+def _weight(k: int, kmask: int):
+    return complement(comp_of_set(SubsetLabel(k, kmask)))
+
+
 def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
-    checks: list[tuple[str, bool, str]] = []
+    def descriptions(case):
+        m, n, I, J = case
+        k = m + n
+        counts = _overlap_selector_counts(m, n, I, J)
+        shuffles = _overlap_shuffles(m, n, I, J)
+        for kmask in range(_full_mask(k) + 1):
+            expected = shuffles.get(_weight(k, kmask), 0)
+            got_b = counts["size"].get(kmask, 0)
+            got_c = counts["empty"].get(kmask, 0)
+            if not expected == got_b == got_c:
+                return (
+                    f"m={m} n={n} I={sorted(I)} J={sorted(J)} "
+                    f"K={SubsetLabel(k, kmask).members}: "
+                    f"{expected} vs {got_b} vs {got_c}"
+                )
 
-    ok, witness = True, ""
-    for m in range(0, count_bound + 1):
-        for n in range(0, count_bound + 1):
-            k = m + n
-            full = _full_mask(k)
-            for I in subsets_of(m):
-                for J in subsets_of(n):
-                    counts = _overlap_selector_counts(m, n, I, J)
-                    shuffles = overlapping_shuffles(
-                        complement(comp_of_set(SubsetLabel.of(m, I))),
-                        complement(comp_of_set(SubsetLabel.of(n, J))),
-                    )
-                    for kmask in range(full + 1):
-                        weight = complement(comp_of_set(SubsetLabel(k, kmask)))
-                        expected = shuffles.get(weight, 0)
-                        got_b = counts["size"].get(kmask, 0)
-                        got_c = counts["empty"].get(kmask, 0)
-                        if not expected == got_b == got_c:
-                            ok = False
-                            witness = (
-                                f"m={m} n={n} I={sorted(I)} J={sorted(J)} "
-                                f"K={SubsetLabel(k, kmask).members}: "
-                                f"{expected} vs {got_b} vs {got_c}"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("the three overlapping-shuffle descriptions agree", ok, witness))
+    def constants_at_one_zero(case):
+        m, n, I, J = case
+        k = m + n
+        shuffles = _overlap_shuffles(m, n, I, J)
+        constants = nsym.structure_constants_sweep(k, m, I, J)
+        for kmask in range(_full_mask(k) + 1):
+            K = SubsetLabel(k, kmask).members
+            c = constants.get(kmask, ZERO)
+            poly = c.as_integer_poly()
+            if poly is None and not c.is_zero():
+                return f"non-polynomial constant at K={K}"
+            value = poly.eval_at(1, 0) if poly is not None else Fraction(0)
+            if value != shuffles.get(_weight(k, kmask), 0):
+                return f"C(1,0) mismatch m={m} n={n} I={sorted(I)} J={sorted(J)} K={K}"
 
-    ok, witness = True, ""
-    for m in range(0, count_bound + 1):
-        for n in range(0, count_bound + 1):
-            k = m + n
-            for I in subsets_of(m):
-                for J in subsets_of(n):
-                    shuffles = overlapping_shuffles(
-                        complement(comp_of_set(SubsetLabel.of(m, I))),
-                        complement(comp_of_set(SubsetLabel.of(n, J))),
-                    )
-                    constants = nsym.structure_constants_sweep(k, m, I, J)
-                    for kmask in range(_full_mask(k) + 1):
-                        K = SubsetLabel(k, kmask).members
-                        c = constants.get(kmask, ZERO)
-                        poly = c.as_integer_poly()
-                        if poly is None and not c.is_zero():
-                            ok, witness = False, f"non-polynomial constant at K={K}"
-                            break
-                        value = poly.eval_at(1, 0) if poly is not None else Fraction(0)
-                        weight = complement(comp_of_set(SubsetLabel(k, kmask)))
-                        if value != shuffles.get(weight, 0):
-                            ok = False
-                            witness = f"C(1,0) mismatch m={m} n={n} I={sorted(I)} J={sorted(J)} K={K}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("C^K_IJ(1,0) counts overlapping shuffles", ok, witness))
+    def routes(pair):
+        alpha, beta = pair
+        via_M = qsym.M(alpha) * qsym.M(beta)
+        if via_M != qsym.convert(qsym.M(alpha), "L") * qsym.convert(qsym.M(beta), "L"):
+            return f"at {alpha}, {beta}"
 
-    ok, witness = True, ""
-    for total in range(0, max_degree + 1):
-        for m in range(0, total + 1):
-            for alpha in compositions_of(m):
-                for beta in compositions_of(total - m):
-                    via_M = qsym.M(alpha) * qsym.M(beta)
-                    via_L = qsym.convert(qsym.M(alpha), "L") * qsym.convert(
-                        qsym.M(beta), "L"
-                    )
-                    if via_M != via_L:
-                        ok, witness = False, f"at {alpha}, {beta}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("M-route product equals L-route product", ok, witness))
+    def square():
+        return _subset_pairs(itertools.product(range(count_bound + 1), repeat=2))
 
-    return CheckReport(checks)
+    pairs = _composition_pairs(_by_total(max_degree))
+    return CheckReport([
+        check("the three overlapping-shuffle descriptions agree", square(), descriptions),
+        check("C^K_IJ(1,0) counts overlapping shuffles", square(), constants_at_one_zero),
+        check("M-route product equals L-route product", pairs, routes),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -431,47 +350,28 @@ def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
 
 
 def suite_integrality(max_k: int = 6) -> CheckReport:
-    checks: list[tuple[str, bool, str]] = []
-    ok, witness = True, ""
-    for k in range(0, max_k + 1):
-        for K in subsets_of(k):
-            for m in range(k + 1):
-                n = k - m
-                for I in subsets_of(m):
-                    for J in subsets_of(n):
-                        c = nsym.structure_constant(k, K, m, I, J)
-                        if c.is_zero():
-                            continue
-                        if c.as_integer_poly() is None:
-                            ok = False
-                            witness = (
-                                f"k={k} K={sorted(K)} m={m} I={sorted(I)} J={sorted(J)}: {c}"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("C^K_IJ(q,t) lies in Z[q,t]", ok, witness))
+    def integral(case):
+        k, K, m, _, I, J = case
+        c = nsym.structure_constant(k, K, m, I, J)
+        if not c.is_zero() and c.as_integer_poly() is None:
+            return f"k={k} K={sorted(K)} m={m} I={sorted(I)} J={sorted(J)}: {c}"
 
-    ok, witness = True, ""
-    for k in range(0, max_k + 1):
-        for K in subsets_of(k):
-            via_const = nsym.coproduct_B_comp(k, K)
-            alpha = comp_of_set(SubsetLabel.of(k, K))
-            via_H = nsym.coproduct(nsym.B(alpha)).convert(("B", "B"))
-            if via_const != via_H:
-                ok, witness = False, f"k={k} K={sorted(K)}"
-                break
-        if not ok:
-            break
-    checks.append(("closed sum matches the H-route coproduct", ok, witness))
+    def closed_sum(case):
+        k, K = case
+        via_const = nsym.coproduct_B_comp(k, K)
+        alpha = comp_of_set(SubsetLabel.of(k, K))
+        if via_const != nsym.coproduct(nsym.B(alpha)).convert(("B", "B")):
+            return f"k={k} K={sorted(K)}"
 
-    return CheckReport(checks)
+    constants = (
+        (k, K, *triple)
+        for k, K in _subsets_upto(max_k)
+        for triple in _subset_pairs((m, k - m) for m in range(k + 1))
+    )
+    return CheckReport([
+        check("C^K_IJ(q,t) lies in Z[q,t]", constants, integral),
+        check("closed sum matches the H-route coproduct", _subsets_upto(max_k), closed_sum),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -502,54 +402,37 @@ def pi_L_matrices_inverse(n: int, nu: int) -> bool:
     return True
 
 
-def pi_M_matrices_inverse(n: int, nu: int) -> bool:
-    """The two Pi/M displays multiply to the identity, both ways (sparse)."""
+def _sparse_inverses(n: int, x_entry, y_entry) -> bool:
+    """XY = YX = I for the two 2^(n-1)-square matrices with entries
+    x_entry(row, col) and y_entry(row, col), multiplied as sparse rows."""
     size = 1 << max(n - 1, 0)
-    A_rows = []
-    for i in range(size):
-        row = {}
-        for j in range(size):
-            v = pi_from_M_entry(n, i, j, nu)
-            if v:
-                row[j] = v
-        A_rows.append(row)
-    B_rows = []
-    for i in range(size):
-        row = {}
-        for j in range(size):
-            v = M_from_pi_entry(n, i, j, nu)
-            if v:
-                row[j] = v
-        B_rows.append(row)
-    for X, Y in ((A_rows, B_rows), (B_rows, A_rows)):
-        for i in range(size):
-            acc: dict[int, Fraction] = {}
-            for l, xv in X[i].items():
-                for j, yv in Y[l].items():
-                    acc[j] = acc.get(j, Fraction(0)) + xv * yv
-            acc = {j: v for j, v in acc.items() if v}
-            if acc != {i: Fraction(1)}:
+    X, Y = (
+        [{j: v for j in range(size) if (v := entry(i, j))} for i in range(size)]
+        for entry in (x_entry, y_entry)
+    )
+    for A, B in ((X, Y), (Y, X)):
+        for i, row in enumerate(A):
+            acc: dict = {}
+            for l, a in row.items():
+                for j, b in B[l].items():
+                    _add_term(acc, j, a * b)
+            if acc != {i: 1}:
                 return False
     return True
+
+
+def pi_M_matrices_inverse(n: int, nu: int) -> bool:
+    """The two Pi/M displays multiply to the identity, both ways (sparse)."""
+    return _sparse_inverses(
+        n, lambda i, j: pi_from_M_entry(n, i, j, nu), lambda i, j: M_from_pi_entry(n, i, j, nu)
+    )
 
 
 def bh_matrices_inverse(n: int) -> bool:
     """The B-to-H matrix and its stated inverse satisfy MN = NM = I symbolically."""
-    size = 1 << max(n - 1, 0)
-    M_rows = []
-    N_rows = []
-    for i in range(size):
-        M_rows.append({j: v for j in range(size) if (v := b_matrix_entry(n, i, j))})
-        N_rows.append({j: v for j in range(size) if (v := b_inverse_entry(n, i, j))})
-    for X, Y in ((M_rows, N_rows), (N_rows, M_rows)):
-        for i in range(size):
-            acc: dict = {}
-            for l, xv in X[i].items():
-                for j, yv in Y[l].items():
-                    qsym._add_term(acc, j, xv * yv)
-            if set(acc) != {i} or acc[i] != ONE:
-                return False
-    return True
+    return _sparse_inverses(
+        n, lambda i, j: b_matrix_entry(n, i, j), lambda i, j: b_inverse_entry(n, i, j)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,64 +441,55 @@ def bh_matrices_inverse(n: int) -> bool:
 
 def fqsym_descent_oracle(max_total: int = 7) -> CheckReport:
     """Des multisets of shifted shuffles match a_shuffle multisets over A."""
-    checks = []
-    ok, witness = True, ""
-    for m in range(0, max_total + 1):
-        for n in range(0, max_total + 1 - m):
-            for I in subsets_of(m):
-                for J in subsets_of(n):
-                    w_i = descent_rep(SubsetLabel.of(m, I))
-                    w_j = descent_rep(SubsetLabel.of(n, J))
-                    from_words: dict[int, int] = {}
-                    for word, mult in shifted_shuffle(w_i, w_j, m).items():
-                        mask = descent_set(word).mask
-                        from_words[mask] = from_words.get(mask, 0) + mult
-                    from_shuffles: dict[int, int] = {}
-                    for A in itertools.combinations(range(1, m + n + 1), n):
-                        mask = a_shuffle(
-                            SubsetLabel.of(m, I), SubsetLabel.of(n, J), A, m, n
-                        ).mask
-                        from_shuffles[mask] = from_shuffles.get(mask, 0) + 1
-                    if from_words != from_shuffles:
-                        ok = False
-                        witness = f"m={m} n={n} I={sorted(I)} J={sorted(J)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("descents of shifted shuffles = A-shuffles", ok, witness))
-    return CheckReport(checks)
+
+    def fault(case):
+        m, n, I, J = case
+        I_lbl, J_lbl = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
+        from_words: Counter = Counter()
+        for word, mult in shifted_shuffle(descent_rep(I_lbl), descent_rep(J_lbl), m).items():
+            from_words[descent_set(word).mask] += mult
+        from_shuffles = Counter(
+            a_shuffle(I_lbl, J_lbl, A, m, n).mask
+            for A in itertools.combinations(range(1, m + n + 1), n)
+        )
+        if from_words != from_shuffles:
+            return f"m={m} n={n} I={sorted(I)} J={sorted(J)}"
+
+    cases = _subset_pairs(_triangle(max_total))
+    return CheckReport([check("descents of shifted shuffles = A-shuffles", cases, fault)])
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+def _nu_degrees(defaults: dict[int, int], max_degree: int | None, nus) -> dict[int, int]:
+    """Degree bound per nu: the listed nus at their default bound (4 where
+    there is none), or every default nu; all at max_degree when it is given."""
+    degrees = {nu: defaults.get(nu, 4) for nu in nus} if nus else dict(defaults)
+    if max_degree is not None:
+        degrees = dict.fromkeys(degrees, max_degree)
+    return degrees
 
 
 def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = None) -> CheckReport:
-    """Dispatch a named suite with optional overrides."""
-    if name == "hopf-axioms":
-        return suite_hopf_axioms(5 if max_degree is None else max_degree)
+    """Dispatch a named suite with optional overrides; without max_degree each
+    suite runs at its own default bound."""
     if name == "diagrams":
-        degrees = dict(DEFAULT_NU_DEGREES)
-        if nus:
-            degrees = {nu: degrees.get(nu, 4) for nu in nus}
-        if max_degree is not None:
-            degrees = {nu: max_degree for nu in degrees}
-        return suite_diagrams(degrees)
-    if name == "dualities":
-        return suite_dualities(6 if max_degree is None else max_degree)
-    if name == "specializations":
-        return suite_specializations(7 if max_degree is None else max_degree)
-    if name == "omega":
-        return suite_omega(6 if max_degree is None else max_degree)
-    if name == "overlap":
-        return suite_overlap(8 if max_degree is None else max_degree)
+        return suite_diagrams(_nu_degrees(DEFAULT_NU_DEGREES, max_degree, nus))
     if name == "group-axioms":
-        degrees = dict(GROUP_AXIOM_DEGREES)
-        if nus:
-            degrees = {nu: degrees.get(nu, 4) for nu in nus}
-        if max_degree is not None:
-            degrees = {nu: max_degree for nu in degrees}
-        return suite_group_axioms(degrees)
-    if name == "integrality":
-        return suite_integrality(6 if max_degree is None else max_degree)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+        return suite_group_axioms(_nu_degrees(GROUP_AXIOM_DEGREES, max_degree, nus))
+    suite = _DEGREE_SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return suite() if max_degree is None else suite(max_degree)
+
+
+_DEGREE_SUITES = {
+    "hopf-axioms": suite_hopf_axioms,
+    "dualities": suite_dualities,
+    "specializations": suite_specializations,
+    "omega": suite_omega,
+    "overlap": suite_overlap,
+    "integrality": suite_integrality,
+}

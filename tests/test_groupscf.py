@@ -12,6 +12,7 @@ from hopfscf.groupscf import (
     ClassFunction,
     GroupBoundError,
     GroupSpec,
+    check,
     chi,
     coproduct,
     coproduct_k,
@@ -567,3 +568,25 @@ class TestAxioms:
         spec = GroupSpec(3, (1,))
         with pytest.raises(ValueError):
             expand_kappa(ClassFunction(spec, [0, 1, 2]))
+
+
+class TestCheck:
+    def test_stops_at_the_first_witness(self):
+        seen = []
+
+        def fault(case):
+            seen.append(case)
+            return f"at {case}" if case >= 3 else None
+
+        assert check("sweep", range(10), fault) == ("sweep", False, "at 3")
+        assert seen == [0, 1, 2, 3]
+
+    def test_all_none_passes_with_empty_witness(self):
+        assert check("sweep", range(5), lambda case: None) == ("sweep", True, "")
+
+    def test_empty_witness_fails(self):
+        assert check("sweep", range(5), lambda case: "" if case == 2 else None) == (
+            "sweep",
+            False,
+            "",
+        )

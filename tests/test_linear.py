@@ -2,11 +2,11 @@
 
 Each class draws elements in random bases (and nu, for Pi and the superclass
 functions) with a few terms of degree at most 3.  The laws: `+` commutes and
-associates, `x - x` is zero, `scale` distributes over both sums, `==` and `+`
-across bases meet in the hub, and `+`, `-` and `scale` leave both operands'
-terms as they were.  `convert` hands back its argument itself when the basis
-already matches, so an accumulator writing into an operand's dict would show
-up as a changed operand here.
+associates, `x - x` is zero, `scale` distributes over both sums, a scalar
+multiplies from either side, `==` and `+` across bases meet in the hub, and
+`+`, `-` and `scale` leave both operands' terms as they were.  `convert` hands
+back its argument itself when the basis already matches, so an accumulator
+writing into an operand's dict would show up as a changed operand here.
 """
 
 import itertools
@@ -135,6 +135,7 @@ def test_module_laws(kind, data):
     assert (x + y).scale(a) == x.scale(a) + y.scale(a)
     assert x.scale(a + b) == x.scale(a) + x.scale(b)
     assert x.scale(a) == x * a and x.scale(2) == 2 * x
+    assert a * x == x * a
 
     # across bases, == and + meet in the hub
     x2 = recast(draw, x, shared)
