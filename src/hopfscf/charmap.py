@@ -12,6 +12,7 @@ tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -19,7 +20,7 @@ from math import gcd, lcm
 from . import groupscf, qsym
 from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
-from .linear import LinComb, _add_term
+from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
 from .scalars import rational
 
@@ -131,7 +132,7 @@ def ch(x: ScfElem) -> QSymElem:
     return QSymElem("M")._with_terms({comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
 
 
-def _basis_elements(nu: int, degree: int):
+def _basis_elements(degree: int):
     for tag in (KAPPA, CHI_DOT):
         for members in subsets_of(degree):
             yield tag, members
@@ -144,7 +145,7 @@ def _dense_basis(nu: int, degree: int, tag: str, members) -> ClassFunction:
     return groupscf.dot_chi(spec, members)
 
 
-def _ch_of_dense(nu: int, phi: ClassFunction, degree: int) -> QSymElem:
+def _ch_of_dense(phi: ClassFunction, degree: int) -> QSymElem:
     return ch(ScfElem.from_dense(phi, degree))
 
 
@@ -157,28 +158,26 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
         m, n, (tag_a, mem_a), (tag_b, mem_b) = case
         phi = _dense_basis(nu, m, tag_a, mem_a)
         psi = _dense_basis(nu, n, tag_b, mem_b)
-        lhs = _ch_of_dense(nu, groupscf.product_m(phi, psi, m, n), m + n)
-        if lhs != qsym.product(_ch_of_dense(nu, phi, m), _ch_of_dense(nu, psi, n)):
+        lhs = _ch_of_dense(groupscf.product_m(phi, psi, m, n), m + n)
+        if lhs != qsym.product(_ch_of_dense(phi, m), _ch_of_dense(psi, n)):
             return f"product {tag_a}{sorted(mem_a)} (deg {m}) * {tag_b}{sorted(mem_b)} (deg {n})"
 
     # coproducts: (ch x ch)(delta phi) == Delta(ch phi)
     def coproducts(case):
         n, (tag, members) = case
         phi = _dense_basis(nu, n, tag, members)
-        acc: dict = {}
-        for k, pairs in groupscf.coproduct(phi, n).items():
-            for left, right in pairs:
-                ch_l = _ch_of_dense(nu, left, k)
-                ch_r = _ch_of_dense(nu, right, n - k)
-                for ca, va in ch_l.terms.items():
-                    for cb, vb in ch_r.terms.items():
-                        _add_term(acc, (ca, cb), va * vb)
-        if QSymTensor(("M", "M"), acc) != qsym.coproduct(_ch_of_dense(nu, phi, n)):
+        images = (
+            tensor_terms(_ch_of_dense(left, k).terms, _ch_of_dense(right, n - k).terms)
+            for k, pairs in groupscf.coproduct(phi, n).items()
+            for left, right in pairs
+        )
+        terms = extend(itertools.chain.from_iterable(images), lambda pair: ((pair, 1),))
+        if QSymTensor(("M", "M"), terms) != qsym.coproduct(_ch_of_dense(phi, n)):
             return f"coproduct {tag}{sorted(members)} (deg {n})"
 
     # graded dimensions agree on both sides
     def dimension(n):
-        if len(list(_basis_elements(nu, n))) != 2 * (1 << max(n - 1, 0)):
+        if len(list(_basis_elements(n))) != 2 * (1 << max(n - 1, 0)):
             return ""
 
     degrees = range(degree_bound + 1)
@@ -186,10 +185,10 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
         (m, n, a, b)
         for m in degrees
         for n in range(degree_bound + 1 - m)
-        for a in _basis_elements(nu, m)
-        for b in _basis_elements(nu, n)
+        for a in _basis_elements(m)
+        for b in _basis_elements(n)
     )
-    singles = ((n, b) for n in degrees for b in _basis_elements(nu, n))
+    singles = ((n, b) for n in degrees for b in _basis_elements(n))
     return CheckReport([
         check("ch intertwines products", pairs, products),
         check("ch intertwines coproducts", singles, coproducts),

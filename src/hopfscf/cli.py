@@ -95,8 +95,6 @@ def cmd_expand(args) -> int:
     if algebra == "nsym":
         if target not in NSYM_BASES:
             raise CliError(f"cannot expand an NSym element in basis {target!r}")
-        if basis == "Pi" or target == "Pi":
-            raise CliError("Pi is a QSym basis")
         elem = nsym.convert(nsym.NSymElem.basis_elem(basis, comp), target)
         payload = elem.to_json_dict()
     else:

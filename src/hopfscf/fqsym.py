@@ -14,7 +14,7 @@ from .compositions import (
     shifted_shuffle,
     standardize,
 )
-from .linear import LinComb, _add_term
+from .linear import LinComb, extend, extend2
 from .qsym import QSymElem
 from .scalars import ONE, ScalarQT
 
@@ -48,13 +48,8 @@ class FQSymElem(LinComb):
 
 def product_F(x: FQSymElem, y: FQSymElem) -> FQSymElem:
     """F_u F_v = sum of F_w over the shuffle of u with the shifted v."""
-    out: dict[Word, ScalarQT] = {}
-    for u, vu in x.terms.items():
-        for v, vv in y.terms.items():
-            coeff = vu * vv
-            for word, mult in shifted_shuffle(u, v, len(u)).items():
-                _add_term(out, word, coeff * mult)
-    return FQSymElem()._with_terms(out)
+    terms = extend2(x.terms, y.terms, lambda u, v: shifted_shuffle(u, v, len(u)).items())
+    return FQSymElem()._with_terms(terms)
 
 
 def coproduct_F(word: Word) -> list[tuple[Word, Word]]:
@@ -67,16 +62,10 @@ def coproduct_F(word: Word) -> list[tuple[Word, Word]]:
 
 
 def coproduct(x: FQSymElem) -> dict[tuple[Word, Word], ScalarQT]:
-    out: dict[tuple[Word, Word], ScalarQT] = {}
-    for word, coeff in x.terms.items():
-        for pair in coproduct_F(word):
-            _add_term(out, pair, coeff)
-    return out
+    return extend(x.terms.items(), lambda word: ((pair, 1) for pair in coproduct_F(word)))
 
 
 def project_pi(x: FQSymElem) -> QSymElem:
     """The Hopf surjection onto QSym: F_w to L indexed by the descent set."""
-    terms: dict = {}
-    for word, coeff in x.terms.items():
-        _add_term(terms, comp_of_set(descent_set(word)), coeff)
+    terms = extend(x.terms.items(), lambda word: ((comp_of_set(descent_set(word)), 1),))
     return QSymElem("L")._with_terms(terms)

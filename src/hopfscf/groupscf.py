@@ -205,9 +205,6 @@ class ClassFunction:
         _require_same_spec(self, other)
         return ClassFunction(self.spec, map(mul, self.nums, other.nums), self.den * other.den)
 
-    def value_at(self, element: tuple[int, ...]) -> Fraction:
-        return Fraction(self.nums[self.spec.index_of(element)], self.den)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 

@@ -20,6 +20,10 @@ label and drops zero coefficients.  Results built inside the package (`+`,
 route `_with_terms`, which checks nothing.  No operation writes into an
 operand's dict: `convert` returns its argument itself when the basis already
 matches, so an accumulator that did would corrupt the caller's element.
+
+Every product, coproduct and basis map is a rule on basis labels, extended
+linearly by `extend` or bilinearly by `extend2`; those two are where a
+linear combination is accumulated, always into a fresh dict.
 """
 
 from __future__ import annotations
@@ -35,6 +39,29 @@ def _add_term(acc: dict, key, coeff) -> None:
         acc[key] = new
     else:
         acc.pop(key, None)
+
+
+def extend(pairs, rule) -> dict:
+    """The linear extension of a rule on basis labels: the sum over the
+    (label, coefficient) pairs of coefficient * c * out, for each (out, c) that
+    rule(label) yields, as fresh terms with zero sums dropped.  A c that is the
+    int 1 adds the coefficient as it is, with no multiplication."""
+    acc: dict = {}
+    for label, v in pairs:
+        for key, c in rule(label):
+            _add_term(acc, key, v if type(c) is int and c == 1 else v * c)
+    return acc
+
+
+def tensor_terms(x_terms: dict, y_terms: dict):
+    """The pure tensors of two term dicts, as ((a, b), va * vb) pairs."""
+    return (((a, b), va * vb) for a, va in x_terms.items() for b, vb in y_terms.items())
+
+
+def extend2(x_terms: dict, y_terms: dict, rule) -> dict:
+    """The bilinear extension of rule(a, b) over two term dicts: each (out, c)
+    it yields counts va * vb * c."""
+    return extend(tensor_terms(x_terms, y_terms), lambda ab: rule(*ab))
 
 
 class LinComb:

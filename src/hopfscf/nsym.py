@@ -29,7 +29,7 @@ from .compositions import (
     run_markers,
     runs_composition,
 )
-from .linear import LinComb, _add_term
+from .linear import LinComb, _add_term, extend, extend2
 from .qsym import QSymElem, Tensor, _comp, _convert_into, _full_mask, convert as qsym_convert
 from .scalars import ONE, Q, T, ZERO, ScalarQT, rational
 
@@ -161,11 +161,7 @@ def product(x: NSymElem, y: NSymElem) -> NSymElem:
     if not (x.basis == y.basis and x.basis in ("H", "B", "Bhat")):
         x, y = convert(x, "H"), convert(y, "H")
     combine = near_concat if x.basis == "B" else Composition.concat
-    acc: dict[Composition, ScalarQT] = {}
-    for ca, va in x.terms.items():
-        for cb, vb in y.terms.items():
-            _add_term(acc, combine(ca, cb), va * vb)
-    return x._with_terms(acc)
+    return x._with_terms(extend2(x.terms, y.terms, lambda a, b: ((combine(a, b), 1),)))
 
 
 class NSymTensor(Tensor):
@@ -175,27 +171,21 @@ class NSymTensor(Tensor):
     algebra = NSymElem
 
 
-def _coproduct_H_comp(alpha: Composition) -> dict[tuple[Composition, Composition], ScalarQT]:
-    """Delta H_alpha by the algebra-map extension of Delta H_n = sum H_i (x) H_j."""
-    acc = {(Composition(), Composition()): ONE}
-    for part in alpha:
-        new: dict[tuple[Composition, Composition], ScalarQT] = {}
-        for (la, rb), coeff in acc.items():
-            for i in range(part + 1):
-                left = la.concat((i,)) if i else la
-                right = rb.concat((part - i,)) if part - i else rb
-                _add_term(new, (left, right), coeff)
-        acc = new
-    return acc
+def _coproduct_H_comp(alpha: Composition) -> dict[tuple[Composition, Composition], int]:
+    """Delta H_alpha by the algebra-map extension of Delta H_n = sum H_i (x) H_j:
+    one H_left (x) H_right per cut 0 <= i <= p of each part p, with the zero
+    parts dropped, summed with integer coefficients."""
+
+    def halves(cut):
+        rest = (p - i for p, i in zip(alpha, cut))
+        return (((Composition(i for i in cut if i), Composition(r for r in rest if r)), 1),)
+
+    return extend(((cut, 1) for cut in itertools.product(*(range(p + 1) for p in alpha))), halves)
 
 
 def coproduct(x: NSymElem) -> NSymTensor:
-    h = convert(x, "H")
-    acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-    for comp, coeff in h.terms.items():
-        for key, c in _coproduct_H_comp(comp).items():
-            _add_term(acc, key, coeff * c)
-    return NSymTensor(("H", "H"))._with_terms(acc)
+    terms = extend(convert(x, "H").terms.items(), lambda comp: _coproduct_H_comp(comp).items())
+    return NSymTensor(("H", "H"))._with_terms(terms)
 
 
 def counit(x: NSymElem) -> ScalarQT:
@@ -347,10 +337,8 @@ def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQ
 
 
 def coproduct_bhat(k: int) -> NSymTensor:
-    acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-    for alpha, beta, coeff in bhat_coproduct_terms(k):
-        _add_term(acc, (alpha, beta), coeff)
-    return NSymTensor(("Bhat", "Bhat"))._with_terms(acc)
+    terms = (((alpha, beta), coeff) for alpha, beta, coeff in bhat_coproduct_terms(k))
+    return NSymTensor(("Bhat", "Bhat"))._with_terms(extend(terms, lambda pair: ((pair, 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +347,8 @@ def coproduct_bhat(k: int) -> NSymTensor:
 
 def omega(x: NSymElem) -> NSymElem:
     """The involutive anti-homomorphism H_alpha -> Lambda_{alpha reversed}."""
-    h = convert(x, "H")
-    acc: dict[Composition, ScalarQT] = {}
-    for comp, coeff in h.terms.items():
-        _add_term(acc, comp.reverse(), coeff)
-    return NSymElem("Lambda")._with_terms(acc)
+    terms = extend(convert(x, "H").terms.items(), lambda comp: ((comp.reverse(), 1),))
+    return NSymElem("Lambda")._with_terms(terms)
 
 
 def pairing(f: NSymElem, x: QSymElem) -> ScalarQT:

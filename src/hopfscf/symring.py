@@ -7,9 +7,9 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .compositions import compositions_of
-from .linear import LinComb, _add_term
+from .linear import LinComb, extend, extend2
 from .nsym import NSymElem, convert
-from .scalars import ONE, ScalarQT
+from .scalars import ONE
 
 
 class Partition(tuple):
@@ -73,20 +73,14 @@ class SymElem(LinComb):
     def __mul__(self, other):
         if not isinstance(other, SymElem):
             return self.scale(other)
-        out: dict[Partition, ScalarQT] = {}
-        for la, va in self.terms.items():
-            for lb, vb in other.terms.items():
-                _add_term(out, Partition(tuple(la) + tuple(lb)), va * vb)
-        return self._with_terms(out)
+        terms = extend2(self.terms, other.terms, lambda a, b: ((Partition(a + b), 1),))
+        return self._with_terms(terms)
 
 
 def comm(x: NSymElem) -> SymElem:
     """The surjection onto Sym: H_alpha to h_{lambda(alpha)}, linearly."""
-    h = convert(x, "H")
-    out: dict[Partition, ScalarQT] = {}
-    for comp, coeff in h.terms.items():
-        _add_term(out, Partition(comp.partition()), coeff)
-    return SymElem()._with_terms(out)
+    terms = extend(convert(x, "H").terms.items(), lambda comp: ((Partition(comp.partition()), 1),))
+    return SymElem()._with_terms(terms)
 
 
 def _rank_of_rational_rows(rows: list[list[Fraction]]) -> int:

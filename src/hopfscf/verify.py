@@ -31,7 +31,7 @@ from .compositions import (
     subsets_of,
 )
 from .groupscf import CheckReport, GroupSpec, check
-from .linear import _add_term
+from .linear import extend
 from .nsym import NSymElem, b_inverse_entry, b_matrix_entry
 from .qsym import (
     L_from_pi_entry,
@@ -99,10 +99,9 @@ def _subset_pairs(shapes):
 def _counit_laws(algebra, elem, witness: str):
     def fault(alpha):
         x = elem(alpha)
-        left = right = type(x).zero(x.basis)
-        for (a, b), c in algebra.coproduct(x).terms.items():
-            left = left + elem(b).scale(c * algebra.counit(elem(a)))
-            right = right + elem(a).scale(c * algebra.counit(elem(b)))
+        terms = algebra.coproduct(x).terms.items()
+        left = x._with_terms(extend(terms, lambda ab: ((ab[1], algebra.counit(elem(ab[0]))),)))
+        right = x._with_terms(extend(terms, lambda ab: ((ab[0], algebra.counit(elem(ab[1]))),)))
         if left != x or right != x:
             return f"{witness}{alpha}"
 
@@ -112,12 +111,16 @@ def _counit_laws(algebra, elem, witness: str):
 def suite_hopf_axioms(max_degree: int = 5) -> CheckReport:
     def antipode(alpha):
         x = qsym.M(alpha)
-        left = right = QSymElem.zero("M")
-        for (a, b), c in qsym.coproduct(x).terms.items():
-            left = left + (qsym.antipode(qsym.M(a)) * qsym.M(b)).scale(c)
-            right = right + (qsym.M(a) * qsym.antipode(qsym.M(b))).scale(c)
+        terms = qsym.coproduct(x).terms.items()
+
+        def convolve(f, g):  # the sum of c * f(a) * g(b) over the terms of Delta x, in M
+            return x._with_terms(extend(terms, lambda ab: (f(ab[0]) * g(ab[1])).terms.items()))
+
+        def s_of(label):
+            return qsym.antipode(qsym.M(label))
+
         expected = QSymElem.unit("M").scale(qsym.counit(x))
-        if left != expected or right != expected:
+        if convolve(s_of, qsym.M) != expected or convolve(qsym.M, s_of) != expected:
             return f"antipode axiom at M_{alpha}"
 
     def compatibility(pair):
@@ -128,13 +131,13 @@ def suite_hopf_axioms(max_degree: int = 5) -> CheckReport:
 
     def coassociativity(alpha):
         for x, cop in ((qsym.M(alpha), qsym.coproduct), (nsym.H(alpha), nsym.coproduct)):
-            left: dict = {}
-            right: dict = {}
-            for (a, b), c in cop(x).terms.items():
-                for (a1, a2), c2 in cop(type(x).basis_elem(x.basis, a)).terms.items():
-                    _add_term(left, (a1, a2, b), c * c2)
-                for (b1, b2), c2 in cop(type(x).basis_elem(x.basis, b)).terms.items():
-                    _add_term(right, (a, b1, b2), c * c2)
+
+            def delta(label):
+                return cop(type(x).basis_elem(x.basis, label)).terms.items()
+
+            terms = cop(x).terms.items()
+            left = extend(terms, lambda ab: (((a1, a2, ab[1]), c) for (a1, a2), c in delta(ab[0])))
+            right = extend(terms, lambda ab: (((ab[0], b1, b2), c) for (b1, b2), c in delta(ab[1])))
             if left != right:
                 return f"coassociativity at {alpha}"
 
@@ -334,8 +337,9 @@ def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
         if via_M != qsym.convert(qsym.M(alpha), "L") * qsym.convert(qsym.M(beta), "L"):
             return f"at {alpha}, {beta}"
 
-    def square():
-        return _subset_pairs(itertools.product(range(count_bound + 1), repeat=2))
+    def square():  # m, n <= count_bound, by m, then n; only the pairs with m + n <= max_degree
+        shapes = itertools.product(range(count_bound + 1), repeat=2)
+        return _subset_pairs((m, n) for m, n in shapes if m + n <= max_degree)
 
     pairs = _composition_pairs(_by_total(max_degree))
     return CheckReport([
@@ -412,11 +416,7 @@ def _sparse_inverses(n: int, x_entry, y_entry) -> bool:
     )
     for A, B in ((X, Y), (Y, X)):
         for i, row in enumerate(A):
-            acc: dict = {}
-            for l, a in row.items():
-                for j, b in B[l].items():
-                    _add_term(acc, j, a * b)
-            if acc != {i: 1}:
+            if extend(row.items(), lambda l: B[l].items()) != {i: 1}:
                 return False
     return True
 
@@ -445,9 +445,8 @@ def fqsym_descent_oracle(max_total: int = 7) -> CheckReport:
     def fault(case):
         m, n, I, J = case
         I_lbl, J_lbl = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
-        from_words: Counter = Counter()
-        for word, mult in shifted_shuffle(descent_rep(I_lbl), descent_rep(J_lbl), m).items():
-            from_words[descent_set(word).mask] += mult
+        words = shifted_shuffle(descent_rep(I_lbl), descent_rep(J_lbl), m).items()
+        from_words = extend(words, lambda word: ((descent_set(word).mask, 1),))
         from_shuffles = Counter(
             a_shuffle(I_lbl, J_lbl, A, m, n).mask
             for A in itertools.combinations(range(1, m + n + 1), n)

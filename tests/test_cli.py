@@ -142,6 +142,8 @@ class TestOutOfDomain:
             ["expand", "--elem", "Pi:(1,2)", "--to", "M"],
             ["expand", "--elem", "M:(1,2)", "--to", "Pi"],
             ["expand", "--elem", "M:(1)", "--to", "X"],
+            ["expand", "--elem", "B:(1,2)", "--to", "Pi", "--nu", "2"],
+            ["expand", "--elem", "H:(1)", "--to", "M"],
             ["structconst", "--k", "-1", "--K", "{}"],
             ["structconst", "--k", "3", "--K", "{}", "--filter-m", "4"],
         ],

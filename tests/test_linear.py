@@ -7,6 +7,11 @@ multiplies from either side, `==` and `+` across bases meet in the hub, and
 `+`, `-` and `scale` leave both operands' terms as they were.  `convert` hands
 back its argument itself when the basis already matches, so an accumulator
 writing into an operand's dict would show up as a changed operand here.
+
+The same draws, which are multi-term, check that every product is bilinear
+and that every coproduct, antipode, basis change and algebra map is linear:
+each is a rule on basis labels extended by `linear.extend` or
+`linear.extend2`, whose own contract is tested on plain dicts at the end.
 """
 
 import itertools
@@ -16,14 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscf import nsym, qsym
+from hopfscf import fqsym, nsym, qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem
 from hopfscf.compositions import SubsetLabel, comp_of_set
 from hopfscf.fqsym import FQSymElem
+from hopfscf.linear import LinComb, extend, extend2
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
 from hopfscf.scalars import Q, T, rational
-from hopfscf.symring import Partition, SymElem
+from hopfscf.symring import Partition, SymElem, comm
 
 SETTINGS = settings(max_examples=40, deadline=None)
 MAX_DEGREE = 3
@@ -157,3 +163,136 @@ def test_classes_do_not_mix():
     assert QSymTensor(("M", "M")) != NSymTensor(("H", "H"))
     with pytest.raises(TypeError):
         QSymTensor(("M", "M")) + NSymTensor(("H", "H"))
+
+
+# products, and linear maps: kind -> (its drawn elements, the map given a draw)
+
+
+def mul(x, y):
+    return x * y
+
+
+PRODUCTS = {
+    "qsym": mul,
+    "nsym": mul,
+    "sym": mul,
+    "fqsym": mul,
+    "qsym_tensor": QSymTensor.product,
+    "nsym_tensor": NSymTensor.product,
+}
+
+
+class WordPairs(LinComb):
+    """fqsym.coproduct's dict of word pairs, as a linear combination."""
+
+    __slots__ = ()
+    _key = staticmethod(tuple)
+
+
+def fixed(f):
+    return lambda draw: f
+
+
+def qsym_convert(draw):
+    basis, nu = draw(st.sampled_from(QSYM_TAGS))
+    return lambda x: qsym.convert(x, basis, nu=nu)
+
+
+def nsym_convert(draw):
+    basis = draw(st.sampled_from(nsym.BASES))
+    return lambda x: nsym.convert(x, basis)
+
+
+def tensor_convert(sides):
+    def make(draw):
+        bases = draw(st.tuples(st.sampled_from(sides), st.sampled_from(sides)))
+        return lambda x: x.convert(bases)
+
+    return make
+
+
+LINEAR_MAPS = {
+    "qsym.coproduct": ("qsym", fixed(qsym.coproduct)),
+    "qsym.antipode": ("qsym", fixed(qsym.antipode)),
+    "qsym.convert": ("qsym", qsym_convert),
+    "nsym.coproduct": ("nsym", fixed(nsym.coproduct)),
+    "nsym.omega": ("nsym", fixed(nsym.omega)),
+    "nsym.convert": ("nsym", nsym_convert),
+    "symring.comm": ("nsym", fixed(comm)),
+    "fqsym.coproduct": ("fqsym", fixed(lambda x: WordPairs(fqsym.coproduct(x)))),
+    "fqsym.project_pi": ("fqsym", fixed(fqsym.project_pi)),
+    "QSymTensor.convert": ("qsym_tensor", tensor_convert(QSYM_SIDES)),
+    "NSymTensor.convert": ("nsym_tensor", tensor_convert(nsym.BASES)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCTS))
+@SETTINGS
+@given(data=st.data())
+def test_products_are_bilinear(kind, data):
+    elem, _, coeffs = KINDS[kind]
+    product = PRODUCTS[kind]
+    x, y, z = (elem(data.draw, None) for _ in range(3))
+    a = data.draw(coeffs)
+    before = [dict(v.terms) for v in (x, y, z)]
+
+    assert product(x + y, z) == product(x, z) + product(y, z)
+    assert product(z, x + y) == product(z, x) + product(z, y)
+    assert product(x.scale(a), z) == product(x, z).scale(a) == product(x, z.scale(a))
+    assert [dict(v.terms) for v in (x, y, z)] == before
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_MAPS))
+@SETTINGS
+@given(data=st.data())
+def test_maps_are_linear(name, data):
+    kind, make = LINEAR_MAPS[name]
+    elem, _, coeffs = KINDS[kind]
+    f = make(data.draw)
+    x, y = elem(data.draw, None), elem(data.draw, None)
+    a = data.draw(coeffs)
+    before = [dict(v.terms) for v in (x, y)]
+
+    assert f(x.scale(a) + y) == f(x).scale(a) + f(y)
+    assert f(x - x).is_zero()
+    assert [dict(v.terms) for v in (x, y)] == before
+
+
+class Unmultipliable:
+    """A coefficient that fails any multiplication."""
+
+    def __mul__(self, other):
+        raise AssertionError("multiplied")
+
+    __rmul__ = __mul__
+
+
+def test_extend_adds_a_unit_coefficient_as_it_is():
+    v, c = Unmultipliable(), Q + T
+    assert extend([("a", v)], lambda k: [(k + "b", 1)])["ab"] is v
+    assert extend([("a", c)], lambda k: [(k, 1), ("b", 2)]) == {"a": c, "b": 2 * c}
+    assert extend([("a", c)], lambda k: [(k, 1)])["a"] is c
+    # every other c multiplies, a Fraction 1 among them
+    assert type(extend([("a", 3)], lambda k: [(k, Fraction(1))])["a"]) is Fraction
+
+
+def test_extend_drops_cancelling_terms():
+    out = extend([("a", 2), ("b", -2)], lambda k: [("x", 1), (k, 3)])
+    assert out == {"a": 6, "b": -6}
+    assert extend([("a", 1)], lambda k: [(k, 1), (k, -1)]) == {}
+
+
+def test_extend2_multiplies_by_both_coefficients():
+    x, y = {"a": 2, "b": 3}, {"c": Fraction(1, 2)}
+    out = extend2(x, y, lambda p, q: [(p + q, 2), ("z", 1 if p == "a" else Fraction(-2, 3))])
+    assert out == {"ac": 2, "bc": 3}  # z: 1 from (a, c), -1 from (b, c)
+    assert extend2(x, {}, lambda p, q: [(p, 1)]) == {}
+
+
+def test_extensions_leave_their_operands_unchanged():
+    x, y = {"a": 2, "b": 3}, {"c": 5}
+    out = extend(x.items(), lambda k: [(k, 1)])
+    out2 = extend2(x, y, lambda p, q: [(p, 1)])
+    assert out == x and out is not x
+    out["a"] = out2["a"] = 0
+    assert x == {"a": 2, "b": 3} and y == {"c": 5}

@@ -472,3 +472,20 @@ class TestJson:
         data = x.to_json_dict()
         assert NSymElem.from_json_dict(data) == x
         assert all(parse_scalar(t["coeff"]) is not None for t in data["terms"])
+
+
+class TestOverlapSuite:
+    def test_max_degree_bounds_the_selector_sweep(self, monkeypatch):
+        from hopfscf import verify
+
+        seen = []
+        counts = verify._overlap_selector_counts
+
+        def recording(m, n, I, J):
+            if (m, n) not in seen:
+                seen.append((m, n))
+            return counts(m, n, I, J)
+
+        monkeypatch.setattr(verify, "_overlap_selector_counts", recording)
+        assert verify.suite_overlap(2).passed
+        assert seen == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
