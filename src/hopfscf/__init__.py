@@ -13,7 +13,7 @@ from .compositions import (
     run_markers,
     set_of_comp,
 )
-from .scalars import ONE, Q, T, ZERO, PolyQT, ScalarQT, parse_scalar, rational
+from .scalars import ONE, Q, T, ZERO, ScalarQT, parse_scalar, rational
 from .groupscf import ClassFunction, GroupSpec
 from .qsym import QSymElem
 from .nsym import NSymElem
@@ -36,7 +36,6 @@ __all__ = [
     "Q",
     "T",
     "ZERO",
-    "PolyQT",
     "ScalarQT",
     "parse_scalar",
     "rational",

@@ -22,7 +22,7 @@ from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
 from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
-from .scalars import rational
+from .scalars import _rational, rational
 
 KAPPA = "kappa"
 CHI_DOT = "chi_dot"
@@ -35,7 +35,7 @@ class ScfElem(LinComb):
     rational coefficients on (degree, tag, label) keys, all for one nu."""
 
     __slots__ = _TAG = ("nu",)
-    _coeff = Fraction
+    _coeff = staticmethod(_rational)
 
     def __init__(self, nu: int, terms=None):
         self.nu = nu

@@ -2,7 +2,8 @@
 
 Machine output is JSON (--json) or CSV (--csv); the default is a small aligned
 table for reading.  Exit status: 0 on success, 1 on failed verification, 2 on
-argument or parse errors, and on a group larger than the enumeration bound.
+argument or parse errors, on a degree past the subset-mask bound of 64, and
+on a group larger than the enumeration bound.
 The env var HOPF_SCF_MAX_GROUP overrides that bound.  `structconst` prints a
 fixed-K table from nsym.structure_constants_table, one pass over the selectors
 per m.  The argument parser is built on the first main call and shared.
@@ -18,7 +19,7 @@ import json
 import sys
 
 from . import nsym, qsym, verify
-from .compositions import Composition, SubsetLabel
+from .compositions import AmbientBoundError, Composition, SubsetLabel
 from .groupscf import GroupBoundError
 
 QSYM_BASES = qsym.BASES
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     command = {"expand": cmd_expand, "structconst": cmd_structconst, "verify": cmd_verify}
     try:
         return command[args.command](args)
-    except (CliError, GroupBoundError) as exc:
+    except (CliError, AmbientBoundError, GroupBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

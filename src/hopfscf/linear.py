@@ -8,7 +8,8 @@ share; a subclass supplies only
 - its tag, the slots named in `_TAG` (a basis, a nu, a pair of bases), and
   the validation of the tag in its `__init__`;
 - `_key`, the normaliser that validates one label from outside;
-- `_coeff`, the coefficient ring's wrap (`ScalarQT.wrap`, or `Fraction`);
+- `_coeff`, the coefficient ring's exact coercion (`ScalarQT.wrap`, or
+  `scalars._rational` for rational coefficients), which refuses floats;
 - `_label`, the printed form of one label;
 - `_hub`, the element in the basis where mixed-basis `==` and `+` meet (the
   element itself where the class has one basis);

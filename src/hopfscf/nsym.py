@@ -231,27 +231,33 @@ def structure_constant(k: int, K, m: int, I, J) -> ScalarQT:
     return total / T ** (I_lbl.size + J_lbl.size)
 
 
-def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
-    """All C^K_{I,J}(q,t) at once, keyed by the mask of K.
-
-    One pass over the selectors A, distributing each admissible A over the
-    interval I#J <= K <= (I#J) u c(A); agrees with structure_constant per K.
-    """
+def admissible_selectors(k: int, m: int, I, J):
+    """(mask of K, mask of c2(A)) for every admissible selector A of size
+    n = k - m, one whose preshuffle misses c(A), and every K in the interval
+    I#J <= K <= (I#J) u c(A)."""
     n = k - m
     I_lbl = SubsetLabel.of(m, I)
     J_lbl = SubsetLabel.of(n, J)
-    acc: dict[int, ScalarQT] = {}
     for A in itertools.combinations(range(1, k + 1), n):
         pre = preshuffle(I_lbl, J_lbl, frozenset(A), m, n)
         _, c2, c = run_markers(A, k)
         if pre.mask & c.mask:
             continue
         for sub in iter_submasks(c.mask & ~pre.mask):
-            kmask = pre.mask | sub
-            e_qt = (kmask & c2.mask).bit_count()
-            e_t = (kmask & ~c2.mask).bit_count()
-            _add_term(acc, kmask, (Q + T) ** e_qt * T**e_t)
-    denom = T ** (I_lbl.size + J_lbl.size)
+            yield pre.mask | sub, c2.mask
+
+
+def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
+    """All C^K_{I,J}(q,t) at once, keyed by the mask of K.
+
+    One pass over the admissible selectors A, distributing each A over its
+    interval of K; agrees with structure_constant per K.
+    """
+    acc: dict[int, ScalarQT] = {}
+    for kmask, c2mask in admissible_selectors(k, m, I, J):
+        e_qt, e_t = (kmask & c2mask).bit_count(), (kmask & ~c2mask).bit_count()
+        _add_term(acc, kmask, (Q + T) ** e_qt * T**e_t)
+    denom = T ** (SubsetLabel.of(m, I).size + SubsetLabel.of(k - m, J).size)
     return {kmask: coeff / denom for kmask, coeff in acc.items()}
 
 

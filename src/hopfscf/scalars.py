@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
 Monomial = tuple[int, int]  # (q-exponent, t-exponent)
 _UNIT = {(0, 0): 1}
@@ -29,10 +30,13 @@ def _display_key(mono: Monomial) -> tuple[int, int]:
 
 
 def _rational(value):
-    """value as an exact rational: an int when integral, else a Fraction."""
+    """value as an exact rational: an int when integral, else a Fraction.
+    Anything that is not a Rational is refused: exactness is the contract."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
+        if not isinstance(value, Rational):
+            raise TypeError(f"{value!r} is not an exact rational; use an int or a Fraction")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -152,80 +156,22 @@ def _terms_str(terms: dict) -> str:
     return " ".join(parts)
 
 
-class PolyQT:
-    """Sparse polynomial in commuting q and t with Fraction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def constant(cls, c) -> "PolyQT":
-        return cls({(0, 0): Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyQT) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_add(self.terms, other.terms))
-
-    def __neg__(self) -> "PolyQT":
-        return PolyQT(_neg(self.terms))
-
-    def __sub__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_add(self.terms, _neg(other.terms)))
-
-    def __mul__(self, other: "PolyQT") -> "PolyQT":
-        return PolyQT(_mul(self.terms, other.terms))
-
-    def __pow__(self, k: int) -> "PolyQT":
-        if k < 0:
-            raise ValueError("negative power of a polynomial; use ScalarQT")
-        return PolyQT(_pow(self.terms, k))
-
-    def eval_at(self, q0, t0) -> Fraction:
-        return _eval(self.terms, q0, t0)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def __str__(self) -> str:
-        """Canonical form: monomials by total degree then q-degree, both descending."""
-        return _terms_str(self.terms)
-
-    def __repr__(self) -> str:
-        return f"PolyQT({self})"
-
-
-poly_to_str = PolyQT.__str__
-
-
 class ScalarQT:
     """Element of Q(q,t).  `terms` is the Laurent form, or None for a true
     quotient, which `quot` holds as a reduced (num, den) of term dicts.
     ScalarQT(terms) adopts a dict of nonzero Laurent coefficients as it is;
-    ScalarQT(num, den) divides two polynomials, PolyQT or dict."""
+    ScalarQT(num, den) divides two term dicts of exact rational coefficients,
+    dropping zeros and keeping ints where they are integral."""
 
     __slots__ = ("terms", "quot")
 
-    def __init__(self, num: PolyQT | dict, den: PolyQT | dict | None = None):
+    def __init__(self, num: dict, den: dict | None = None):
         self.quot = None
-        if type(num) is not dict:
-            num = {m: _rational(c) for m, c in num.terms.items()}
         if den is None:
             self.terms = num
             return
-        den = den if type(den) is dict else den.terms
+        num = {m: c for m, v in num.items() if (c := _rational(v))}
+        den = {m: c for m, v in den.items() if (c := _rational(v))}
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if len(den) > 1:
@@ -238,17 +184,16 @@ class ScalarQT:
 
     @classmethod
     def wrap(cls, value) -> "ScalarQT":
-        if isinstance(value, ScalarQT):
-            return value
-        if isinstance(value, PolyQT):
-            return cls(value)
-        return rational(value)
+        """value as a scalar: a ScalarQT, an int or a Fraction, as in arithmetic."""
+        if (out := _operand(value)) is NotImplemented:
+            raise TypeError(f"{value!r} is not a scalar; use a ScalarQT, an int or a Fraction")
+        return out
 
     def _pair(self) -> tuple[dict, dict]:
         return self.quot or _laurent_pair(self.terms)
 
-    num = property(lambda self: PolyQT(self._pair()[0]), doc="Numerator of the canonical form.")
-    den = property(lambda self: PolyQT(self._pair()[1]), doc="Denominator of the canonical form.")
+    num = property(lambda self: ScalarQT(self._pair()[0]), doc="Numerator of the canonical form.")
+    den = property(lambda self: ScalarQT(self._pair()[1]), doc="Denominator of the canonical form.")
 
     def is_zero(self) -> bool:
         return not self.terms and self.quot is None
@@ -354,17 +299,17 @@ class ScalarQT:
     def is_polynomial(self) -> bool:
         return self.as_poly() is not None
 
-    def as_poly(self) -> PolyQT | None:
-        """The polynomial this scalar equals: a Laurent form with no negative
+    def as_poly(self) -> ScalarQT | None:
+        """This scalar if it is a polynomial: a Laurent form with no negative
         exponent.  A reduced quotient never is one: an exact quotient collapses."""
         if self.terms is None or any(a < 0 or b < 0 for a, b in self.terms):
             return None
-        return PolyQT(self.terms)
+        return self
 
-    def as_integer_poly(self) -> PolyQT | None:
+    def as_integer_poly(self) -> ScalarQT | None:
         """as_poly restricted to integer coefficients."""
         p = self.as_poly()
-        return p if p is not None and p.is_integral() else None
+        return p if p is not None and all(c.denominator == 1 for c in p.terms.values()) else None
 
     def __str__(self) -> str:
         num, den = self._pair()
@@ -386,8 +331,6 @@ def _operand(other):
         return other
     if isinstance(other, (int, Fraction)):
         return rational(other)
-    if isinstance(other, PolyQT):
-        return ScalarQT(other)
     return NotImplemented
 
 

@@ -22,10 +22,7 @@ from .compositions import (
     compositions_of,
     descent_rep,
     descent_set,
-    iter_submasks,
     overlapping_shuffles,
-    preshuffle,
-    run_markers,
     set_of_comp,
     shifted_shuffle,
     subsets_of,
@@ -269,21 +266,14 @@ def suite_omega(max_degree: int = 6) -> CheckReport:
 
 def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
     """For fixed (I, J): per-K selector counts of the two A-set descriptions."""
-    k = m + n
-    I_lbl, J_lbl = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
+    size = SubsetLabel.of(m, I).size + SubsetLabel.of(n, J).size
     size_count: dict[int, int] = {}
     empty_count: dict[int, int] = {}
-    for A in itertools.combinations(range(1, k + 1), n):
-        pre = preshuffle(I_lbl, J_lbl, A, m, n)
-        _, c2, c = run_markers(A, k)
-        if pre.mask & c.mask:
-            continue
-        for sub in iter_submasks(c.mask & ~pre.mask):
-            kmask = pre.mask | sub
-            if (kmask & ~c2.mask).bit_count() == I_lbl.size + J_lbl.size:
-                size_count[kmask] = size_count.get(kmask, 0) + 1
-            if not kmask & c2.mask:
-                empty_count[kmask] = empty_count.get(kmask, 0) + 1
+    for kmask, c2mask in nsym.admissible_selectors(m + n, m, I, J):
+        if (kmask & ~c2mask).bit_count() == size:
+            size_count[kmask] = size_count.get(kmask, 0) + 1
+        if not kmask & c2mask:
+            empty_count[kmask] = empty_count.get(kmask, 0) + 1
     return {"size": size_count, "empty": empty_count}
 
 

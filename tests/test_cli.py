@@ -144,6 +144,8 @@ class TestOutOfDomain:
             ["expand", "--elem", "M:(1)", "--to", "X"],
             ["expand", "--elem", "B:(1,2)", "--to", "Pi", "--nu", "2"],
             ["expand", "--elem", "H:(1)", "--to", "M"],
+            ["expand", "--elem", "M:(70)", "--to", "L"],
+            ["expand", "--elem", "B:(65)", "--to", "H"],
             ["structconst", "--k", "-1", "--K", "{}"],
             ["structconst", "--k", "3", "--K", "{}", "--filter-m", "4"],
         ],

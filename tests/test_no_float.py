@@ -2,13 +2,25 @@
 
 Every module of src/hopfscf is tokenized; a float or complex literal (such as
 0.5, 1e3 or 2j) or any use of the name `float` fails the test.  Strings and
-comments are separate tokens, so prose that mentions floats is allowed.
+comments are separate tokens, so prose that mentions floats is allowed.  At
+run time, every element class and `rational` refuse an inexact coefficient.
 """
 
 import ast
 import io
 import tokenize
+from decimal import Decimal
 from pathlib import Path
+
+import pytest
+
+from hopfscf.charmap import ScfElem
+from hopfscf.compositions import SubsetLabel
+from hopfscf.fqsym import FQSymElem
+from hopfscf.nsym import NSymElem, NSymTensor
+from hopfscf.qsym import QSymElem, QSymTensor
+from hopfscf.scalars import rational
+from hopfscf.symring import Partition, SymElem
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
 
@@ -42,3 +54,22 @@ def test_no_float_in_src():
         if uses:
             found[path.name] = uses
     assert not found, found
+
+
+INEXACT_COEFFICIENT = {
+    "QSymElem": lambda c: QSymElem("M", {(1,): c}),
+    "NSymElem": lambda c: NSymElem("H", {(1,): c}),
+    "QSymTensor": lambda c: QSymTensor(("M", "M"), {((1,), (1,)): c}),
+    "NSymTensor": lambda c: NSymTensor(("H", "H"), {((1,), (1,)): c}),
+    "SymElem": lambda c: SymElem({Partition((1,)): c}),
+    "FQSymElem": lambda c: FQSymElem({(1,): c}),
+    "ScfElem": lambda c: ScfElem(2, {(2, "kappa", SubsetLabel.of(2, ())): c}),
+    "rational": rational,
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal(1)], ids=repr)
+@pytest.mark.parametrize("name", sorted(INEXACT_COEFFICIENT))
+def test_inexact_coefficients_are_refused(name, value):
+    with pytest.raises(TypeError):
+        INEXACT_COEFFICIENT[name](value)

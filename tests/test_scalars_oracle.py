@@ -36,7 +36,7 @@ dens = st.one_of(
 def pairs(draw):
     """The same value in both implementations."""
     num, den = draw(polys()), draw(dens)
-    new = scalars.ScalarQT(scalars.PolyQT(num), scalars.PolyQT(den))
+    new = scalars.ScalarQT(num, den)
     old = oracle.ScalarQT(oracle.PolyQT(num), oracle.PolyQT(den))
     return new, old
 
