@@ -318,23 +318,6 @@ def shifted_shuffle(u: Sequence[int], v: Sequence[int], m: int) -> Counter:
     return shuffle_words(u, tuple(x + m for x in v))
 
 
-def shuffle_by_selector(u: Sequence[int], v: Sequence[int], A: Iterable[int]) -> tuple[int, ...]:
-    """Single interleaving: letters of v go to the positions in A, letters of
-    u to the rest, both in order."""
-    m, n = len(u), len(v)
-    a = sorted(set(A))
-    if len(a) != n or (a and (a[0] < 1 or a[-1] > m + n)):
-        raise ValueError(f"selector A={a} invalid for word lengths {m}, {n}")
-    word = [0] * (m + n)
-    it_v = iter(v)
-    for pos in a:
-        word[pos - 1] = next(it_v)
-    it_u = iter(u)
-    for pos in sorted(set(range(1, m + n + 1)) - set(a)):
-        word[pos - 1] = next(it_u)
-    return tuple(word)
-
-
 def descent_rep(I: SubsetLabel) -> tuple[int, ...]:
     """Lexicographically smallest permutation of [ambient] with descent set I."""
     m = I.ambient

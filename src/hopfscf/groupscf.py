@@ -26,6 +26,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .compositions import run_markers, subsets_of
+from .scalars import _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
 MAX_GROUP_ENV = "HOPF_SCF_MAX_GROUP"
@@ -196,7 +197,7 @@ class ClassFunction:
         return self._combine(other, sub)
 
     def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
+        c = _rational(c)
         return ClassFunction(
             self.spec, map(c.numerator.__mul__, self.nums), self.den * c.denominator
         )
@@ -213,7 +214,7 @@ class ClassFunction:
 
 
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    fracs = [_rational(v) for v in values]
     den = lcm(*(f.denominator for f in fracs))
     return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
@@ -307,70 +308,6 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
 
 
 # ---------------------------------------------------------------------------
-# Single-index factors (functions on C_nu) and the coordinate notation
-
-
-def f_one(nu: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) for _ in range(nu))
-
-
-def f_reg_minus_one(nu: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(nu - 1 if g == 0 else -1) for g in range(nu))
-
-
-def f_dot_off(nu: int) -> tuple[Fraction, ...]:
-    """(reg - 1)/(nu - 1): value 1 at 0 and -1/(nu-1) elsewhere."""
-    return tuple(v / (nu - 1) for v in f_reg_minus_one(nu))
-
-
-def f_nonzero_indicator(nu: int) -> tuple[Fraction, ...]:
-    """1 - reg/nu: the indicator of the nonidentity elements."""
-    return tuple(Fraction(0 if g == 0 else 1) for g in range(nu))
-
-
-def f_zero_indicator(nu: int) -> tuple[Fraction, ...]:
-    """reg/nu: the indicator of the identity."""
-    return tuple(Fraction(1 if g == 0 else 0) for g in range(nu))
-
-
-def f_scaled(factor: tuple[Fraction, ...], c) -> tuple[Fraction, ...]:
-    c = Fraction(c)
-    return tuple(c * v for v in factor)
-
-
-@dataclass(frozen=True)
-class FactorVector:
-    """A pure tensor of per-index factors with a global rational prefactor."""
-
-    spec: GroupSpec
-    factors: tuple[tuple[Fraction, ...], ...]
-    prefactor: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if len(self.factors) != self.spec.rank:
-            raise ValueError("one factor per index is required")
-        if any(len(f) != self.spec.nu for f in self.factors):
-            raise ValueError("each factor must list nu values")
-
-    def expand(self) -> ClassFunction:
-        values = []
-        for g in self.spec.elements():
-            v = self.prefactor
-            for factor, gi in zip(self.factors, g):
-                v *= factor[gi]
-            values.append(v)
-        return ClassFunction(self.spec, values)
-
-
-def factor_vector(spec: GroupSpec, on_set, on_factor, off_factor, prefactor=1) -> FactorVector:
-    on = _require_subset(on_set, spec.index_set, "index subset")
-    factors = tuple(
-        on_factor if label in on else off_factor for label in spec.index_set
-    )
-    return FactorVector(spec, factors, Fraction(prefactor))
-
-
-# ---------------------------------------------------------------------------
 # Superclass identifiers and supercharacters
 
 
@@ -393,13 +330,6 @@ def kappa(spec: GroupSpec, I) -> ClassFunction:
     want = _mask_of(spec, I)
     nums = [1 if s == want else 0 for s in support_masks(spec.nu, spec.rank)]
     return ClassFunction(spec, nums, 1)
-
-
-def kappa_factor_vector(spec: GroupSpec, I) -> FactorVector:
-    """kappa_I as a factor vector: nonzero-indicators on I, zero-indicators off I."""
-    return factor_vector(
-        spec, I, f_nonzero_indicator(spec.nu), f_zero_indicator(spec.nu)
-    )
 
 
 def chi(spec: GroupSpec, I) -> ClassFunction:

@@ -129,6 +129,8 @@ class LinComb:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
+        if self._tag() == other._tag():
+            return self.terms == other.terms
         a, b = self._hub(), other._hub()
         return a._tag() == b._tag() and a.terms == b.terms
 

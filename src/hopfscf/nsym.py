@@ -348,7 +348,7 @@ def coproduct_bhat(k: int) -> NSymTensor:
 
 
 # ---------------------------------------------------------------------------
-# omega, duality pairing, triangularity
+# omega and the duality pairing
 
 
 def omega(x: NSymElem) -> NSymElem:
@@ -367,36 +367,3 @@ def pairing(f: NSymElem, x: QSymElem) -> ScalarQT:
         if other is not None:
             total = total + coeff * other
     return total
-
-
-def b_dual_in_M(n: int, I) -> QSymElem:
-    """B(q,t)*_{comp(I)} expanded in the monomial basis of QSym."""
-    imask = SubsetLabel.of(n, I).mask
-    terms: dict[Composition, ScalarQT] = {}
-    for jmask in iter_submasks(_full_mask(n) & ~imask):
-        coeff = b_inverse_entry(n, imask, jmask)
-        terms[comp_of_set(SubsetLabel(n, jmask))] = coeff
-    return QSymElem("M")._with_terms(terms)
-
-
-def subset_order_key(n: int, mask: int) -> tuple[int, tuple[int, ...]]:
-    """Linear extension used for triangularity: size descending, then lex."""
-    label = SubsetLabel(n, mask)
-    return (-label.size, label.members)
-
-
-def b_to_H_matrix_is_triangular(n: int) -> bool:
-    """Rows B_{comp(I)} by the complement order, columns H_{comp(J)} by size
-    order: lower triangular with nonzero diagonal."""
-    full = _full_mask(n)
-    order = sorted(range(full + 1), key=lambda m: subset_order_key(n, m))
-    col_pos = {mask: i for i, mask in enumerate(order)}
-    for row_pos, imask in enumerate(sorted(range(full + 1), key=lambda m: subset_order_key(n, full & ~m))):
-        expansion = b_to_H_masks(n, imask)
-        diag = expansion.get(full & ~imask)
-        if diag is None or diag.is_zero():
-            return False
-        for jmask in expansion:
-            if col_pos[jmask] > row_pos:
-                return False
-    return True

@@ -30,8 +30,7 @@ from .compositions import (
     overlapping_shuffles,
     set_of_comp,
 )
-# the test oracles import _add_term from here
-from .linear import LinComb, _add_term, extend, extend2, tensor_terms  # noqa: F401
+from .linear import LinComb, extend, extend2, tensor_terms
 from .scalars import ONE, ScalarQT, _rational
 
 BASES = ("M", "L", "E", "Pi")
@@ -356,8 +355,3 @@ def _reverse_coarsenings(alpha: Composition):
 
 def antipode(x: QSymElem) -> QSymElem:
     return QSymElem("M")._with_terms(extend(convert(x, "M").terms.items(), _reverse_coarsenings))
-
-
-def antipode_M(alpha) -> QSymElem:
-    """S(M_alpha)."""
-    return antipode(M(alpha))

@@ -92,7 +92,7 @@ def _pow(a: dict, k: int) -> dict:
 
 
 def _eval(a: dict, q0, t0) -> Fraction:
-    q0, t0 = Fraction(q0), Fraction(t0)
+    q0, t0 = Fraction(_rational(q0)), Fraction(_rational(t0))
     return sum((c * q0**e * t0**f for (e, f), c in a.items()), Fraction(0))
 
 

@@ -4,12 +4,12 @@ abelianization comm and generating-set ranks."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .compositions import compositions_of
 from .linear import LinComb, extend, extend2
 from .nsym import NSymElem, convert
-from .scalars import ONE
+from .scalars import ONE, _rational
 
 
 class Partition(tuple):
@@ -46,14 +46,6 @@ def partitions_of(n: int):
             yield from rec(remaining - part, part, prefix + (part,))
 
     yield from rec(n, n, ())
-
-
-def rearrangement_count(lam: Partition) -> Fraction:
-    """Number of compositions rearranging to lam: len(lam)! / prod m_i!."""
-    out = factorial(len(lam))
-    for part in set(lam):
-        out //= factorial(lam.multiplicity(part))
-    return Fraction(out)
 
 
 class SymElem(LinComb):
@@ -125,7 +117,7 @@ def generating_set_rank(a, b, n_max: int) -> dict:
     rank 2^{n-1}.  For Sym_n the products of comm images over partitions
     should have rank p(n).
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational(a), _rational(b)
     if a == 0:
         raise ValueError("a must be nonzero: the triangular diagonal vanishes at a = 0")
     report: dict = {"a": str(a), "b": str(b), "degrees": []}

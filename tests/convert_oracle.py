@@ -4,17 +4,19 @@ This is the basis conversion hopfscf had before its one Kronecker-factor
 kernel, kept whole as the slow oracle: every label is expanded in the hub (M
 for QSym, H for NSym) by its own hand-written display, and every hub term is
 expanded again in the target basis.  The kernel must agree with it exactly.
+The dual basis of B(q,t) in M and the triangular shape of B -> H, which only
+tests check, live here too.
 """
 
 from __future__ import annotations
 
 from hopfscf import nsym, qsym
 from hopfscf.compositions import Composition, SubsetLabel, comp_of_set, iter_submasks, set_of_comp
-from hopfscf.nsym import NSymElem, b_to_H_masks
+from hopfscf.linear import _add_term
+from hopfscf.nsym import NSymElem, b_inverse_entry, b_to_H_masks
 from hopfscf.qsym import (
     QSymElem,
     M_from_pi_entry,
-    _add_term,
     _full_mask,
     pi_from_M_entry,
 )
@@ -188,3 +190,40 @@ def nsym_convert(x: NSymElem, target: str) -> NSymElem:
             for tmask, c2 in _from_H_masks(target, n, hmask).items():
                 _add_term(acc, comp_of_set(SubsetLabel(n, tmask)), coeff * c1 * c2)
     return NSymElem(target, acc)
+
+
+# ---------------------------------------------------------------------------
+# B(q,t): its dual basis in M, and the triangular shape of B -> H
+
+
+def b_dual_in_M(n: int, I) -> QSymElem:
+    """B(q,t)*_{comp(I)} expanded in the monomial basis of QSym."""
+    imask = SubsetLabel.of(n, I).mask
+    terms: dict[Composition, ScalarQT] = {}
+    for jmask in iter_submasks(_full_mask(n) & ~imask):
+        coeff = b_inverse_entry(n, imask, jmask)
+        terms[comp_of_set(SubsetLabel(n, jmask))] = coeff
+    return QSymElem("M")._with_terms(terms)
+
+
+def subset_order_key(n: int, mask: int) -> tuple[int, tuple[int, ...]]:
+    """Linear extension used for triangularity: size descending, then lex."""
+    label = SubsetLabel(n, mask)
+    return (-label.size, label.members)
+
+
+def b_to_H_matrix_is_triangular(n: int) -> bool:
+    """Rows B_{comp(I)} by the complement order, columns H_{comp(J)} by size
+    order: lower triangular with nonzero diagonal."""
+    full = _full_mask(n)
+    order = sorted(range(full + 1), key=lambda m: subset_order_key(n, m))
+    col_pos = {mask: i for i, mask in enumerate(order)}
+    for row_pos, imask in enumerate(sorted(range(full + 1), key=lambda m: subset_order_key(n, full & ~m))):
+        expansion = b_to_H_masks(n, imask)
+        diag = expansion.get(full & ~imask)
+        if diag is None or diag.is_zero():
+            return False
+        for jmask in expansion:
+            if col_pos[jmask] > row_pos:
+                return False
+    return True

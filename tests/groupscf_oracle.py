@@ -4,22 +4,97 @@ These are the straightforward versions of restriction, tensor embedding, the
 m_A summand and the Hall product: they walk the mixed-radix enumeration of
 the target group, rebuild each element as a tuple, look its preimages up with
 GroupSpec.index_of and multiply Fractions one element at a time.  The integer
-gather kernels in groupscf must agree with them exactly.
+gather kernels in groupscf must agree with them exactly.  The factor-vector
+notation (a pure tensor of per-index functions on C_nu), which only tests use,
+lives here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hopfscf.compositions import run_markers
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
-    f_dot_off,
-    f_one,
-    factor_vector,
+    _require_subset,
     relabel,
 )
+
+# ---------------------------------------------------------------------------
+# Single-index factors (functions on C_nu) and the coordinate notation
+
+
+def f_one(nu: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1) for _ in range(nu))
+
+
+def f_reg_minus_one(nu: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(nu - 1 if g == 0 else -1) for g in range(nu))
+
+
+def f_dot_off(nu: int) -> tuple[Fraction, ...]:
+    """(reg - 1)/(nu - 1): value 1 at 0 and -1/(nu-1) elsewhere."""
+    return tuple(v / (nu - 1) for v in f_reg_minus_one(nu))
+
+
+def f_nonzero_indicator(nu: int) -> tuple[Fraction, ...]:
+    """1 - reg/nu: the indicator of the nonidentity elements."""
+    return tuple(Fraction(0 if g == 0 else 1) for g in range(nu))
+
+
+def f_zero_indicator(nu: int) -> tuple[Fraction, ...]:
+    """reg/nu: the indicator of the identity."""
+    return tuple(Fraction(1 if g == 0 else 0) for g in range(nu))
+
+
+def f_scaled(factor: tuple[Fraction, ...], c) -> tuple[Fraction, ...]:
+    c = Fraction(c)
+    return tuple(c * v for v in factor)
+
+
+@dataclass(frozen=True)
+class FactorVector:
+    """A pure tensor of per-index factors with a global rational prefactor."""
+
+    spec: GroupSpec
+    factors: tuple[tuple[Fraction, ...], ...]
+    prefactor: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        if len(self.factors) != self.spec.rank:
+            raise ValueError("one factor per index is required")
+        if any(len(f) != self.spec.nu for f in self.factors):
+            raise ValueError("each factor must list nu values")
+
+    def expand(self) -> ClassFunction:
+        values = []
+        for g in self.spec.elements():
+            v = self.prefactor
+            for factor, gi in zip(self.factors, g):
+                v *= factor[gi]
+            values.append(v)
+        return ClassFunction(self.spec, values)
+
+
+def factor_vector(spec: GroupSpec, on_set, on_factor, off_factor, prefactor=1) -> FactorVector:
+    on = _require_subset(on_set, spec.index_set, "index subset")
+    factors = tuple(
+        on_factor if label in on else off_factor for label in spec.index_set
+    )
+    return FactorVector(spec, factors, Fraction(prefactor))
+
+
+def kappa_factor_vector(spec: GroupSpec, I) -> FactorVector:
+    """kappa_I as a factor vector: nonzero-indicators on I, zero-indicators off I."""
+    return factor_vector(
+        spec, I, f_nonzero_indicator(spec.nu), f_zero_indicator(spec.nu)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-element kernels
 
 
 def restrict(phi: ClassFunction, T) -> ClassFunction:

@@ -6,6 +6,7 @@ import pytest
 from hopfscf.compositions import SubsetLabel, descent_rep, descent_set
 from hopfscf.fqsym import FQSymElem, coproduct, coproduct_F, product_F, project_pi
 from hopfscf.qsym import L
+import hopfscf.linear as linear
 import hopfscf.qsym as qsym
 from hopfscf.scalars import ONE
 
@@ -102,7 +103,7 @@ class TestProjection:
                     rb = project_pi(FQSymElem.F(b))
                     for ca, va in la.terms.items():
                         for cb, vb in rb.terms.items():
-                            qsym._add_term(lhs, (ca, cb), c * va * vb)
+                            linear._add_term(lhs, (ca, cb), c * va * vb)
                 lhs_t = qsym.QSymTensor(("L", "L"), lhs)
                 rhs = qsym.coproduct(project_pi(FQSymElem.F(w)))
                 assert lhs_t == rhs

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from groupscf_oracle import factor_vector, kappa_factor_vector
 from hopfscf.compositions import SubsetLabel, a_shuffle, near_concat, compositions_of, set_of_comp
 from hopfscf.groupscf import (
     CheckReport,
-    factor_vector,
     ClassFunction,
     GroupBoundError,
     GroupSpec,
@@ -20,7 +20,6 @@ from hopfscf.groupscf import (
     expand_kappa,
     hall_inner,
     kappa,
-    kappa_factor_vector,
     lattice_superclass_oracle,
     one,
     product_m,
@@ -102,7 +101,7 @@ class TestKappaAndChi:
                 assert kappa_factor_vector(spec, I).expand() == kappa(spec, I)
 
     def test_scaled_factors_and_prefactor(self):
-        from hopfscf.groupscf import FactorVector, f_dot_off, f_reg_minus_one, f_scaled, f_one
+        from groupscf_oracle import FactorVector, f_dot_off, f_reg_minus_one, f_scaled, f_one
 
         nu = 3
         assert f_scaled(f_reg_minus_one(nu), Fraction(1, nu - 1)) == f_dot_off(nu)

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupscf_oracle as oracle
+from groupscf_oracle import f_one, f_reg_minus_one, factor_vector
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
     chi,
-    f_one,
-    f_reg_minus_one,
-    factor_vector,
     hall_inner,
     product_m,
     product_mA,

@@ -165,6 +165,22 @@ def test_classes_do_not_mix():
         QSymTensor(("M", "M")) + NSymTensor(("H", "H"))
 
 
+def test_same_basis_equality_converts_nothing(monkeypatch):
+    x, y = (NSymElem("B", {(1, 2): Q, (3,): 1}), NSymElem("B", {(3,): 1, (1, 2): Q}))
+    z = NSymElem("B", {(1, 2): T, (3,): 1})
+    pair = ((1,), (2,))
+    tx, ty = (NSymTensor(("B", "B"), {pair: Q + T}), NSymTensor(("B", "B"), {pair: T + Q}))
+    tz = NSymTensor(("B", "B"), {pair: Q})
+
+    def refuse(*args):
+        raise AssertionError("a same-basis == converted")
+
+    monkeypatch.setattr(nsym, "convert", refuse)
+    monkeypatch.setattr(qsym.Tensor, "convert", refuse)
+    assert x == y and x != z
+    assert tx == ty and tx != tz
+
+
 # products, and linear maps: kind -> (its drawn elements, the map given a draw)
 
 

@@ -1,14 +1,15 @@
 """No float in the library: exactness is the contract.
 
-Every module of src/hopfscf is tokenized; a float or complex literal (such as
-0.5, 1e3 or 2j) or any use of the name `float` fails the test.  Strings and
-comments are separate tokens, so prose that mentions floats is allowed.  At
-run time, every element class and `rational` refuse an inexact coefficient.
+Every module of src/hopfscf is parsed with `ast`; a float or complex literal
+(such as 0.5, 1e3 or 2j) or any use of the name `float` fails the test, also
+inside an f-string (on Python 3.11 a tokenizer sees an f-string as one STRING
+token).  Strings and comments are not code, so prose that mentions floats is
+allowed.  At run time, every element class, `rational`, evaluation points,
+class-function values and scale factors, and the generating-set rank sweep
+refuse an inexact number.
 """
 
 import ast
-import io
-import tokenize
 from decimal import Decimal
 from pathlib import Path
 
@@ -17,22 +18,26 @@ import pytest
 from hopfscf.charmap import ScfElem
 from hopfscf.compositions import SubsetLabel
 from hopfscf.fqsym import FQSymElem
+from hopfscf.groupscf import ClassFunction, GroupSpec, one
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
-from hopfscf.scalars import rational
-from hopfscf.symring import Partition, SymElem
+from hopfscf.scalars import Q, T, rational
+from hopfscf.symring import Partition, SymElem, generating_set_rank
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
 
 
 def float_uses(source: str) -> list[str]:
-    out = []
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NUMBER and type(ast.literal_eval(tok.string)) is not int:
-            out.append(f"line {tok.start[0]}: literal {tok.string}")
-        elif tok.type == tokenize.NAME and tok.string == "float":
-            out.append(f"line {tok.start[0]}: name float")
-    return out
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            kind = "literal"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            kind = "name"
+        else:
+            continue
+        found.append((node.lineno, node.col_offset, kind, ast.get_source_segment(source, node)))
+    return [f"line {line}: {kind} {text}" for line, _, kind, text in sorted(found)]
 
 
 def test_the_scan_sees_floats():
@@ -43,6 +48,7 @@ def test_the_scan_sees_floats():
         "line 1: literal 2j",
     ]
     assert float_uses("z = 0x1F + 10_000 + 7  # a float\ns = 'float 0.5'\n") == []
+    assert float_uses('s = f"{x * 0.5} {float(x)}"\n') == ["line 1: literal 0.5", "line 1: name float"]
 
 
 def test_no_float_in_src():
@@ -65,6 +71,10 @@ INEXACT_COEFFICIENT = {
     "FQSymElem": lambda c: FQSymElem({(1,): c}),
     "ScfElem": lambda c: ScfElem(2, {(2, "kappa", SubsetLabel.of(2, ())): c}),
     "rational": rational,
+    "ScalarQT.eval_at": lambda c: (Q + T).eval_at(c, 0),
+    "ClassFunction": lambda c: ClassFunction(GroupSpec.standard(2, 2), [c, 1]),
+    "ClassFunction.scale": lambda c: one(GroupSpec.standard(2, 2)).scale(c),
+    "generating_set_rank": lambda c: generating_set_rank(c, 1, 1),
 }
 
 

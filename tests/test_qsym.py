@@ -12,12 +12,16 @@ from hopfscf.qsym import (
     QSymElem,
     QSymTensor,
     antipode,
-    antipode_M,
     convert,
     coproduct,
     counit,
 )
 from hopfscf.scalars import ONE, ZERO, rational
+
+
+def antipode_M(alpha) -> QSymElem:
+    """S(M_alpha)."""
+    return antipode(M(alpha))
 
 
 class TestElements:

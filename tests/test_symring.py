@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from hopfscf.compositions import compositions_of
@@ -9,8 +12,15 @@ from hopfscf.symring import (
     comm,
     generating_set_rank,
     partitions_of,
-    rearrangement_count,
 )
+
+
+def rearrangement_count(lam: Partition) -> Fraction:
+    """Number of compositions rearranging to lam: len(lam)! / prod m_i!."""
+    out = factorial(len(lam))
+    for part in set(lam):
+        out //= factorial(lam.multiplicity(part))
+    return Fraction(out)
 
 
 class TestPartition:
