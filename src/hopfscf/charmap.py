@@ -83,13 +83,8 @@ class ScfElem(LinComb):
         spec = GroupSpec.standard(self.nu, degree)
         total = groupscf.one(spec).scale(0)
         for (d, tag, label), coeff in self.terms.items():
-            if d != degree:
-                continue
-            if tag == KAPPA:
-                part = groupscf.kappa(spec, label.members)
-            else:
-                part = groupscf.dot_chi(spec, label.members)
-            total = total + part.scale(coeff)
+            if d == degree:
+                total = total + _dense_basis(spec, tag, label.members).scale(coeff)
         return total
 
 
@@ -138,8 +133,7 @@ def _basis_elements(degree: int):
             yield tag, members
 
 
-def _dense_basis(nu: int, degree: int, tag: str, members) -> ClassFunction:
-    spec = GroupSpec.standard(nu, degree)
+def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:
     if tag == KAPPA:
         return groupscf.kappa(spec, members)
     return groupscf.dot_chi(spec, members)
@@ -156,8 +150,8 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     # products: ch(m(phi, psi)) == ch(phi) * ch(psi)
     def products(case):
         m, n, (tag_a, mem_a), (tag_b, mem_b) = case
-        phi = _dense_basis(nu, m, tag_a, mem_a)
-        psi = _dense_basis(nu, n, tag_b, mem_b)
+        phi = _dense_basis(GroupSpec.standard(nu, m), tag_a, mem_a)
+        psi = _dense_basis(GroupSpec.standard(nu, n), tag_b, mem_b)
         lhs = _ch_of_dense(groupscf.product_m(phi, psi, m, n), m + n)
         if lhs != qsym.product(_ch_of_dense(phi, m), _ch_of_dense(psi, n)):
             return f"product {tag_a}{sorted(mem_a)} (deg {m}) * {tag_b}{sorted(mem_b)} (deg {n})"
@@ -165,7 +159,7 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     # coproducts: (ch x ch)(delta phi) == Delta(ch phi)
     def coproducts(case):
         n, (tag, members) = case
-        phi = _dense_basis(nu, n, tag, members)
+        phi = _dense_basis(GroupSpec.standard(nu, n), tag, members)
         images = (
             tensor_terms(_ch_of_dense(left, k).terms, _ch_of_dense(right, n - k).terms)
             for k, pairs in groupscf.coproduct(phi, n).items()

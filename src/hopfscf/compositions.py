@@ -209,19 +209,21 @@ def runs_composition(members: Iterable[int]) -> Composition:
     return Composition(len(r) for r in run_decomposition(members))
 
 
+def run_maxima(mask: int, k: int) -> int:
+    """The run maxima of a subset of [k] given as a mask, k removed."""
+    return mask & ~(mask >> 1) & ((1 << k) - 1) >> 1
+
+
 def run_markers(members: Iterable[int], k: int) -> tuple[SubsetLabel, SubsetLabel, SubsetLabel]:
     """(c1, c2, c) for a subset A of [k]: run maxima of A, of its complement
     in [k], both with k removed, and their disjoint union."""
     a = set(members)
     if any(x < 1 or x > k for x in a):
         raise ValueError(f"subset {sorted(a)} not contained in [{k}]")
-    c1 = {r[-1] for r in run_decomposition(a)} - {k}
-    c2 = {r[-1] for r in run_decomposition(set(range(1, k + 1)) - a)} - {k}
-    return (
-        SubsetLabel.of(k, c1),
-        SubsetLabel.of(k, c2),
-        SubsetLabel.of(k, c1 | c2),
-    )
+    amask = mask_of(a)
+    c1 = run_maxima(amask, k)
+    c2 = run_maxima(((1 << k) - 1) ^ amask, k)
+    return SubsetLabel(k, c1), SubsetLabel(k, c2), SubsetLabel(k, c1 | c2)
 
 
 def _select(sorted_pool: Sequence[int], positions: Iterable[int]) -> set[int]:
@@ -251,28 +253,32 @@ def a_shuffle(I: SubsetLabel, J: SubsetLabel, A: Iterable[int], m: int, n: int) 
     return SubsetLabel(m + n, c1.mask | (pre.mask & ~c.mask))
 
 
-def overlapping_shuffles(alpha: Composition | Iterable[int], beta: Composition | Iterable[int]) -> Counter:
-    """Multiset of weights of all overlapping shuffles of alpha and beta.
-
-    At each step take the next part of alpha, the next part of beta, or fuse
-    the two next parts into one.
-    """
-    alpha, beta = Composition(alpha), Composition(beta)
+def _interleavings(u: tuple, v: tuple, fuse: bool) -> Counter:
+    """Multiset of the words built by taking, at each step, the next entry of
+    u or the next entry of v, or, when fuse, the sum of the two."""
     out: Counter = Counter()
 
-    def rec(i: int, j: int, prefix: tuple[int, ...]) -> None:
-        if i == len(alpha) and j == len(beta):
-            out[Composition(prefix)] += 1
+    def rec(i: int, j: int, prefix: tuple) -> None:
+        if i == len(u) and j == len(v):
+            out[prefix] += 1
             return
-        if i < len(alpha):
-            rec(i + 1, j, prefix + (alpha[i],))
-        if j < len(beta):
-            rec(i, j + 1, prefix + (beta[j],))
-        if i < len(alpha) and j < len(beta):
-            rec(i + 1, j + 1, prefix + (alpha[i] + beta[j],))
+        if i < len(u):
+            rec(i + 1, j, prefix + (u[i],))
+        if j < len(v):
+            rec(i, j + 1, prefix + (v[j],))
+        if fuse and i < len(u) and j < len(v):
+            rec(i + 1, j + 1, prefix + (u[i] + v[j],))
 
     rec(0, 0, ())
     return out
+
+
+def overlapping_shuffles(alpha: Composition | Iterable[int], beta: Composition | Iterable[int]) -> Counter:
+    """Multiset of weights of all overlapping shuffles of alpha and beta: at
+    each step take the next part of alpha, the next part of beta, or fuse the
+    two next parts into one."""
+    words = _interleavings(Composition(alpha), Composition(beta), fuse=True)
+    return Counter({Composition(w): count for w, count in words.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +303,7 @@ def standardize(word: Sequence[int]) -> tuple[int, ...]:
 
 def shuffle_words(u: Sequence[int], v: Sequence[int]) -> Counter:
     """Multiset of all interleavings of u and v (binom(|u|+|v|, |v|) total)."""
-    out: Counter = Counter()
-    u, v = tuple(u), tuple(v)
-
-    def rec(i: int, j: int, prefix: tuple[int, ...]) -> None:
-        if i == len(u) and j == len(v):
-            out[prefix] += 1
-            return
-        if i < len(u):
-            rec(i + 1, j, prefix + (u[i],))
-        if j < len(v):
-            rec(i, j + 1, prefix + (v[j],))
-
-    rec(0, 0, ())
-    return out
+    return _interleavings(tuple(u), tuple(v), fuse=False)
 
 
 def shifted_shuffle(u: Sequence[int], v: Sequence[int], m: int) -> Counter:
@@ -319,27 +312,8 @@ def shifted_shuffle(u: Sequence[int], v: Sequence[int], m: int) -> Counter:
 
 
 def descent_rep(I: SubsetLabel) -> tuple[int, ...]:
-    """Lexicographically smallest permutation of [ambient] with descent set I."""
-    m = I.ambient
-    target = set(I.members)
-
-    def rec(prefix: list[int], used: set[int]):
-        pos = len(prefix)
-        if pos == m:
-            return tuple(prefix)
-        for val in range(1, m + 1):
-            if val in used:
-                continue
-            if pos > 0:
-                descends = prefix[-1] > val
-                if descends != (pos in target):
-                    continue
-            found = rec(prefix + [val], used | {val})
-            if found is not None:
-                return found
-        return None
-
-    word = rec([], set())
-    if word is None:
-        raise ValueError(f"no permutation of [{m}] has descent set {I}")
-    return word
+    """Lexicographically smallest permutation of [ambient] with descent set I:
+    one block per part of comp(complement of I), each holding the next
+    consecutive values in decreasing order."""
+    tops = itertools.accumulate(comp_of_set(I.complement()), initial=0)
+    return tuple(v for low, top in itertools.pairwise(tops) for v in range(top, low, -1))

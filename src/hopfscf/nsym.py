@@ -27,9 +27,10 @@ from .compositions import (
     near_concat,
     preshuffle,
     run_markers,
+    run_maxima,
     runs_composition,
 )
-from .linear import LinComb, _add_term, extend, extend2
+from .linear import LinComb, extend, extend2
 from .qsym import QSymElem, Tensor, _comp, _convert_into, _full_mask, convert as qsym_convert
 from .scalars import ONE, Q, T, ZERO, ScalarQT, rational
 
@@ -146,10 +147,8 @@ def convert(x: NSymElem, target: str) -> NSymElem:
 
 def specialize(x: NSymElem, q0, t0) -> NSymElem:
     """Evaluate every coefficient at (q, t) = (q0, t0)."""
-    out: dict[Composition, ScalarQT] = {}
-    for comp, coeff in x.terms.items():
-        _add_term(out, comp, rational(coeff.eval_at(q0, t0)))
-    return x._with_terms(out)
+    values = ((comp, rational(coeff.eval_at(q0, t0))) for comp, coeff in x.terms.items())
+    return x._with_terms({comp: v for comp, v in values if v})
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +252,11 @@ def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
     One pass over the admissible selectors A, distributing each A over its
     interval of K; agrees with structure_constant per K.
     """
-    acc: dict[int, ScalarQT] = {}
-    for kmask, c2mask in admissible_selectors(k, m, I, J):
-        e_qt, e_t = (kmask & c2mask).bit_count(), (kmask & ~c2mask).bit_count()
-        _add_term(acc, kmask, (Q + T) ** e_qt * T**e_t)
+    weights = (
+        (kmask, (Q + T) ** (kmask & c2mask).bit_count() * T ** (kmask & ~c2mask).bit_count())
+        for kmask, c2mask in admissible_selectors(k, m, I, J)
+    )
+    acc = extend(weights, lambda kmask: ((kmask, 1),))
     denom = T ** (SubsetLabel.of(m, I).size + SubsetLabel.of(k - m, J).size)
     return {kmask: coeff / denom for kmask, coeff in acc.items()}
 
@@ -271,38 +271,30 @@ def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], Scalar
     J the ranks within A of those inside A.  K \\ c(A) never holds the largest
     element of A or of its complement: that element is k or lies in c(A).
     The weight (q+t)^{|K n c2|} t^{|K \\ c2| - |I| - |J|} equals
-    (q+t)^{|K n c2|} t^{|K n c1|}; the selectors are counted per row and pair
-    of exponents, and each row's scalar is built once from its counts.  Agrees
-    with structure_constant entry by entry.
+    (q+t)^{|K n c2|} t^{|K n c1|}, and each selector adds its binomial
+    monomials straight into its row.  Agrees with structure_constant entry by
+    entry.
     """
     n = k - m
     if not 0 <= n <= k:
         raise ValueError(f"m={m} is not in [0, {k}]")
     kmask = mask_of(K)
-    below_k = _full_mask(k)
-    if kmask & ~below_k:
+    if kmask & ~_full_mask(k):
         raise ValueError(f"K={sorted(K)} is not a subset of [{k - 1}]")
     full = (1 << k) - 1
-    counts: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    rows: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for A in itertools.combinations(range(k), n):
         amask = sum(1 << i for i in A)
-        rest = full & ~amask
-        c1 = amask & ~(amask >> 1) & below_k  # run maxima of A, k removed
-        c2 = rest & ~(rest >> 1) & below_k  # run maxima of [k] \ A, k removed
+        rest = full ^ amask
+        c1, c2 = run_maxima(amask, k), run_maxima(rest, k)
         target = kmask & ~(c1 | c2)
         row = (_ranks_within(target & rest, rest), _ranks_within(target & amask, amask))
-        exps = ((kmask & c2).bit_count(), (kmask & c1).bit_count())
-        per_row = counts.setdefault(row, {})
-        per_row[exps] = per_row.get(exps, 0) + 1
-    table = {}
-    for row, per_row in counts.items():
-        terms: dict[tuple[int, int], int] = {}
-        for (e_qt, e_t), count in per_row.items():
-            for i in range(e_qt + 1):  # (q+t)^e_qt t^e_t, binomially
-                mono = (i, e_qt - i + e_t)
-                terms[mono] = terms.get(mono, 0) + count * comb(e_qt, i)
-        table[row] = ScalarQT(terms)
-    return table
+        terms = rows.setdefault(row, {})
+        e_qt, e_t = (kmask & c2).bit_count(), (kmask & c1).bit_count()
+        for i in range(e_qt + 1):  # (q+t)^e_qt t^e_t, binomially
+            mono = (i, e_qt - i + e_t)
+            terms[mono] = terms.get(mono, 0) + comb(e_qt, i)
+    return {row: ScalarQT(terms) for row, terms in rows.items()}
 
 
 def _ranks_within(sub: int, pool: int) -> int:
@@ -319,12 +311,12 @@ def _ranks_within(sub: int, pool: int) -> int:
 
 def coproduct_B_comp(k: int, K) -> NSymTensor:
     """Delta B(q,t)_{comp(K)} straight from the structure constants."""
-    acc: dict[tuple[Composition, Composition], ScalarQT] = {}
-    for m in range(k + 1):
-        for (imask, jmask), coeff in structure_constants_table(k, K, m).items():
-            left = comp_of_set(SubsetLabel(m, imask))
-            acc[(left, comp_of_set(SubsetLabel(k - m, jmask)))] = coeff
-    return NSymTensor(("B", "B"))._with_terms(acc)
+    terms = {
+        (comp_of_set(SubsetLabel(m, imask)), comp_of_set(SubsetLabel(k - m, jmask))): coeff
+        for m in range(k + 1)
+        for (imask, jmask), coeff in structure_constants_table(k, K, m).items()
+    }
+    return NSymTensor(("B", "B"))._with_terms(terms)
 
 
 def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT]]:
@@ -359,11 +351,5 @@ def omega(x: NSymElem) -> NSymElem:
 
 def pairing(f: NSymElem, x: QSymElem) -> ScalarQT:
     """Bilinear extension of (H_alpha, M_beta) = delta_{alpha,beta}."""
-    h = convert(f, "H")
-    m = qsym_convert(x, "M")
-    total = ZERO
-    for comp, coeff in h.terms.items():
-        other = m.terms.get(comp)
-        if other is not None:
-            total = total + coeff * other
-    return total
+    h, m = convert(f, "H").terms, qsym_convert(x, "M").terms
+    return sum((coeff * m[comp] for comp, coeff in h.items() if comp in m), ZERO)

@@ -51,6 +51,33 @@ def subsets(universe):
         yield from (frozenset(c) for c in itertools.combinations(universe, r))
 
 
+def descent_rep_search(I: SubsetLabel) -> tuple[int, ...]:
+    """Lexicographically smallest permutation of [ambient] with descent set I."""
+    m = I.ambient
+    target = set(I.members)
+
+    def rec(prefix: list[int], used: set[int]):
+        pos = len(prefix)
+        if pos == m:
+            return tuple(prefix)
+        for val in range(1, m + 1):
+            if val in used:
+                continue
+            if pos > 0:
+                descends = prefix[-1] > val
+                if descends != (pos in target):
+                    continue
+            found = rec(prefix + [val], used | {val})
+            if found is not None:
+                return found
+        return None
+
+    word = rec([], set())
+    if word is None:
+        raise ValueError(f"no permutation of [{m}] has descent set {I}")
+    return word
+
+
 class TestCompSetBijection:
     def test_worked_example(self):
         assert comp_of_set(SubsetLabel.of(6, {1, 4})) == Composition((1, 3, 2))
@@ -138,6 +165,19 @@ class TestRunMarkers:
         c1, c2, c = run_markers(set(), 5)
         assert c1.members == ()
         assert c2.members == () and c.members == ()
+
+    def test_run_markers_match_the_run_decomposition(self):
+        # the mask formula against the definition, for every A inside [k], k = 0 included
+        cases = 0
+        for k in range(9):
+            universe = frozenset(range(1, k + 1))
+            for A in subsets(sorted(universe)):
+                c1 = {r[-1] for r in run_decomposition(A)} - {k}
+                c2 = {r[-1] for r in run_decomposition(universe - A)} - {k}
+                expected = (SubsetLabel.of(k, c1), SubsetLabel.of(k, c2), SubsetLabel.of(k, c1 | c2))
+                assert run_markers(A, k) == expected, (k, sorted(A))
+                cases += 1
+        assert cases == 2**9 - 1
 
     def test_runs_composition(self):
         assert runs_composition({1, 2, 5, 7, 8, 9}) == Composition((2, 1, 3))
@@ -300,6 +340,16 @@ class TestWords:
                 w = descent_rep(SubsetLabel.of(m, I))
                 assert sorted(w) == list(range(1, m + 1))
                 assert set(descent_set(w).members) == set(I)
+
+    def test_descent_rep_matches_the_search(self):
+        # the closed form against the backtracking search, every I up to ambient 7
+        cases = 0
+        for m in range(0, 8):
+            for I in subsets(range(1, m)):
+                label = SubsetLabel.of(m, I)
+                assert descent_rep(label) == descent_rep_search(label), label
+                cases += 1
+        assert cases == 1 + sum(2 ** (m - 1) for m in range(1, 8))
 
 
 class TestAShuffleDescentLaw:
