@@ -6,11 +6,13 @@ evaluated on actual group elements.  Functions are stored densely over a
 mixed-radix enumeration of (g_s)_{s in S}, as int numerators over one
 positive common denominator, gcd-reduced so that equality stays exact.
 
-The dense kernels are gathers plus integer multiplies.  Their index maps
-(inverse, restriction, tensor embedding, and the composite map of one m_A)
-are built once per group shape from the element enumeration and kept as
-`array` tables in bounded LRU caches; `cache_info()` on each map function
-reports its hits and misses.
+The dense kernels are gathers plus integer multiplies.  Their tables (support
+masks, inverse, restriction, tensor embedding, and the composite map of one
+m_A) are each a sum of per-coordinate terms, so `_coordinate_sum` builds them
+by outer sums over the coordinates, without visiting elements one by one.
+Each is built on first use per group shape and kept as an `array` in a
+bounded LRU cache; `cache_info()` on each table function reports its hits and
+misses.
 """
 
 from __future__ import annotations
@@ -236,36 +238,46 @@ def _require_subset(I, S, what: str):
 # Each cached table is shared by every caller and must not be modified.
 
 
-def _shape(nu: int, rank: int) -> GroupSpec:
-    return GroupSpec(nu, tuple(range(1, rank + 1)))
+def _coordinate_sum(weights) -> list[int]:
+    """Per element g, in enumeration order, sum_p weights[p][g_p].
+
+    weights[p] lists the term of coordinate p at each of its nu values; the
+    table grows by one outer sum per coordinate, the first coordinate slowest.
+    """
+    table = [0]
+    for w in weights:
+        table = [t + x for t in table for x in w]
+    return table
+
+
+def _index_rows(nu: int, width: int, slots) -> list[list[int]]:
+    """Weights, over `width` coordinates, of the mixed-radix index of the
+    element whose j-th digit is coordinate slots[j]; a slot of None is the
+    identity there."""
+    place = {p: nu ** (len(slots) - 1 - j) for j, p in enumerate(slots)}
+    return [[x * place.get(p, 0) for x in range(nu)] for p in range(width)]
 
 
 @lru_cache(maxsize=64)
 def support_masks(nu: int, rank: int) -> array:
     """Per element, the bitmask of the positions where it is not the identity."""
-    elements = _shape(nu, rank).elements()
-    return array("I", (sum(1 << p for p, x in enumerate(g) if x) for g in elements))
+    rows = [[0] + [1 << p] * (nu - 1) for p in range(rank)]
+    return array("I", _coordinate_sum(rows))
 
 
 @lru_cache(maxsize=64)
 def inverse_map(nu: int, rank: int) -> array:
     """Per element g, the index of g^{-1}; inverses negate componentwise."""
-    spec = _shape(nu, rank)
-    return array("I", (spec.index_of((-x) % nu for x in g) for g in spec.elements()))
+    rows = [[(-x) % nu * nu ** (rank - 1 - p) for x in range(nu)] for p in range(rank)]
+    return array("I", _coordinate_sum(rows))
 
 
 @lru_cache(maxsize=256)
 def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
     """Per element h of the subgroup on `positions`, the index of h padded by
     identities in the rank-`rank` group."""
-    source = _shape(nu, rank)
-    out = []
-    for h in _shape(nu, len(positions)).elements():
-        g = [0] * rank
-        for pos, value in zip(positions, h):
-            g[pos] = value
-        out.append(source.index_of(g))
-    return array("I", out)
+    rows = [[x * nu ** (rank - 1 - q) for x in range(nu)] for q in positions]
+    return array("I", _coordinate_sum(rows))
 
 
 @lru_cache(maxsize=256)
@@ -273,12 +285,9 @@ def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array
     """Per element g of the rank-`rank` group, the indices of its parts on
     `positions` and on the remaining positions."""
     rest = tuple(p for p in range(rank) if p not in positions)
-    left, right = _shape(nu, len(positions)), _shape(nu, len(rest))
-    ia, ib = [], []
-    for g in _shape(nu, rank).elements():
-        ia.append(left.index_of(g[p] for p in positions))
-        ib.append(right.index_of(g[p] for p in rest))
-    return array("I", ia), array("I", ib)
+    return tuple(
+        array("I", _coordinate_sum(_index_rows(nu, rank, part))) for part in (positions, rest)
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -286,25 +295,23 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
     """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
 
     Per element g: the index of the phi argument, the index of the psi
-    argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the two pads
-    and the markers on c2) take a nonidentity value there.  m_A(phi, psi)(g)
-    is phi(a) psi(b) (-1/(nu-1))^e.
+    argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the markers
+    on c2) take a nonidentity value there.  m_A(phi, psi)(g) is
+    phi(a) psi(b) (-1/(nu-1))^e.  The two pads carry no such factor: they sit
+    on the top slots of A and of its complement, one of which is k and the
+    other a run maximum, so both are restricted away.
     """
     k = m + n
     ac = tuple(i for i in range(1, k + 1) if i not in A)
-    c1, _, c = run_markers(A, k)
+    _, c2, c = run_markers(A, k)
     dropped = set(c.members) | {k}  # restricted away: identity there
-    marker_off = [i - 1 for i in c.members if not c1.contains(i)]
-    left, right = GroupSpec.standard(nu, m), GroupSpec.standard(nu, n)
-    ia, ib, ee = [], [], array("B")
-    for g in GroupSpec.standard(nu, k).elements():
-        h = [0 if i in dropped else g[i - 1] for i in range(1, k + 1)]
-        ia.append(left.index_of(h[i - 1] for i in ac[:-1]))
-        ib.append(right.index_of(h[i - 1] for i in A[:-1]))
-        ee.append(
-            sum(1 for p in marker_off if g[p]) + (h[ac[-1] - 1] != 0) + (h[A[-1] - 1] != 0)
-        )
-    return array("I", ia), array("I", ib), ee
+
+    def index(labels):
+        slots = [None if i in dropped else i - 1 for i in labels]
+        return array("I", _coordinate_sum(_index_rows(nu, k - 1, slots)))
+
+    markers = [[0] + [int(c2.contains(i))] * (nu - 1) for i in range(1, k)]
+    return index(ac[:-1]), index(A[:-1]), array("B", _coordinate_sum(markers))
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +361,28 @@ def dot_chi(spec: GroupSpec, I) -> ClassFunction:
     return chi(spec, I).scale(Fraction(1, (spec.nu - 1) ** off))
 
 
+@lru_cache(maxsize=64)
+def element_supports(spec: GroupSpec) -> tuple[frozenset[int], ...]:
+    """Per element, its support as a set of labels, read element by element."""
+    return tuple(map(spec.support_of, spec.elements()))
+
+
 def lattice_superclass_oracle(spec: GroupSpec, I) -> ClassFunction:
     """Superclass of Q_I computed straight from the normal-subgroup lattice.
 
     Walks the sublattice {Q_J : J subset of S}, finds the members covered by
-    Q_I, and keeps the elements of Q_I lying in none of them.
+    Q_I, and keeps the elements of Q_I lying in none of them.  An element's
+    membership depends only on its support, so each support is decided once.
     """
     I = _require_subset(I, spec.index_set, "lattice member")
     members = [frozenset(c) for r in range(spec.rank + 1)
                for c in itertools.combinations(spec.index_set, r)]
     below = [M for M in members if M < I]
     covered = [M for M in below if not any(M < P < I for P in below)]
-    values = []
-    for g in spec.elements():
-        supp = spec.support_of(g)
-        in_I = supp <= I
-        in_covered = any(supp <= M for M in covered)
-        values.append(Fraction(1 if in_I and not in_covered else 0))
-    return ClassFunction(spec, values)
+    kept = {
+        supp: int(supp <= I and not any(supp <= M for M in covered)) for supp in members
+    }
+    return ClassFunction(spec, map(kept.__getitem__, element_supports(spec)), 1)
 
 
 # ---------------------------------------------------------------------------

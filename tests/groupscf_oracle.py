@@ -4,13 +4,16 @@ These are the straightforward versions of restriction, tensor embedding, the
 m_A summand and the Hall product: they walk the mixed-radix enumeration of
 the target group, rebuild each element as a tuple, look its preimages up with
 GroupSpec.index_of and multiply Fractions one element at a time.  The integer
-gather kernels in groupscf must agree with them exactly.  The factor-vector
+gather kernels in groupscf must agree with them exactly.  So must groupscf's
+gather tables, which are coordinate sums: the element walks that built them
+before are kept here under their names.  The factor-vector
 notation (a pure tensor of per-index functions on C_nu), which only tests use,
 lives here too.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,3 +165,73 @@ def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:
         inv = tuple((-x) % spec.nu for x in g)
         total += v * psi.values[spec.index_of(inv)]
     return total / spec.order
+
+
+# ---------------------------------------------------------------------------
+# Gather tables, one element at a time
+
+
+def _shape(nu: int, rank: int) -> GroupSpec:
+    return GroupSpec(nu, tuple(range(1, rank + 1)))
+
+
+def support_masks(nu: int, rank: int) -> array:
+    """Per element, the bitmask of the positions where it is not the identity."""
+    elements = _shape(nu, rank).elements()
+    return array("I", (sum(1 << p for p, x in enumerate(g) if x) for g in elements))
+
+
+def inverse_map(nu: int, rank: int) -> array:
+    """Per element g, the index of g^{-1}; inverses negate componentwise."""
+    spec = _shape(nu, rank)
+    return array("I", (spec.index_of((-x) % nu for x in g) for g in spec.elements()))
+
+
+def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
+    """Per element h of the subgroup on `positions`, the index of h padded by
+    identities in the rank-`rank` group."""
+    source = _shape(nu, rank)
+    out = []
+    for h in _shape(nu, len(positions)).elements():
+        g = [0] * rank
+        for pos, value in zip(positions, h):
+            g[pos] = value
+        out.append(source.index_of(g))
+    return array("I", out)
+
+
+def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array, array]:
+    """Per element g of the rank-`rank` group, the indices of its parts on
+    `positions` and on the remaining positions."""
+    rest = tuple(p for p in range(rank) if p not in positions)
+    left, right = _shape(nu, len(positions)), _shape(nu, len(rest))
+    ia, ib = [], []
+    for g in _shape(nu, rank).elements():
+        ia.append(left.index_of(g[p] for p in positions))
+        ib.append(right.index_of(g[p] for p in rest))
+    return array("I", ia), array("I", ib)
+
+
+def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
+    """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
+
+    Per element g: the index of the phi argument, the index of the psi
+    argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the two pads
+    and the markers on c2) take a nonidentity value there.  m_A(phi, psi)(g)
+    is phi(a) psi(b) (-1/(nu-1))^e.
+    """
+    k = m + n
+    ac = tuple(i for i in range(1, k + 1) if i not in A)
+    c1, _, c = run_markers(A, k)
+    dropped = set(c.members) | {k}  # restricted away: identity there
+    marker_off = [i - 1 for i in c.members if not c1.contains(i)]
+    left, right = GroupSpec.standard(nu, m), GroupSpec.standard(nu, n)
+    ia, ib, ee = [], [], array("B")
+    for g in GroupSpec.standard(nu, k).elements():
+        h = [0 if i in dropped else g[i - 1] for i in range(1, k + 1)]
+        ia.append(left.index_of(h[i - 1] for i in ac[:-1]))
+        ib.append(right.index_of(h[i - 1] for i in A[:-1]))
+        ee.append(
+            sum(1 for p in marker_off if g[p]) + (h[ac[-1] - 1] != 0) + (h[A[-1] - 1] != 0)
+        )
+    return array("I", ia), array("I", ib), ee

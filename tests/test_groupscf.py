@@ -1,5 +1,6 @@
 import itertools
 import json
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,11 +180,38 @@ class TestLatticeOracle:
         oracle = lattice_superclass_oracle(spec, frozenset())
         assert oracle == kappa(spec, frozenset())
 
-    @pytest.mark.parametrize("nu,n", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("nu,n", [(2, 3), (3, 4), (5, 4), (7, 3)])
     def test_oracle_equals_kappa_everywhere(self, nu, n):
         spec = GroupSpec.standard(nu, n)
         for I in subsets(spec.index_set):
             assert lattice_superclass_oracle(spec, I) == kappa(spec, I)
+
+    def test_oracle_reads_no_gather_table(self, monkeypatch):
+        from hopfscf import groupscf
+
+        spec = GroupSpec.standard(3, 4)
+        labels = list(subsets(spec.index_set))
+        expected = [kappa(spec, I) for I in labels]
+
+        def refuse(*args):
+            raise AssertionError("the lattice oracle read a gather table")
+
+        for name in ("support_masks", "inverse_map", "product_map"):
+            monkeypatch.setattr(groupscf, name, refuse)
+        groupscf.element_supports.cache_clear()
+        assert [lattice_superclass_oracle(spec, I) for I in labels] == expected
+
+    def test_corrupt_support_masks_fail_the_lattice_check(self, monkeypatch):
+        from hopfscf import groupscf
+
+        spec = GroupSpec.standard(3, 4)
+        masks = groupscf.support_masks(spec.nu, spec.rank)
+        swapped = array("I", masks)
+        swapped[1], swapped[-1] = masks[-1], masks[1]
+        assert swapped != masks
+        monkeypatch.setattr(groupscf, "support_masks", lambda nu, rank: swapped)
+        failed = [name for name, _ in verify_axioms(spec).failures()]
+        assert "lattice superclasses" in failed
 
 
 class TestRestrictTensorRelabel:
@@ -271,17 +299,28 @@ class TestProduct:
                             )
 
     def test_product_maps_are_cached_and_bounded(self):
-        from hopfscf.groupscf import product_map
+        from hopfscf import groupscf
 
-        assert product_map.cache_info().maxsize is not None
+        names = (
+            "support_masks",
+            "inverse_map",
+            "restriction_map",
+            "embedding_map",
+            "product_map",
+            "element_supports",
+        )
+        tables = {name: getattr(groupscf, name) for name in names}
+        for name, table in tables.items():
+            assert table.cache_info().maxsize, name  # None would be unbounded
         phi = kappa(GroupSpec.standard(3, 3), {1})
         psi = kappa(GroupSpec.standard(3, 2), set())
         first = product_m(phi, psi, 3, 2)
-        before = product_map.cache_info()
+        before = {name: table.cache_info() for name, table in tables.items()}
         assert product_m(phi, psi, 3, 2) == first
-        after = product_map.cache_info()
-        assert after.hits - before.hits == 10  # one per size-2 subset A of [5]
-        assert after.misses == before.misses
+        after = {name: table.cache_info() for name, table in tables.items()}
+        # one hit per size-2 subset A of [5]
+        assert after["product_map"].hits - before["product_map"].hits == 10
+        assert {n: i.misses for n, i in after.items()} == {n: i.misses for n, i in before.items()}
 
     def test_arity_violations_rejected(self):
         phi = dot_chi(GroupSpec.standard(2, 3), {1})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import groupscf_oracle as oracle
 from groupscf_oracle import f_one, f_reg_minus_one, factor_vector
+from hopfscf import groupscf
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
@@ -22,6 +23,10 @@ from hopfscf.groupscf import (
 # largest total degree m + n per nu, so that groups stay at most 5^3 elements
 TOP_DEGREE = {2: 6, 3: 5, 5: 4}
 SETTINGS = settings(max_examples=60, deadline=None)
+# per nu, the largest rank of a group table and the largest m + n of a product
+# table compared exhaustively; they cover the product shapes the dense
+# benchmark requests at nu = 2, 3 and 5
+TABLE_TOP = {2: (7, 9), 3: (5, 6), 4: (4, 4), 5: (4, 4)}
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 nus = st.sampled_from(sorted(TOP_DEGREE))
@@ -127,3 +132,34 @@ def test_common_scalings_compare_and_hash_equal(data):
     assert hash(rescaled) == hash(reduced)
     assert rescaled.den > 0
     assert rescaled.values == tuple(values)
+
+
+def _typed(tables):
+    tables = tables if isinstance(tables, tuple) else (tables,)
+    return [(t.typecode, t.tolist()) for t in tables]
+
+
+def test_gather_tables_match_the_element_loops():
+    """Every gather table, built as a coordinate sum, equals the element walk,
+    for every rank, every sorted `positions` and every (m, n, A) up to TABLE_TOP."""
+    cases = 0
+
+    def agree(name, *args):
+        nonlocal cases
+        cases += 1
+        built = getattr(groupscf, name)(*args)
+        assert _typed(built) == _typed(getattr(oracle, name)(*args)), (name, args)
+
+    for nu, (top_rank, top_degree) in TABLE_TOP.items():
+        for rank in range(top_rank + 1):
+            agree("support_masks", nu, rank)
+            agree("inverse_map", nu, rank)
+            for r in range(rank + 1):
+                for positions in itertools.combinations(range(rank), r):
+                    agree("restriction_map", nu, rank, positions)
+                    agree("embedding_map", nu, rank, positions)
+        for k in range(2, top_degree + 1):
+            for n in range(1, k):
+                for A in itertools.combinations(range(1, k + 1), n):
+                    agree("product_map", nu, k - n, n, A)
+    assert cases > 0
