@@ -7,10 +7,11 @@ basis and the hub, where mixed-basis `==` and `+` meet.  Each basis has one
 src @ tgt^-1 with qsym's Kronecker-factor kernel.  The closed product rules (near-concatenation
 for B, concatenation for Bhat) are fast paths; their agreement with the H
 route is asserted in the test suite rather than assumed.  The structure
-constants C^K_{I,J}(q,t) of the B basis come three ways from one closed sum
-over selectors: per entry (structure_constant, the oracle), per fixed K and m
-(structure_constants_table, which the CLI and coproduct_B_comp use) and per
-fixed (I, J) (structure_constants_sweep).
+constants C^K_{I,J}(q,t) of the B basis come two ways from one closed sum
+over selectors, each the other's cross-check: per fixed K and m
+(structure_constants_table, read by the CLI, coproduct_B_comp and the per-entry
+structure_constant) and per fixed (I, J) (structure_constants_sweep).  The
+test suite checks both against the closed sum as written.
 """
 
 from __future__ import annotations
@@ -196,38 +197,12 @@ def counit(x: NSymElem) -> ScalarQT:
 
 
 def structure_constant(k: int, K, m: int, I, J) -> ScalarQT:
-    """C^K_{I,J}(q,t): the closed sum over admissible selectors A.
-
-    The t^{-|I|-|J|} prefactor is a division by a monomial, exact in the
-    Laurent ring; polynomiality with integer coefficients is asserted by the
-    verification suites, not here.
-    """
+    """C^K_{I,J}(q,t): one entry of structure_constants_table(k, K, m)."""
     n = k - m
     if n < 0:
         raise ValueError(f"m={m} exceeds k={k}")
-    K = frozenset(K)
-    I_lbl = SubsetLabel.of(m, I)
-    J_lbl = SubsetLabel.of(n, J)
-    if not K <= set(range(1, k)):
-        raise ValueError(f"K={sorted(K)} is not a subset of [{k - 1}]")
-    kmask = sum(1 << (i - 1) for i in K)
-    total = None
-    for A in itertools.combinations(range(1, k + 1), n):
-        pre = preshuffle(I_lbl, J_lbl, frozenset(A), m, n)
-        _, c2, c = run_markers(A, k)
-        if pre.mask & c.mask:
-            continue
-        if not (pre.mask & kmask) == pre.mask:  # I#J subseteq K
-            continue
-        if kmask & ~(pre.mask | c.mask):  # K subseteq (I#J) u c(A)
-            continue
-        e_qt = (kmask & c2.mask).bit_count()
-        e_t = (kmask & ~c2.mask).bit_count()
-        term = (Q + T) ** e_qt * T**e_t
-        total = term if total is None else total + term
-    if total is None:
-        return ZERO
-    return total / T ** (I_lbl.size + J_lbl.size)
+    imask, jmask = SubsetLabel.of(m, I).mask, SubsetLabel.of(n, J).mask
+    return structure_constants_table(k, K, m).get((imask, jmask), ZERO)
 
 
 def admissible_selectors(k: int, m: int, I, J):
@@ -250,7 +225,7 @@ def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
     """All C^K_{I,J}(q,t) at once, keyed by the mask of K.
 
     One pass over the admissible selectors A, distributing each A over its
-    interval of K; agrees with structure_constant per K.
+    interval of K; agrees with structure_constants_table per K.
     """
     weights = (
         (kmask, (Q + T) ** (kmask & c2mask).bit_count() * T ** (kmask & ~c2mask).bit_count())
@@ -265,22 +240,23 @@ def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], Scalar
     """Every nonzero C^K_{I,J}(q,t) for fixed k, K and m, keyed by (imask, jmask).
 
     One pass over the selectors A of size n = k - m.  The admissibility tests
-    of structure_constant together say preshuffle(I, J, A) = K \\ c(A), and for
+    of the closed sum together say preshuffle(I, J, A) = K \\ c(A), and for
     a fixed A the preshuffle determines (I, J), so each A adds to one row.  I
     holds the ranks within [k] \\ A of the elements of K \\ c(A) outside A, and
     J the ranks within A of those inside A.  K \\ c(A) never holds the largest
     element of A or of its complement: that element is k or lies in c(A).
     The weight (q+t)^{|K n c2|} t^{|K \\ c2| - |I| - |J|} equals
     (q+t)^{|K n c2|} t^{|K n c1|}, and each selector adds its binomial
-    monomials straight into its row.  Agrees with structure_constant entry by
-    entry.
+    monomials straight into its row.  Agrees with structure_constants_sweep
+    entry by entry.
     """
     n = k - m
     if not 0 <= n <= k:
         raise ValueError(f"m={m} is not in [0, {k}]")
-    kmask = mask_of(K)
-    if kmask & ~_full_mask(k):
+    K = frozenset(K)
+    if not K <= set(range(1, k)):
         raise ValueError(f"K={sorted(K)} is not a subset of [{k - 1}]")
+    kmask = mask_of(K)
     full = (1 << k) - 1
     rows: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for A in itertools.combinations(range(k), n):

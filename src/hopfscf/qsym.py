@@ -18,6 +18,7 @@ the test oracle (tests/convert_oracle.py).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -240,10 +241,8 @@ def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int,
     """Multiset of a_shuffle masks over all selectors A, as (mask, mult) pairs."""
     I = SubsetLabel(m, imask)
     J = SubsetLabel(n, jmask)
-    counts: dict[int, int] = {}
-    for A in itertools.combinations(range(1, m + n + 1), n):
-        res = a_shuffle(I, J, frozenset(A), m, n)
-        counts[res.mask] = counts.get(res.mask, 0) + 1
+    selectors = itertools.combinations(range(1, m + n + 1), n)
+    counts = Counter(a_shuffle(I, J, frozenset(A), m, n).mask for A in selectors)
     return tuple(sorted(counts.items()))
 
 

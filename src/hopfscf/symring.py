@@ -8,7 +8,7 @@ from math import lcm
 
 from .compositions import compositions_of
 from .linear import LinComb, extend, extend2
-from .nsym import NSymElem, convert
+from .nsym import Bhat, NSymElem, convert, specialize
 from .scalars import ONE, _rational
 
 
@@ -104,8 +104,6 @@ def _rank_of_rational_rows(rows: list[list[Fraction]]) -> int:
 
 
 def _bhat_numeric(parts, a: Fraction, b: Fraction) -> NSymElem:
-    from .nsym import Bhat, specialize
-
     return specialize(convert(Bhat(parts), "H"), a, b)
 
 

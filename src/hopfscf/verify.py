@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import charmap, groupscf, nsym, qsym
 from .compositions import (
     SubsetLabel,
-    a_shuffle,
     comp_of_set,
     complement,
     compositions_of,
@@ -39,17 +38,6 @@ from .qsym import (
     pi_from_M_entry,
 )
 from .scalars import ONE, ZERO, Q, T
-
-SUITES = (
-    "hopf-axioms",
-    "diagrams",
-    "dualities",
-    "specializations",
-    "omega",
-    "overlap",
-    "group-axioms",
-    "integrality",
-)
 
 DEFAULT_NU_DEGREES = {2: 6, 3: 5}
 GROUP_AXIOM_DEGREES = {2: 7, 3: 5}
@@ -267,14 +255,11 @@ def suite_omega(max_degree: int = 6) -> CheckReport:
 def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
     """For fixed (I, J): per-K selector counts of the two A-set descriptions."""
     size = SubsetLabel.of(m, I).size + SubsetLabel.of(n, J).size
-    size_count: dict[int, int] = {}
-    empty_count: dict[int, int] = {}
-    for kmask, c2mask in nsym.admissible_selectors(m + n, m, I, J):
-        if (kmask & ~c2mask).bit_count() == size:
-            size_count[kmask] = size_count.get(kmask, 0) + 1
-        if not kmask & c2mask:
-            empty_count[kmask] = empty_count.get(kmask, 0) + 1
-    return {"size": size_count, "empty": empty_count}
+    selectors = list(nsym.admissible_selectors(m + n, m, I, J))
+    return {
+        "size": Counter(kmask for kmask, c2 in selectors if (kmask & ~c2).bit_count() == size),
+        "empty": Counter(kmask for kmask, c2 in selectors if not kmask & c2),
+    }
 
 
 def _overlap_shuffles(m: int, n: int, I, J) -> dict:
@@ -430,17 +415,15 @@ def bh_matrices_inverse(n: int) -> bool:
 
 
 def fqsym_descent_oracle(max_total: int = 7) -> CheckReport:
-    """Des multisets of shifted shuffles match a_shuffle multisets over A."""
+    """Des multisets of shifted shuffles match the cached A-shuffle multisets
+    that qsym's L x L product reads."""
 
     def fault(case):
         m, n, I, J = case
         I_lbl, J_lbl = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
         words = shifted_shuffle(descent_rep(I_lbl), descent_rep(J_lbl), m).items()
         from_words = extend(words, lambda word: ((descent_set(word).mask, 1),))
-        from_shuffles = Counter(
-            a_shuffle(I_lbl, J_lbl, A, m, n).mask
-            for A in itertools.combinations(range(1, m + n + 1), n)
-        )
+        from_shuffles = dict(qsym._l_product_masks(m, n, I_lbl.mask, J_lbl.mask))
         if from_words != from_shuffles:
             return f"m={m} n={n} I={sorted(I)} J={sorted(J)}"
 
@@ -464,21 +447,22 @@ def _nu_degrees(defaults: dict[int, int], max_degree: int | None, nus) -> dict[i
 def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = None) -> CheckReport:
     """Dispatch a named suite with optional overrides; without max_degree each
     suite runs at its own default bound."""
-    if name == "diagrams":
-        return suite_diagrams(_nu_degrees(DEFAULT_NU_DEGREES, max_degree, nus))
-    if name == "group-axioms":
-        return suite_group_axioms(_nu_degrees(GROUP_AXIOM_DEGREES, max_degree, nus))
-    suite = _DEGREE_SUITES.get(name)
+    suite = SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name in _NU_DEFAULTS:
+        return suite(_nu_degrees(_NU_DEFAULTS[name], max_degree, nus))
     return suite() if max_degree is None else suite(max_degree)
 
 
-_DEGREE_SUITES = {
+SUITES = {
     "hopf-axioms": suite_hopf_axioms,
+    "diagrams": suite_diagrams,
     "dualities": suite_dualities,
     "specializations": suite_specializations,
     "omega": suite_omega,
     "overlap": suite_overlap,
+    "group-axioms": suite_group_axioms,
     "integrality": suite_integrality,
 }
+_NU_DEFAULTS = {"diagrams": DEFAULT_NU_DEGREES, "group-axioms": GROUP_AXIOM_DEGREES}
