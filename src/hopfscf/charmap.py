@@ -22,7 +22,7 @@ from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
 from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
-from .scalars import _rational, rational
+from .scalars import _exact_nu, _rational, rational
 
 KAPPA = "kappa"
 CHI_DOT = "chi_dot"
@@ -38,7 +38,7 @@ class ScfElem(LinComb):
     _coeff = staticmethod(_rational)
 
     def __init__(self, nu: int, terms=None):
-        self.nu = nu
+        self.nu = _exact_nu(nu)
         super().__init__(terms)
 
     @staticmethod
@@ -127,12 +127,6 @@ def ch(x: ScfElem) -> QSymElem:
     return QSymElem("M")._with_terms({comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
 
 
-def _basis_elements(degree: int):
-    for tag in (KAPPA, CHI_DOT):
-        for members in subsets_of(degree):
-            yield tag, members
-
-
 def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:
     if tag == KAPPA:
         return groupscf.kappa(spec, members)
@@ -147,44 +141,45 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     """Check that ch intertwines the group-side (m, delta) with QSym's product
     and coproduct on every kappa/chi_dot basis tuple up to the degree bound."""
 
+    def basis(n):  # (degree, witness label, dense lowering, ch image) per basis function
+        spec = GroupSpec.standard(nu, n)
+        lowered = (
+            (f"{tag}{sorted(mem)} (deg {n})", _dense_basis(spec, tag, mem))
+            for tag in (KAPPA, CHI_DOT)
+            for mem in subsets_of(n)
+        )
+        return [(n, label, phi, _ch_of_dense(phi, n)) for label, phi in lowered]
+
     # products: ch(m(phi, psi)) == ch(phi) * ch(psi)
     def products(case):
-        m, n, (tag_a, mem_a), (tag_b, mem_b) = case
-        phi = _dense_basis(GroupSpec.standard(nu, m), tag_a, mem_a)
-        psi = _dense_basis(GroupSpec.standard(nu, n), tag_b, mem_b)
+        (m, label_a, phi, ch_phi), (n, label_b, psi, ch_psi) = case
         lhs = _ch_of_dense(groupscf.product_m(phi, psi, m, n), m + n)
-        if lhs != qsym.product(_ch_of_dense(phi, m), _ch_of_dense(psi, n)):
-            return f"product {tag_a}{sorted(mem_a)} (deg {m}) * {tag_b}{sorted(mem_b)} (deg {n})"
+        if lhs != qsym.product(ch_phi, ch_psi):
+            return f"product {label_a} * {label_b}"
 
     # coproducts: (ch x ch)(delta phi) == Delta(ch phi)
     def coproducts(case):
-        n, (tag, members) = case
-        phi = _dense_basis(GroupSpec.standard(nu, n), tag, members)
+        n, label, phi, ch_phi = case
         images = (
             tensor_terms(_ch_of_dense(left, k).terms, _ch_of_dense(right, n - k).terms)
             for k, pairs in groupscf.coproduct(phi, n).items()
             for left, right in pairs
         )
         terms = extend(itertools.chain.from_iterable(images), lambda pair: ((pair, 1),))
-        if QSymTensor(("M", "M"), terms) != qsym.coproduct(_ch_of_dense(phi, n)):
-            return f"coproduct {tag}{sorted(members)} (deg {n})"
+        if QSymTensor(("M", "M"), terms) != qsym.coproduct(ch_phi):
+            return f"coproduct {label}"
 
     # graded dimensions agree on both sides
     def dimension(n):
-        if len(list(_basis_elements(n))) != 2 * (1 << max(n - 1, 0)):
+        if len(bases[n]) != 2 * (1 << max(n - 1, 0)):
             return ""
 
     degrees = range(degree_bound + 1)
-    pairs = (
-        (m, n, a, b)
-        for m in degrees
-        for n in range(degree_bound + 1 - m)
-        for a in _basis_elements(m)
-        for b in _basis_elements(n)
-    )
-    singles = ((n, b) for n in degrees for b in _basis_elements(n))
+    bases = [basis(n) for n in degrees]
+    shapes = ((m, n) for m in degrees for n in range(degree_bound + 1 - m))
+    pairs = (ab for m, n in shapes for ab in itertools.product(bases[m], bases[n]))
     return CheckReport([
         check("ch intertwines products", pairs, products),
-        check("ch intertwines coproducts", singles, coproducts),
+        check("ch intertwines coproducts", itertools.chain.from_iterable(bases), coproducts),
         check("graded dimension 2^(n-1)", degrees, dimension),
     ])

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .compositions import run_markers, subsets_of
-from .scalars import _rational
+from .scalars import _exact_nu, _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
 MAX_GROUP_ENV = "HOPF_SCF_MAX_GROUP"
@@ -45,7 +45,7 @@ def max_group_order() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise ValueError(f"{MAX_GROUP_ENV} must be an integer, got {raw!r}") from exc
+        raise GroupBoundError(f"{MAX_GROUP_ENV} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class GroupSpec:
     index_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.nu < 2:
-            raise ValueError(f"nu must be at least 2, got {self.nu}")
+        _exact_nu(self.nu)
         if tuple(sorted(set(self.index_set))) != self.index_set or any(
             i < 1 for i in self.index_set
         ):

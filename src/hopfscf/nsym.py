@@ -17,6 +17,7 @@ test suite checks both against the closed sum as written.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 from .compositions import (
@@ -248,15 +249,21 @@ def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], Scalar
     The weight (q+t)^{|K n c2|} t^{|K \\ c2| - |I| - |J|} equals
     (q+t)^{|K n c2|} t^{|K n c1|}, and each selector adds its binomial
     monomials straight into its row.  Agrees with structure_constants_sweep
-    entry by entry.
+    entry by entry.  The table is memoised on (k, mask of K, m) and shared by
+    every caller, so it must not be modified.
     """
-    n = k - m
-    if not 0 <= n <= k:
+    if not 0 <= m <= k:
         raise ValueError(f"m={m} is not in [0, {k}]")
     K = frozenset(K)
     if not K <= set(range(1, k)):
         raise ValueError(f"K={sorted(K)} is not a subset of [{k - 1}]")
-    kmask = mask_of(K)
+    return _table(k, mask_of(K), m)
+
+
+# 1024 tables hold every (k, K, m) with k <= 7: 897 tables, 4,577 entries
+@lru_cache(maxsize=1024)
+def _table(k: int, kmask: int, m: int) -> dict[tuple[int, int], ScalarQT]:
+    n = k - m
     full = (1 << k) - 1
     rows: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for A in itertools.combinations(range(k), n):

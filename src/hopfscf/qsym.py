@@ -32,7 +32,7 @@ from .compositions import (
     set_of_comp,
 )
 from .linear import LinComb, extend, extend2, tensor_terms
-from .scalars import ONE, ScalarQT, _rational
+from .scalars import ONE, ScalarQT, _exact_nu, _rational
 
 BASES = ("M", "L", "E", "Pi")
 
@@ -128,8 +128,10 @@ class QSymElem(LinComb):
         if basis not in BASES:
             raise ValueError(f"unknown QSym basis {basis!r}")
         if basis == "Pi":
-            if nu is None or nu < 2:
-                raise ValueError("the Pi basis needs an integer parameter nu >= 2")
+            message = "the Pi basis needs an integer parameter nu >= 2"
+            if nu is None:
+                raise ValueError(message)
+            _exact_nu(nu, message)
         elif nu is not None:
             raise ValueError(f"basis {basis} takes no nu parameter")
         self.basis = basis

@@ -41,6 +41,17 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_nu(nu, message: str = "") -> int:
+    """nu as the parameter of Q_n(nu) and of Pi(nu): an int of at least 2.
+    A nu that is not an int is refused with TypeError, one below 2 with
+    ValueError(message), by default a message naming the value."""
+    if type(nu) is not int:
+        raise TypeError(f"nu must be an int, got {nu!r}")
+    if nu < 2:
+        raise ValueError(message or f"nu must be at least 2, got {nu}")
+    return nu
+
+
 # -- sparse term dicts: {(q, t): nonzero coefficient} -------------------------
 
 

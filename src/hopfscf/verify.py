@@ -39,8 +39,8 @@ from .qsym import (
 )
 from .scalars import ONE, ZERO, Q, T
 
-DEFAULT_NU_DEGREES = {2: 6, 3: 5}
-GROUP_AXIOM_DEGREES = {2: 7, 3: 5}
+# the default degree bound per nu of each per-nu dense suite
+_NU_DEFAULTS = {"diagrams": {2: 6, 3: 5}, "group-axioms": {2: 7, 3: 5}}
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +138,24 @@ def suite_hopf_axioms(max_degree: int = 5) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# diagrams / group-axioms
+# diagrams / group-axioms: the per-nu dense suites
+
+
+def _per_nu(suite: str, nu_degrees: dict[int, int] | None, rows) -> CheckReport:
+    """The rows(nu, bound) of each nu in order, at the suite's defaults unless
+    nu_degrees is given.  Every nu's largest group, of order nu^(bound-1), is
+    built first, so an oversize request raises GroupBoundError before any work."""
+    nu_degrees = nu_degrees or _NU_DEFAULTS[suite]
+    for nu, bound in nu_degrees.items():
+        GroupSpec.standard(nu, max(bound, 0))
+    return CheckReport([row for nu, bound in sorted(nu_degrees.items()) for row in rows(nu, bound)])
 
 
 def suite_diagrams(nu_degrees: dict[int, int] | None = None) -> CheckReport:
-    nu_degrees = nu_degrees or DEFAULT_NU_DEGREES
-    return CheckReport([
+    return _per_nu("diagrams", nu_degrees, lambda nu, bound: (
         (f"nu={nu} deg<={bound}: {name}", ok, detail)
-        for nu, bound in sorted(nu_degrees.items())
         for name, ok, detail in charmap.verify_diagrams(nu, bound).checks
-    ])
+    ))
 
 
 def _axiom_failures(shape: tuple[int, int]):
@@ -157,16 +165,10 @@ def _axiom_failures(shape: tuple[int, int]):
 
 
 def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
-    nu_degrees = nu_degrees or GROUP_AXIOM_DEGREES
-    # building the largest group, of order nu^(bound-1), raises GroupBoundError
-    # before any degree runs
-    for nu, bound in nu_degrees.items():
-        GroupSpec.standard(nu, max(bound, 0))
-    return CheckReport([
+    return _per_nu("group-axioms", nu_degrees, lambda nu, bound: (
         check(f"nu={nu} n={n}: axioms C1-C3, norms, lattice", [(nu, n)], _axiom_failures)
-        for nu, bound in sorted(nu_degrees.items())
         for n in range(bound + 1)
-    ])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def suite_omega(max_degree: int = 6) -> CheckReport:
     def bhat_image(alpha):
         n = alpha.size
         lhs = nsym.omega(nsym.Bhat(alpha))
-        imask = set_of_comp(complement(alpha.reverse())).mask
+        imask = set_of_comp(alpha.reverse()).complement().mask
         terms = {
             comp_of_set(SubsetLabel(n, hmask)): coeff
             for hmask, coeff in nsym.b_to_H_masks(n, imask, qs=-Q, ts=Q + T).items()
@@ -265,13 +267,13 @@ def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
 def _overlap_shuffles(m: int, n: int, I, J) -> dict:
     """Overlapping shuffles of the complements of comp(I) and comp(J)."""
     return overlapping_shuffles(
-        complement(comp_of_set(SubsetLabel.of(m, I))),
-        complement(comp_of_set(SubsetLabel.of(n, J))),
+        comp_of_set(SubsetLabel.of(m, I).complement()),
+        comp_of_set(SubsetLabel.of(n, J).complement()),
     )
 
 
 def _weight(k: int, kmask: int):
-    return complement(comp_of_set(SubsetLabel(k, kmask)))
+    return comp_of_set(SubsetLabel(k, kmask).complement())
 
 
 def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
@@ -339,7 +341,7 @@ def suite_integrality(max_k: int = 6) -> CheckReport:
         k, K = case
         via_const = nsym.coproduct_B_comp(k, K)
         alpha = comp_of_set(SubsetLabel.of(k, K))
-        if via_const != nsym.coproduct(nsym.B(alpha)).convert(("B", "B")):
+        if via_const != nsym.coproduct(nsym.B(alpha)):
             return f"k={k} K={sorted(K)}"
 
     constants = (
@@ -465,4 +467,3 @@ SUITES = {
     "group-axioms": suite_group_axioms,
     "integrality": suite_integrality,
 }
-_NU_DEFAULTS = {"diagrams": DEFAULT_NU_DEGREES, "group-axioms": GROUP_AXIOM_DEGREES}

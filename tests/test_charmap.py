@@ -14,6 +14,13 @@ class TestScfElem:
         with pytest.raises(ValueError):
             ScfElem(2, {(3, "kappa", SubsetLabel.of(4, {1})): Fraction(1)})
 
+    @pytest.mark.parametrize("nu", [1, 0, -2])
+    def test_nu_below_two_refused(self, nu):
+        with pytest.raises(ValueError, match=f"nu must be at least 2, got {nu}"):
+            ScfElem.kappa(nu, 3, {1})
+        with pytest.raises(ValueError):
+            ScfElem(nu)
+
     def test_from_dense_round_trip(self):
         for nu in (2, 3):
             for degree in (0, 1, 3):

@@ -223,3 +223,27 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "HOPF_SCF_MAX_GROUP" in captured.err
+
+    def test_oversized_diagrams_exit_2_before_any_degree(self, capsys, monkeypatch):
+        from hopfscf import charmap
+
+        ran = []
+        monkeypatch.setattr(charmap, "verify_diagrams", lambda nu, bound: ran.append((nu, bound)))
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "100")
+        code = main(["verify", "--suite", "diagrams", "--nu", "2", "--max-degree", "9"])
+        assert code == 2
+        assert ran == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: group order 2^8 exceeds bound 100; raise HOPF_SCF_MAX_GROUP to override\n"
+        )
+
+    @pytest.mark.parametrize("raw", ["abc", "", "1e6"])
+    def test_malformed_group_bound_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", raw)
+        code = main(["verify", "--suite", "group-axioms", "--nu", "2", "--max-degree", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: HOPF_SCF_MAX_GROUP must be an integer, got {raw!r}\n"

@@ -601,6 +601,16 @@ class TestAxioms:
             verify.suite_group_axioms({3: 2, 2: 9})
         assert ran == []
 
+    def test_oversized_diagrams_request_refused_before_any_degree(self, monkeypatch):
+        from hopfscf import charmap, verify
+
+        ran = []
+        monkeypatch.setattr(charmap, "verify_diagrams", lambda nu, bound: ran.append((nu, bound)))
+        monkeypatch.delenv("HOPF_SCF_MAX_GROUP", raising=False)
+        with pytest.raises(GroupBoundError, match="group order 2\\^29 exceeds bound 1048576"):
+            verify.suite_diagrams({2: 30})
+        assert ran == []
+
     def test_not_superclass_function_detected(self):
         # nu = 3 so the superclass cl_{1} = {(1), (2)} has two elements
         spec = GroupSpec(3, (1,))

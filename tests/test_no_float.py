@@ -6,7 +6,8 @@ inside an f-string (on Python 3.11 a tokenizer sees an f-string as one STRING
 token).  Strings and comments are not code, so prose that mentions floats is
 allowed.  At run time, every element class, `rational`, evaluation points,
 class-function values and scale factors, and the generating-set rank sweep
-refuse an inexact number.
+refuse an inexact number, and so does every class that takes the group
+parameter nu.
 """
 
 import ast
@@ -20,7 +21,7 @@ from hopfscf.compositions import SubsetLabel
 from hopfscf.fqsym import FQSymElem
 from hopfscf.groupscf import ClassFunction, GroupSpec, one
 from hopfscf.nsym import NSymElem, NSymTensor
-from hopfscf.qsym import QSymElem, QSymTensor
+from hopfscf.qsym import Pi, QSymElem, QSymTensor
 from hopfscf.scalars import Q, T, rational
 from hopfscf.symring import Partition, SymElem, generating_set_rank
 
@@ -75,6 +76,9 @@ INEXACT_COEFFICIENT = {
     "ClassFunction": lambda c: ClassFunction(GroupSpec.standard(2, 2), [c, 1]),
     "ClassFunction.scale": lambda c: one(GroupSpec.standard(2, 2)).scale(c),
     "generating_set_rank": lambda c: generating_set_rank(c, 1, 1),
+    "Pi nu": lambda c: Pi((1, 2), c),
+    "GroupSpec nu": lambda c: GroupSpec.standard(c, 3),
+    "ScfElem nu": lambda c: ScfElem.kappa(c, 3, {1}),
 }
 
 

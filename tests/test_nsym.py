@@ -336,6 +336,16 @@ class TestStructureConstants:
         with pytest.raises(ValueError):
             structure_constants_table(3, {7}, 1)  # K outside [k-1]
 
+    def test_integrality_builds_each_table_once(self):
+        import hopfscf.nsym as nsym
+        from hopfscf import verify
+
+        nsym._table.cache_clear()
+        assert verify.run_suite("integrality", 5).passed
+        # one (k, K, m) per K of [k-1] and m in [0, k], for k <= 5
+        distinct = sum((k + 1) * len(list(subsets(k))) for k in range(6))
+        assert nsym._table.cache_info().misses == distinct == 161
+
     def test_closed_sum_matches_H_route(self):
         for k in range(0, 6):
             for K in subsets(k):
