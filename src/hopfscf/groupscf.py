@@ -532,8 +532,10 @@ def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
     """delta_k as a list of pure tensor summands (left on Q_k, right on Q_{n-k}).
 
-    Computed by expanding phi in the kappa basis; the factor pair of the
-    defining restriction identity is not unique, but the value is.
+    Read off phi restricted to Q_{[n-1] \\ {k}}, enumerated left coordinates
+    slowest: phi is constant on superclasses, so the row of the left element
+    that is 1 exactly on L is phi(a_L, .) on Q_{n-k}, and the restriction is
+    sum_L kappa_L (x) phi(a_L, .), one pair per L whose row is not zero.
     """
     nu = phi.spec.nu
     if phi.spec != GroupSpec.standard(nu, n):
@@ -544,20 +546,17 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
         return [(unit(nu), phi)]
     if k == n:
         return [(phi, unit(nu))]
+    expand_kappa(phi)  # raises outside the supercharacter function space
     left_spec = GroupSpec.standard(nu, k)
     right_spec = GroupSpec.standard(nu, n - k)
+    keep = restrict(phi, set(range(1, n)) - {k})
+    width = right_spec.order
     out = []
-    for I, coeff in sorted(expand_kappa(phi).items(), key=lambda kv: sorted(kv[0])):
-        if coeff == 0 or k in I:
-            continue
-        left_label = {i for i in I if i < k}
-        right_label = {i - k for i in I if i > k}
-        out.append(
-            (
-                kappa(left_spec, left_label).scale(coeff),
-                kappa(right_spec, right_label),
-            )
-        )
+    for L in subsets_of(k):
+        start = width * sum(nu ** (k - 1 - i) for i in L)
+        row = keep.nums[start:start + width]
+        if any(row):
+            out.append((kappa(left_spec, L), ClassFunction(right_spec, row, keep.den)))
     return out
 
 

@@ -182,6 +182,7 @@ def Pi(parts, nu: int) -> QSymElem:
 
 def pi_from_L_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
     """Coefficient of Pi_{comp(J)} in L_{comp(I)}."""
+    _exact_nu(nu)
     if n == 0:
         return Fraction(1)
     j_minus_i = (jmask & ~imask).bit_count()
@@ -191,6 +192,7 @@ def pi_from_L_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
 
 def L_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
     """Coefficient of L_{comp(I)} in Pi_{comp(J)}."""
+    _exact_nu(nu)
     if n == 0:
         return Fraction(1)
     j_minus_i = (jmask & ~imask).bit_count()
@@ -200,6 +202,7 @@ def L_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
 
 def pi_from_M_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
     """Coefficient of Pi_{comp(J)} in M_{comp(I)}; zero unless I u J = [n-1]."""
+    _exact_nu(nu)
     if n == 0:
         return Fraction(1)
     if (imask | jmask) != _full_mask(n):
@@ -211,6 +214,7 @@ def pi_from_M_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
 
 def M_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
     """Coefficient of M_{comp(I)} in Pi_{comp(J)}; zero unless I n J is empty."""
+    _exact_nu(nu)
     if n == 0:
         return Fraction(1)
     if imask & jmask:
@@ -248,9 +252,15 @@ def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int,
     return tuple(sorted(counts.items()))
 
 
+@lru_cache(maxsize=4096)
+def _m_product(ca: Composition, cb: Composition) -> tuple[tuple[Composition, int], ...]:
+    """M_ca M_cb as (composition, multiplicity) pairs: the overlapping shuffles."""
+    return tuple(overlapping_shuffles(ca, cb).items())
+
+
 def product(x: QSymElem, y: QSymElem) -> QSymElem:
-    """Product; the A-shuffle route when both factors are in L, the
-    overlapping-shuffle route through M otherwise."""
+    """Product; the A-shuffle route when both factors are in L, the memoised
+    overlapping-shuffle rule of `_m_product` through M otherwise."""
     if x.basis == "L" and y.basis == "L":
 
         def a_shuffles(ca, cb):
@@ -260,8 +270,7 @@ def product(x: QSymElem, y: QSymElem) -> QSymElem:
 
         return QSymElem("L")._with_terms(extend2(x.terms, y.terms, a_shuffles))
     a, b = convert(x, "M"), convert(y, "M")
-    terms = extend2(a.terms, b.terms, lambda ca, cb: overlapping_shuffles(ca, cb).items())
-    return QSymElem("M")._with_terms(terms)
+    return QSymElem("M")._with_terms(extend2(a.terms, b.terms, _m_product))
 
 
 class Tensor(LinComb):

@@ -37,7 +37,7 @@ from .qsym import (
     pi_from_L_entry,
     pi_from_M_entry,
 )
-from .scalars import ONE, ZERO, Q, T
+from .scalars import ONE, ZERO, Q, T, _exact_nu
 
 # the default degree bound per nu of each per-nu dense suite
 _NU_DEFAULTS = {"diagrams": {2: 6, 3: 5}, "group-axioms": {2: 7, 3: 5}}
@@ -361,6 +361,7 @@ def suite_integrality(max_k: int = 6) -> CheckReport:
 
 def pi_L_matrices_inverse(n: int, nu: int) -> bool:
     """The two Pi/L displays multiply to the identity, both ways."""
+    _exact_nu(nu)
     size = 1 << max(n - 1, 0)
     scale = nu ** max(n - 1, 0)
     A = [
@@ -400,6 +401,7 @@ def _sparse_inverses(n: int, x_entry, y_entry) -> bool:
 
 def pi_M_matrices_inverse(n: int, nu: int) -> bool:
     """The two Pi/M displays multiply to the identity, both ways (sparse)."""
+    _exact_nu(nu)
     return _sparse_inverses(
         n, lambda i, j: pi_from_M_entry(n, i, j, nu), lambda i, j: M_from_pi_entry(n, i, j, nu)
     )

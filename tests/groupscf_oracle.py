@@ -6,9 +6,11 @@ the target group, rebuild each element as a tuple, look its preimages up with
 GroupSpec.index_of and multiply Fractions one element at a time.  The integer
 gather kernels in groupscf must agree with them exactly.  So must groupscf's
 gather tables, which are coordinate sums: the element walks that built them
-before are kept here under their names.  The factor-vector
-notation (a pure tensor of per-index functions on C_nu), which only tests use,
-lives here too.
+before are kept here under their names.  So must the coproduct slices, which
+groupscf reads off a restriction: the label split that built them before,
+which expands phi in kappa and splits each support at k, is kept here as
+`coproduct_k`.  The factor-vector notation (a pure tensor of per-index
+functions on C_nu), which only tests use, lives here too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
     _require_subset,
+    expand_kappa,
+    kappa,
     relabel,
+    unit,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,38 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     marker_spec = GroupSpec(nu, c.members)
     marker = factor_vector(marker_spec, c1.members, f_one(nu), f_dot_off(nu)).expand()
     return tensor_embed(marker, restricted)
+
+
+def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
+    """delta_k as a list of pure tensor summands (left on Q_k, right on Q_{n-k}).
+
+    Computed by expanding phi in the kappa basis; the factor pair of the
+    defining restriction identity is not unique, but the value is.
+    """
+    nu = phi.spec.nu
+    if phi.spec != GroupSpec.standard(nu, n):
+        raise ValueError("coproduct operands must live on a standard group")
+    if not 0 <= k <= n:
+        raise ValueError(f"slice position k={k} out of range 0..{n}")
+    if k == 0:
+        return [(unit(nu), phi)]
+    if k == n:
+        return [(phi, unit(nu))]
+    left_spec = GroupSpec.standard(nu, k)
+    right_spec = GroupSpec.standard(nu, n - k)
+    out = []
+    for I, coeff in sorted(expand_kappa(phi).items(), key=lambda kv: sorted(kv[0])):
+        if coeff == 0 or k in I:
+            continue
+        left_label = {i for i in I if i < k}
+        right_label = {i - k for i in I if i > k}
+        out.append(
+            (
+                kappa(left_spec, left_label).scale(coeff),
+                kappa(right_spec, right_label),
+            )
+        )
+    return out
 
 
 def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:

@@ -98,3 +98,4 @@ def test_cancellation_inside_one_sum():
 def test_caches_are_bounded():
     assert isinstance(_ch_row.cache_info().maxsize, int)
     assert isinstance(qsym._l_product_masks.cache_info().maxsize, int)
+    assert isinstance(qsym._m_product.cache_info().maxsize, int)

@@ -32,6 +32,8 @@ from hopfscf.groupscf import (
     verify_axioms,
 )
 
+from test_verify_witness_guard import counting
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -481,23 +483,34 @@ class TestCoproduct:
                     assert sorted(factorizations) == sorted(expected), gamma
 
     def test_slice_factorizes_the_restriction(self):
-        # restricting away index k equals the sum of embedded tensor factors
-        nu, n = 2, 5
-        for members in subsets(range(1, n)):
-            phi = kappa(GroupSpec.standard(nu, n), members)
+        # restricting away index k equals the sum of embedded tensor factors,
+        # on every kappa and chi_dot basis function
+        shapes = [(nu, n) for nu, top in ((2, 6), (3, 6), (5, 4)) for n in range(top + 1)]
+        for nu, n in shapes:
+            spec = GroupSpec.standard(nu, n)
+            for basis, members in itertools.product((kappa, dot_chi), subsets(range(1, n))):
+                phi = basis(spec, members)
+                for k in range(1, n):
+                    keep = [i for i in range(1, n) if i != k]
+                    restricted = restrict(phi, keep)
+                    pairs = coproduct_k(phi, k, n)
+                    total = None
+                    for left, right in pairs:
+                        shifted = relabel(right, range(k + 1, n))
+                        term = tensor_embed(left, shifted)
+                        total = term if total is None else total + term
+                    if total is None:
+                        assert restricted.is_zero()
+                    else:
+                        assert relabel(total, keep) == restricted
+
+    def test_function_outside_scf_refused_at_every_inner_slice(self):
+        # counting takes distinct values on the two elements of cl_{i} at nu=3
+        for n in range(2, 6):
+            phi = counting(GroupSpec.standard(3, n), ())
             for k in range(1, n):
-                keep = [i for i in range(1, n) if i != k]
-                restricted = restrict(phi, keep)
-                pairs = coproduct_k(phi, k, n)
-                total = None
-                for left, right in pairs:
-                    shifted = relabel(right, range(k + 1, n))
-                    term = tensor_embed(left, shifted)
-                    total = term if total is None else total + term
-                if total is None:
-                    assert restricted.is_zero()
-                else:
-                    assert relabel(total, keep) == restricted
+                with pytest.raises(ValueError, match="not a superclass function"):
+                    coproduct_k(phi, k, n)
 
     def test_slice_position_out_of_range(self):
         phi = kappa(GroupSpec.standard(2, 3), {1})

@@ -3,19 +3,24 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupscf_oracle as oracle
 from groupscf_oracle import f_one, f_reg_minus_one, factor_vector
 from hopfscf import groupscf
+from hopfscf.compositions import subsets_of
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
     chi,
+    dot_chi,
     hall_inner,
+    kappa,
     product_m,
     product_mA,
+    relabel,
     restrict,
     tensor_embed,
 )
@@ -27,6 +32,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 # table compared exhaustively; they cover the product shapes the dense
 # benchmark requests at nu = 2, 3 and 5
 TABLE_TOP = {2: (7, 9), 3: (5, 6), 4: (4, 4), 5: (4, 4)}
+# every (nu, degree) at which the coproduct slices meet the label-split oracle
+COPRODUCT_SHAPES = [(nu, n) for nu, top in ((2, 6), (3, 6), (5, 4)) for n in range(top + 1)]
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 nus = st.sampled_from(sorted(TOP_DEGREE))
@@ -163,3 +170,43 @@ def test_gather_tables_match_the_element_loops():
                 for A in itertools.combinations(range(1, k + 1), n):
                     agree("product_map", nu, k - n, n, A)
     assert cases > 0
+
+
+def basis_functions(nu: int, n: int) -> list[ClassFunction]:
+    """Every kappa and chi_dot basis function of Q_n(nu)."""
+    spec = GroupSpec.standard(nu, n)
+    return [basis(spec, I) for basis in (kappa, dot_chi) for I in subsets_of(n)]
+
+
+def slice_value(pairs, nu: int, k: int, n: int) -> ClassFunction:
+    """The value of delta_k's pairs, sum of left (x) right, on Q_{[n-1] \\ {k}}."""
+    total = groupscf.one(GroupSpec(nu, tuple(i for i in range(1, n) if i != k))).scale(0)
+    for left, right in pairs:
+        total = total + tensor_embed(left, relabel(right, range(k + 1, n)))
+    return total
+
+
+def assert_slices_match_oracle(phi: ClassFunction, n: int) -> None:
+    nu = phi.spec.nu
+    for k in range(n + 1):
+        pairs, expected = groupscf.coproduct_k(phi, k, n), oracle.coproduct_k(phi, k, n)
+        assert slice_value(pairs, nu, k, n) == slice_value(expected, nu, k, n), (phi, k)
+        assert len(pairs) <= len(expected)
+
+
+@pytest.mark.parametrize("nu, n", COPRODUCT_SHAPES)
+def test_coproduct_slices_match_the_label_split_on_every_basis_function(nu, n):
+    for phi in basis_functions(nu, n):
+        assert_slices_match_oracle(phi, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coproduct_slices_match_the_label_split_on_random_sums(data):
+    nu, n = data.draw(st.sampled_from(COPRODUCT_SHAPES))
+    basis = basis_functions(nu, n)
+    chosen = data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6))
+    phi = groupscf.one(basis[0].spec).scale(0)
+    for f in chosen:
+        phi = phi + f.scale(data.draw(rationals))
+    assert_slices_match_oracle(phi, n)

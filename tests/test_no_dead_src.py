@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
 PAPER = "one of the paper's operators, kept as a public entry point"
 ACCEPTANCE = "an acceptance-criterion entry point, called from tests/test_acceptance.py"
 ALLOWED = {
-    "groupscf.restrict": PAPER + " (restriction to Q_T)",
     "groupscf.tensor_embed": PAPER + " (phi (x) psi on the disjoint union)",
     "groupscf.product_mA": PAPER + " (the summand m_A of the product m)",
     "groupscf.hall_inner": PAPER + " (the Hall inner product)",

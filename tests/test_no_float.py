@@ -7,7 +7,7 @@ token).  Strings and comments are not code, so prose that mentions floats is
 allowed.  At run time, every element class, `rational`, evaluation points,
 class-function values and scale factors, and the generating-set rank sweep
 refuse an inexact number, and so does every class that takes the group
-parameter nu.
+parameter nu, and every Pi transition display and its inverse check.
 """
 
 import ast
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfscf import qsym
 from hopfscf.charmap import ScfElem
 from hopfscf.compositions import SubsetLabel
 from hopfscf.fqsym import FQSymElem
@@ -24,6 +25,7 @@ from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import Pi, QSymElem, QSymTensor
 from hopfscf.scalars import Q, T, rational
 from hopfscf.symring import Partition, SymElem, generating_set_rank
+from hopfscf.verify import pi_L_matrices_inverse, pi_M_matrices_inverse
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
 
@@ -79,6 +81,12 @@ INEXACT_COEFFICIENT = {
     "Pi nu": lambda c: Pi((1, 2), c),
     "GroupSpec nu": lambda c: GroupSpec.standard(c, 3),
     "ScfElem nu": lambda c: ScfElem.kappa(c, 3, {1}),
+    "pi_from_L_entry nu": lambda c: qsym.pi_from_L_entry(2, 0, 1, c),
+    "L_from_pi_entry nu": lambda c: qsym.L_from_pi_entry(3, 0, 0, c),
+    "pi_from_M_entry nu": lambda c: qsym.pi_from_M_entry(2, 0, 1, c),
+    "M_from_pi_entry nu": lambda c: qsym.M_from_pi_entry(2, 0, 0, c),
+    "pi_L_matrices_inverse nu": lambda c: pi_L_matrices_inverse(3, c),
+    "pi_M_matrices_inverse nu": lambda c: pi_M_matrices_inverse(3, c),
 }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import hopfscf.qsym as qsym
-from hopfscf.compositions import Composition, compositions_of
+from hopfscf.compositions import Composition, compositions_of, overlapping_shuffles
 from hopfscf.qsym import (
     E,
     L,
@@ -126,6 +126,28 @@ class TestProduct:
         for alpha, beta in (((1, 2), (2,)), ((1, 1), (3,))):
             assert M(alpha) * M(beta) == M(beta) * M(alpha)
 
+    def test_memoised_M_rule_equals_fresh_shuffles(self):
+        # every M label pair with m + n <= 7, first with the memo empty,
+        # then with every pair already in it
+        pairs = [
+            (alpha, beta)
+            for total in range(8)
+            for m in range(total + 1)
+            for alpha in compositions_of(m)
+            for beta in compositions_of(total - m)
+        ]
+        qsym._m_product.cache_clear()
+        for warm in (False, True):
+            before = qsym._m_product.cache_info()
+            for alpha, beta in pairs:
+                fresh = QSymElem("M", dict(overlapping_shuffles(alpha, beta)))
+                assert M(alpha) * M(beta) == fresh, (alpha, beta)
+                assert type(qsym._m_product(alpha, beta)) is tuple
+            after = qsym._m_product.cache_info()
+            # two lookups per pair: a cold pass misses once and hits once each
+            assert after.misses - before.misses == (0 if warm else len(pairs))
+            assert after.hits - before.hits == (2 if warm else 1) * len(pairs)
+
 
 class TestCoproduct:
     def test_deconcatenation(self):
@@ -222,6 +244,23 @@ class TestTransitionMatrices:
 
         for n in range(0, 6):
             assert pi_M_matrices_inverse(n, nu)
+
+    def test_displays_refuse_a_nu_that_is_not_an_int_of_at_least_2(self):
+        from hopfscf.verify import pi_L_matrices_inverse, pi_M_matrices_inverse
+
+        with pytest.raises(TypeError):
+            qsym.pi_from_M_entry(2, 0, 1, 2.5)
+        for display in (
+            qsym.pi_from_L_entry,
+            qsym.L_from_pi_entry,
+            qsym.pi_from_M_entry,
+            qsym.M_from_pi_entry,
+        ):
+            with pytest.raises(ValueError):
+                display(2, 0, 0, 1)
+        for check in (pi_L_matrices_inverse, pi_M_matrices_inverse):
+            with pytest.raises(ValueError):
+                check(3, 1)
 
     def test_pi_L_entry_values(self):
         # hand-checked degree-2 transitions
