@@ -3,11 +3,14 @@
 ScfElem is the symbolic side: a `linear.LinComb` with rational coefficients
 on kappa / normalized-chi labels graded by degree.  It lowers to dense
 ClassFunctions only inside the diagram verifier, keeping the Hopf arithmetic
-independent of group bounds.
+independent of group bounds.  Both crossings carry one integer numerator per
+support mask, on Q_n the superclass label's mask; the per-term `to_dense` is
+the test oracle.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
-denominator; the per-term route through the hub conversion of
-tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
+denominator, and `_ch_of_dense` feeds it a dense function's numerators.  The
+per-term route through the hub conversion of tests/convert_oracle.py is the
+test oracle (tests/charmap_oracle.py).
 """
 
 from __future__ import annotations
@@ -67,25 +70,43 @@ class ScfElem(LinComb):
     @classmethod
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
         """Expand a dense superclass function in the kappa basis."""
-        spec = phi.spec
-        if degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
-        if spec.index_set != tuple(range(1, degree)):
-            raise ValueError("dense lift expects a standard group")
-        terms = {}
-        for supp, coeff in groupscf.expand_kappa(phi).items():
-            if coeff:
-                terms[(degree, KAPPA, SubsetLabel.of(degree, supp))] = coeff
-        return cls(spec.nu)._with_terms(terms)
+        nums, labels = _standard_nums(phi, degree), _labels(degree)
+        terms = {(degree, KAPPA, labels[s]): Fraction(v, phi.den) for s, v in nums.items() if v}
+        return cls(phi.spec.nu)._with_terms(terms)
 
     def to_dense(self, degree: int) -> ClassFunction:
-        """Lower the degree-n component to a dense function on Q_n(nu)."""
+        """Lower the degree-n component to a dense function on Q_n(nu): one
+        numerator per support mask, kappa_I adding at mask I and chi_dot^I
+        (1-nu)^{-e} at each mask s, with e the members of s off I."""
         spec = GroupSpec.standard(self.nu, degree)
-        total = groupscf.one(spec).scale(0)
-        for (d, tag, label), coeff in self.terms.items():
-            if d == degree:
-                total = total + _dense_basis(spec, tag, label.members).scale(coeff)
-        return total
+        nu, rank = self.nu, spec.rank
+        terms = [(tag, label.mask, c) for (d, tag, label), c in self.terms.items() if d == degree]
+        den = (nu - 1) ** rank * lcm(*(c.denominator for _, _, c in terms))
+        acc = [0] * (1 << rank)
+        for tag, mask, c in terms:
+            a = c.numerator * (den // c.denominator)
+            if tag == KAPPA:
+                acc[mask] += a
+            else:
+                by_e = [a // (1 - nu) ** e for e in range(rank + 1)]
+                acc = [v + by_e[(s & ~mask).bit_count()] for s, v in enumerate(acc)]
+        return ClassFunction(spec, map(acc.__getitem__, groupscf.support_masks(nu, rank)), den)
+
+
+@lru_cache(maxsize=32)
+def _labels(degree: int) -> tuple[SubsetLabel, ...]:
+    """SubsetLabel(degree, mask) at index mask, for every mask: on the
+    standard group Q_degree a support mask is its superclass label's mask."""
+    return tuple(SubsetLabel(degree, mask) for mask in range(1 << max(degree - 1, 0)))
+
+
+def _standard_nums(phi: ClassFunction, degree: int) -> dict[int, int]:
+    """phi's numerators per support mask, once phi is known to live on Q_degree."""
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    if phi.spec.index_set != tuple(range(1, degree)):
+        raise ValueError("dense lift expects a standard group")
+    return groupscf._superclass_nums(phi)
 
 
 @lru_cache(maxsize=4096)
@@ -110,18 +131,23 @@ def _ch_row(
 
 
 def ch(x: ScfElem) -> QSymElem:
-    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}.
-    Each label's image in M is a cached integer row; the rows are summed as
-    integer numerators over one common denominator."""
+    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
+    terms = x.terms.items()
+    return _ch_sum(x.nu, ((n, t, lbl.mask, c.numerator, c.denominator) for (n, t, lbl), c in terms))
+
+
+def _ch_sum(nu: int, terms) -> QSymElem:
+    """Sum of num/den times ch(label) over (degree, tag, mask, num, den) terms:
+    each label's cached integer row, summed over one common denominator."""
     den, acc = 1, {}  # acc[comp] / den is the coefficient of M_comp
-    for (degree, tag, label), coeff in x.terms.items():
-        d, row = _ch_row(x.nu, degree, tag, label.mask)
-        e = d * coeff.denominator
+    for degree, tag, mask, num, d0 in terms:
+        d, row = _ch_row(nu, degree, tag, mask)
+        e = d * d0
         if den % e:
             grow = e // gcd(den, e)
             acc = {comp: v * grow for comp, v in acc.items()}
             den *= grow
-        a = coeff.numerator * (den // e)
+        a = num * (den // e)
         for comp, c in row:
             acc[comp] = acc.get(comp, 0) + a * c
     return QSymElem("M")._with_terms({comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
@@ -134,7 +160,9 @@ def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:
 
 
 def _ch_of_dense(phi: ClassFunction, degree: int) -> QSymElem:
-    return ch(ScfElem.from_dense(phi, degree))
+    """ch(ScfElem.from_dense(phi, degree)), with no ScfElem and no Fraction."""
+    nums = _standard_nums(phi, degree).items()
+    return _ch_sum(phi.spec.nu, ((degree, KAPPA, s, v, phi.den) for s, v in nums if v))
 
 
 def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:

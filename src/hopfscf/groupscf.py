@@ -508,25 +508,32 @@ def support_labels(spec: GroupSpec) -> tuple[frozenset, ...]:
     )
 
 
-def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
-    """Coefficients of phi in the superclass-identifier basis.
+def _superclass_nums(phi: ClassFunction) -> dict[int, int]:
+    """phi's numerator over phi.den on each support mask, keyed in the order
+    in which the supports first appear.
 
     Raises if phi is not constant on superclasses, i.e. lies outside the
     supercharacter function space.
     """
     spec = phi.spec
     masks = support_masks(spec.nu, spec.rank)
-    labels = support_labels(spec)
-    # keys keep the order in which the supports first appear
-    coeffs = dict(zip(masks, phi.nums))
-    if tuple(map(coeffs.__getitem__, masks)) != phi.nums:
+    nums = dict(zip(masks, phi.nums))
+    if tuple(map(nums.__getitem__, masks)) != phi.nums:
         first: dict[int, int] = {}
         for s, v in zip(masks, phi.nums):
             if first.setdefault(s, v) != v:
                 raise ValueError(
-                    f"not a superclass function: differs on cl_{sorted(labels[s])}"
+                    f"not a superclass function: differs on cl_{sorted(support_labels(spec)[s])}"
                 )
-    return {labels[s]: Fraction(v, phi.den) for s, v in coeffs.items()}
+    return nums
+
+
+def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
+    """Coefficients of phi in the superclass-identifier basis, keyed by label
+    in the order of `_superclass_nums`, which raises outside the
+    supercharacter function space."""
+    labels = support_labels(phi.spec)
+    return {labels[s]: Fraction(v, phi.den) for s, v in _superclass_nums(phi).items()}
 
 
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
@@ -546,7 +553,7 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
         return [(unit(nu), phi)]
     if k == n:
         return [(phi, unit(nu))]
-    expand_kappa(phi)  # raises outside the supercharacter function space
+    _superclass_nums(phi)  # raises outside the supercharacter function space
     left_spec = GroupSpec.standard(nu, k)
     right_spec = GroupSpec.standard(nu, n - k)
     keep = restrict(phi, set(range(1, n)) - {k})
@@ -641,7 +648,7 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     def constancy(item):
         I, f = item
         try:
-            expand_kappa(f)
+            _superclass_nums(f)
         except ValueError as exc:
             return f"chi^{sorted(I)}: {exc}"
 

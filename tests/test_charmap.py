@@ -1,11 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import hopfscf.qsym as qsym
-from hopfscf.charmap import ScfElem, ch, verify_diagrams
+from hopfscf.charmap import ScfElem, _ch_of_dense, ch, verify_diagrams
 from hopfscf.compositions import Composition, SubsetLabel
-from hopfscf.groupscf import GroupSpec, dot_chi, kappa
+from hopfscf.groupscf import (
+    ClassFunction,
+    GroupSpec,
+    _superclass_nums,
+    dot_chi,
+    expand_kappa,
+    kappa,
+    support_labels,
+    support_masks,
+)
 from hopfscf.qsym import L, QSymElem
 
 
@@ -29,24 +39,75 @@ class TestScfElem:
                 lifted = ScfElem.from_dense(phi, degree)
                 assert lifted.to_dense(degree) == phi
 
-    def test_from_dense_refuses_a_nonstandard_spec_or_degree(self):
+    @pytest.mark.parametrize(
+        "lift", [ScfElem.from_dense, _ch_of_dense], ids=["from_dense", "ch_of_dense"]
+    )
+    def test_from_dense_refuses_a_nonstandard_spec_or_degree(self, lift):
         phi = kappa(GroupSpec.standard(2, 3), {1})
         for degree in (2, 4):
             with pytest.raises(ValueError, match="expects a standard group"):
-                ScfElem.from_dense(phi, degree)
+                lift(phi, degree)
         gapped = kappa(GroupSpec(2, (1, 3)), {1})
         for degree in (3, 4):
             with pytest.raises(ValueError, match="expects a standard group"):
-                ScfElem.from_dense(gapped, degree)
+                lift(gapped, degree)
+        # tuple(range(1, -1)) == (), the trivial group's index set
         trivial = kappa(GroupSpec.standard(2, 0), set())
         with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
-            ScfElem.from_dense(trivial, -1)
+            lift(trivial, -1)
 
     def test_dense_round_trip_chi(self):
         nu, degree = 3, 4
         phi = dot_chi(GroupSpec.standard(nu, degree), {2})
         elem = ScfElem.chi_dot(nu, degree, {2})
         assert elem.to_dense(degree) == phi
+
+
+def random_superclass_function(rng: random.Random, nu: int, n: int) -> ClassFunction:
+    """A dense function on Q_n(nu), constant on superclasses, with some zero
+    supports and a random denominator."""
+    spec = GroupSpec.standard(nu, n)
+    by_mask = [rng.choice((0, rng.randint(-6, 6))) for _ in range(1 << spec.rank)]
+    values = map(by_mask.__getitem__, support_masks(nu, spec.rank))
+    return ClassFunction(spec, values, rng.randint(1, 12))
+
+
+class TestDenseToSymbolic:
+    @pytest.mark.parametrize("nu", [2, 3, 5])
+    def test_fused_route_matches_from_dense_then_ch(self, nu):
+        rng = random.Random(nu)
+        cases = 0
+        for n in range(7):
+            for _ in range(6):
+                phi = random_superclass_function(rng, nu, n)
+                fused, lifted = _ch_of_dense(phi, n), ch(ScfElem.from_dense(phi, n))
+                assert fused == lifted and str(fused) == str(lifted)
+                cases += not fused.is_zero()
+        assert cases > 0
+
+    @pytest.mark.parametrize("nu", [2, 3, 5])
+    def test_expand_kappa_is_the_fraction_view_of_superclass_nums(self, nu):
+        rng = random.Random(10 + nu)
+        for n in range(6):
+            phi = random_superclass_function(rng, nu, n)
+            labels = support_labels(phi.spec)
+            view = [(labels[s], Fraction(v, phi.den)) for s, v in _superclass_nums(phi).items()]
+            assert list(expand_kappa(phi).items()) == view
+
+    def test_every_route_refuses_a_function_off_the_superclasses_alike(self):
+        phi = ClassFunction(GroupSpec.standard(3, 3), range(9), 1)
+        routes = (
+            _superclass_nums,
+            expand_kappa,
+            lambda f: ScfElem.from_dense(f, 3),
+            lambda f: _ch_of_dense(f, 3),
+        )
+        messages = set()
+        for route in routes:
+            with pytest.raises(ValueError, match="not a superclass function") as exc:
+                route(phi)
+            messages.add(str(exc.value))
+        assert messages == {"not a superclass function: differs on cl_[2]"}
 
 
 class TestCh:

@@ -1,5 +1,7 @@
-"""The cached-row ch of hopfscf.charmap against the per-term hub route."""
+"""The cached-row ch and the per-mask to_dense of hopfscf.charmap against
+their per-term routes."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import charmap_oracle as oracle
 from hopfscf import qsym
-from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, _ch_row, ch
+from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, _ch_row, _labels, ch
 from hopfscf.compositions import Composition, SubsetLabel
 
 NUS = (2, 3, 5)
@@ -95,7 +97,33 @@ def test_cancellation_inside_one_sum():
     assert cases == len(NUS) * 32
 
 
+def random_scf_elem(rng: random.Random, nu: int) -> ScfElem:
+    """Up to 8 terms at degrees 0-6, both tags, int and Fraction coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        n = rng.randint(0, 6)
+        label = SubsetLabel(n, rng.randint(0, qsym._full_mask(n)))
+        coeff = rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+        terms[(n, rng.choice((KAPPA, CHI_DOT)), label)] = coeff
+    return ScfElem(nu, terms)
+
+
+def test_to_dense_matches_oracle():
+    rng = random.Random(1717)
+    cases = mixed = 0
+    for nu in NUS:
+        for _ in range(12):
+            x = random_scf_elem(rng, nu)
+            degrees = {d for d, _, _ in x.terms}
+            mixed += len(degrees) > 1  # the other degrees' terms are ignored
+            for degree in range(7):
+                assert x.to_dense(degree) == oracle.to_dense(x, degree)
+                cases += degree in degrees
+    assert cases > 0 and mixed > 0
+
+
 def test_caches_are_bounded():
     assert isinstance(_ch_row.cache_info().maxsize, int)
+    assert isinstance(_labels.cache_info().maxsize, int)
     assert isinstance(qsym._l_product_masks.cache_info().maxsize, int)
     assert isinstance(qsym._m_product.cache_info().maxsize, int)

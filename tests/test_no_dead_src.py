@@ -25,6 +25,7 @@ ALLOWED = {
     "groupscf.product_mA": PAPER + " (the summand m_A of the product m)",
     "groupscf.hall_inner": PAPER + " (the Hall inner product)",
     "groupscf.relabel": PAPER + " (transport along the order-preserving bijection)",
+    "groupscf.expand_kappa": PAPER + " (a superclass function's coordinates in the kappa basis)",
     "symring.generating_set_rank": ACCEPTANCE,
     "nsym.coproduct_bhat": ACCEPTANCE,
     "verify.pi_L_matrices_inverse": ACCEPTANCE,
