@@ -12,7 +12,10 @@ m_A) are each a sum of per-coordinate terms, so `_coordinate_sum` builds them
 by outer sums over the coordinates, without visiting elements one by one.
 Each is built on first use per group shape and kept as an `array` in a
 bounded LRU cache; `cache_info()` on each table function reports its hits and
-misses.
+misses.  The product m reads one summed composite gather per shape,
+`product_plan`: the m_A tables added over A, each (phi index, psi index) pair
+of an element kept once with its weights summed, and pairs that cancel
+dropped.
 """
 
 from __future__ import annotations
@@ -298,7 +301,8 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
     on c2) take a nonidentity value there.  m_A(phi, psi)(g) is
     phi(a) psi(b) (-1/(nu-1))^e.  The two pads carry no such factor: they sit
     on the top slots of A and of its complement, one of which is k and the
-    other a run maximum, so both are restricted away.
+    other a run maximum, so both are restricted away.  `product_plan` sums
+    these tables over A into the one gather that product_m reads.
     """
     k = m + n
     ac = tuple(i for i in range(1, k + 1) if i not in A)
@@ -481,18 +485,39 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
 
 
+@lru_cache(maxsize=256)
+def product_plan(nu: int, m: int, n: int) -> tuple[array, array, tuple[int, ...], array]:
+    """The composite gather of m = sum_A m_A on Q_{m+n}(nu), summed over A.
+
+    Per element g, each distinct (phi index, psi index) pair that some
+    product_map(nu, m, n, A) sends g to, with its `_off_weights` numerators
+    summed over those A; a pair whose sum is zero is dropped.  Returned flat:
+    phi indices, psi indices, the weights (exact ints), and per element how
+    many of the pairs are its own, elements in enumeration order.
+    """
+    weights, _ = _off_weights(nu, m + n)
+    rows = [{} for _ in range(nu ** (m + n - 1))]
+    for A in itertools.combinations(range(1, m + n + 1), n):
+        for row, a, b, e in zip(rows, *product_map(nu, m, n, A)):
+            row[a, b] = row.get((a, b), 0) + weights[e]
+    kept = [[(a, b, w) for (a, b), w in row.items() if w] for row in rows]
+    ia, ib, summed = zip(*itertools.chain.from_iterable(kept))
+    return array("I", ia), array("I", ib), summed, array("I", map(len, kept))
+
+
 def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
-    """Sum of m_A over all size-n subsets A of [m+n]."""
+    """Sum of m_A over all size-n subsets A of [m+n], in one pass through
+    `product_plan`."""
     _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
         return _scalar_product(phi, psi, m)
     nu = phi.spec.nu
-    weights, den = _off_weights(nu, m + n)
-    total = None
-    for A in itertools.combinations(range(1, m + n + 1), n):
-        term = _mA_nums(phi, psi, A, m, n, weights)
-        total = list(term) if total is None else list(map(add, total, term))
-    return ClassFunction(GroupSpec.standard(nu, m + n), total, phi.den * psi.den * den)
+    ia, ib, weights, counts = product_plan(nu, m, n)
+    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
+    terms = map(mul, pairs, weights)
+    nums = [sum(itertools.islice(terms, c)) for c in counts]
+    _, den = _off_weights(nu, m + n)
+    return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
 
 
 # ---------------------------------------------------------------------------

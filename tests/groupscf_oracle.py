@@ -9,16 +9,20 @@ gather tables, which are coordinate sums: the element walks that built them
 before are kept here under their names.  So must the coproduct slices, which
 groupscf reads off a restriction: the label split that built them before,
 which expands phi in kappa and splits each support at k, is kept here as
-`coproduct_k`.  The factor-vector notation (a pure tensor of per-index
-functions on C_nu), which only tests use, lives here too.
+`coproduct_k`.  So must the summed product, which groupscf computes through
+one plan per shape: the literal sum of groupscf.product_mA over every A is
+kept here as `product_m`.  The factor-vector notation (a pure tensor of
+per-index functions on C_nu), which only tests use, lives here too.
 """
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+from hopfscf import groupscf
 from hopfscf.compositions import run_markers
 from hopfscf.groupscf import (
     ClassFunction,
@@ -159,6 +163,19 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     marker_spec = GroupSpec(nu, c.members)
     marker = factor_vector(marker_spec, c1.members, f_one(nu), f_dot_off(nu)).expand()
     return tensor_embed(marker, restricted)
+
+
+def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
+    """Sum of groupscf.product_mA over all size-n subsets A of [m+n], one
+    summand at a time."""
+    terms = [
+        groupscf.product_mA(phi, psi, A, m, n)
+        for A in itertools.combinations(range(1, m + n + 1), n)
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:

@@ -309,6 +309,7 @@ class TestProduct:
             "restriction_map",
             "embedding_map",
             "product_map",
+            "product_plan",
             "element_supports",
         )
         tables = {name: getattr(groupscf, name) for name in names}
@@ -320,8 +321,9 @@ class TestProduct:
         before = {name: table.cache_info() for name, table in tables.items()}
         assert product_m(phi, psi, 3, 2) == first
         after = {name: table.cache_info() for name, table in tables.items()}
-        # one hit per size-2 subset A of [5]
-        assert after["product_map"].hits - before["product_map"].hits == 10
+        # the repeated call reads its summed plan once and no per-A table
+        assert after["product_plan"].hits - before["product_plan"].hits == 1
+        assert after["product_map"].hits == before["product_map"].hits
         assert {n: i.misses for n, i in after.items()} == {n: i.misses for n, i in before.items()}
 
     def test_arity_violations_rejected(self):

@@ -1,7 +1,9 @@
 """The integer gather kernels of groupscf against the per-element Fraction oracle."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 # table compared exhaustively; they cover the product shapes the dense
 # benchmark requests at nu = 2, 3 and 5
 TABLE_TOP = {2: (7, 9), 3: (5, 6), 4: (4, 4), 5: (4, 4)}
+# per nu, the largest m + n at which product_m meets the sum of its m_A
+# summands on every kappa and chi_dot basis pair
+SUMMED_TOP = {2: 6, 3: 5, 5: 3}
 # every (nu, degree) at which the coproduct slices meet the label-split oracle
 COPRODUCT_SHAPES = [(nu, n) for nu, top in ((2, 6), (3, 6), (5, 4)) for n in range(top + 1)]
 
@@ -210,3 +215,64 @@ def test_coproduct_slices_match_the_label_split_on_random_sums(data):
     for f in chosen:
         phi = phi + f.scale(data.draw(rationals))
     assert_slices_match_oracle(phi, n)
+
+
+def product_shapes(top: int) -> list[tuple[int, int]]:
+    """Every (m, n) with m + n <= top, the degree-0 sides included."""
+    return [(m, k - m) for k in range(top + 1) for m in range(k + 1)]
+
+
+def test_product_m_equals_its_summands_on_every_basis_pair():
+    cases = 0
+    for nu, top in SUMMED_TOP.items():
+        for m, n in product_shapes(top):
+            for phi in basis_functions(nu, m):
+                for psi in basis_functions(nu, n):
+                    assert product_m(phi, psi, m, n) == oracle.product_m(phi, psi, m, n), (
+                        phi, psi, m, n
+                    )
+                    cases += 1
+    assert cases > 0
+
+
+def test_product_m_equals_its_summands_on_seeded_functions():
+    """Functions off the supercharacter function space, over denominators > 1."""
+    rng = random.Random(1801)
+    cases = outside_scf = 0
+    for nu, top in SUMMED_TOP.items():
+        for m, n in product_shapes(top):
+            for _ in range(3):
+                phi, psi = (
+                    ClassFunction(
+                        GroupSpec.standard(nu, d),
+                        [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(2, 7))
+                         for _ in range(nu ** max(d - 1, 0))],
+                    ).scale(Fraction(1, 11))
+                    for d in (m, n)
+                )
+                assert phi.den > 1 and psi.den > 1
+                assert product_m(phi, psi, m, n) == oracle.product_m(phi, psi, m, n), (
+                    phi, psi, m, n
+                )
+                cases += 1
+                try:
+                    groupscf._superclass_nums(phi)
+                except ValueError:
+                    outside_scf += 1
+    assert cases > 0 and outside_scf > 0
+
+
+def test_product_plan_keeps_only_nonzero_summed_weights():
+    cases = 0
+    for nu, (_, top_degree) in TABLE_TOP.items():
+        for k in range(2, top_degree + 1):
+            for n in range(1, k):
+                ia, ib, weights, counts = groupscf.product_plan(nu, k - n, n)
+                assert 0 not in weights
+                assert len(counts) == nu ** (k - 1)
+                assert sum(counts) == len(ia) == len(ib) == len(weights)
+                if nu == 2:  # weights are +-1 and cancel across A
+                    assert len(weights) < comb(k, n) * nu ** (k - 1)
+                cases += 1
+    assert cases > 0
+    assert len(groupscf.product_plan(2, 4, 4)[2]) == 934  # of 70 * 2^7 = 8,960 gathered
