@@ -122,12 +122,14 @@ def _ch_row(
     else:
         basis, scale = "Pi", (nu - 1) ** mask.bit_count()
     # every QSym factor entry is a rational constant
-    entries = [
-        (comp_of_set(SubsetLabel(n, imask)), scale * c)
-        for imask, c in qsym._expand(qsym._m_factor, basis, nu, "M", None, n, mask).items()
-    ]
-    d = lcm(*(c.denominator for _, c in entries))
-    return d, tuple((comp, c.numerator * (d // c.denominator)) for comp, c in entries)
+    expansion = qsym._expand(qsym._m_factor, basis, nu, "M", None, n, mask)
+    groups = [(scale * c, imasks) for c, imasks in expansion]
+    d = lcm(*(c.denominator for c, _ in groups))
+    return d, tuple(
+        (comp_of_set(SubsetLabel(n, imask)), c.numerator * (d // c.denominator))
+        for c, imasks in groups
+        for imask in imasks
+    )
 
 
 def ch(x: ScfElem) -> QSymElem:

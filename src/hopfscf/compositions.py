@@ -126,18 +126,22 @@ class SubsetLabel:
 
 
 def comp_of_set(label: SubsetLabel) -> Composition:
-    """The composition of n = ambient with partial sums at the members."""
-    n = label.ambient
+    """The composition of n = ambient with partial sums at the members.  The
+    gaps of a valid label are positive, so they go into the Composition
+    unchecked."""
+    n, mask = label.ambient, label.mask
     if n == 0:
         return EMPTY_COMPOSITION
-    points = label.members
     parts = []
     prev = 0
-    for s in points:
-        parts.append(s - prev)
-        prev = s
+    while mask:
+        low = mask & -mask
+        point = low.bit_length()
+        parts.append(point - prev)
+        prev = point
+        mask ^= low
     parts.append(n - prev)
-    return Composition(parts)
+    return tuple.__new__(Composition, parts)
 
 
 def set_of_comp(alpha: Composition | Iterable[int]) -> SubsetLabel:

@@ -498,7 +498,8 @@ def product_plan(nu: int, m: int, n: int) -> tuple[array, array, tuple[int, ...]
     weights, _ = _off_weights(nu, m + n)
     rows = [{} for _ in range(nu ** (m + n - 1))]
     for A in itertools.combinations(range(1, m + n + 1), n):
-        for row, a, b, e in zip(rows, *product_map(nu, m, n, A)):
+        # built past the cache, which holds only the tables product_mA reads
+        for row, a, b, e in zip(rows, *product_map.__wrapped__(nu, m, n, A)):
             row[a, b] = row.get((a, b), 0) + weights[e]
     kept = [[(a, b, w) for (a, b), w in row.items() if w] for row in rows]
     ia, ib, summed = zip(*itertools.chain.from_iterable(kept))
@@ -647,13 +648,15 @@ def check(name: str, cases, fault) -> tuple[str, bool, str]:
 
     `fault(case)` returns None while the case holds and the witness string
     otherwise.  The sweep stops at the first witness, and an empty witness
-    still fails the check.
+    still fails the check.  A sweep that examined no case fails too.
     """
+    examined = False
     for case in cases:
+        examined = True
         witness = fault(case)
         if witness is not None:
             return name, False, witness
-    return name, True, ""
+    return (name, True, "") if examined else (name, False, "no cases examined")
 
 
 def verify_axioms(spec: GroupSpec) -> CheckReport:
@@ -704,6 +707,9 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     identity_only = tuple(1 if i == 0 else 0 for i in range(spec.order))
     distinct = len(subsets)
     total = sum(kappa_list[1:], empty)
+    # orthogonality needs two superclasses, and rank 0 has one
+    pairs = itertools.combinations(enumerate(subsets), 2)
+    orthogonal = [check("Hall orthogonality", pairs, orthogonality)] if distinct >= 2 else []
     return CheckReport([
         # C1: the identity is its own superclass
         claim(
@@ -722,7 +728,7 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
         check("C3 superclass constancy", zip(subsets, chi_list), constancy),
         # the superclasses partition the group
         claim("superclass partition", total == one(spec), "sum of kappas != 1"),
-        check("Hall orthogonality", itertools.combinations(enumerate(subsets), 2), orthogonality),
+        *orthogonal,
         check("Hall norms", enumerate(subsets), norms),
         # the lattice oracle agrees with the support description of superclasses
         check("lattice superclasses", zip(subsets, kappa_list), lattice),

@@ -144,10 +144,14 @@ class LinComb:
     # JSON, for the classes that name a `basis` and have sequences as labels
 
     def to_json_dict(self) -> dict:
-        out = {
-            "basis": self.basis,
-            "terms": [{"comp": list(k), "coeff": str(self.terms[k])} for k in sorted(self.terms)],
-        }
+        printed: dict = {}  # by id: a conversion shares one coefficient among many labels
+        terms = []
+        for k, v in sorted(self.terms.items()):
+            text = printed.get(id(v))
+            if text is None:
+                text = printed[id(v)] = str(v)
+            terms.append({"comp": list(k), "coeff": text})
+        out = {"basis": self.basis, "terms": terms}
         out.update((name, v) for name, v in zip(self._TAG, self._tag()) if v is not None)
         return out
 

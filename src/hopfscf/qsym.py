@@ -11,8 +11,13 @@ validated downstream by the duality and Hopf-axiom tests rather than trusted
 from any display.  Every transition between two bases, here and in NSym,
 factors over the n-1 coordinates of a subset mask: each basis has one 2x2
 factor into its hub, and `convert` expands a label by the composed factor
-src @ tgt^-1, one coordinate at a time.  The hub routes through M and H are
-the test oracle (tests/convert_oracle.py).
+src @ tgt^-1, a Kronecker product of one copy per coordinate.  So the entry
+of a target label depends only on its signature, how many of its bits lie on
+the source's 0 coordinates and how many on its 1 coordinates: the kernel
+groups the target masks by signature, builds each distinct entry once from
+powers of the factor's entries, and `convert` scales it by the source
+coefficient once for the whole group.  The hub routes through M and H, and
+the per-coordinate products, are the test oracle (tests/convert_oracle.py).
 """
 
 from __future__ import annotations
@@ -70,16 +75,61 @@ def _transition(hub_factor, src: str, src_nu, tgt: str, tgt_nu) -> tuple:
     )
 
 
-def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -> dict:
-    """The label `mask` of degree n in basis src, expanded in tgt as
-    {target mask: entry}.  Each of the n-1 coordinates multiplies in its row of
-    the composed factor and adds a fresh bit, so no two products share a mask."""
-    factor = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
-    out = {0: 1}
-    for i in range(n - 1):
-        row = factor[mask >> i & 1]
-        out = {m | k << i: c * e for m, c in out.items() for k, e in row}
+def _times(a, b):
+    """a * b, where the int 1 of an empty product costs no multiplication."""
+    if type(a) is int and a == 1:
+        return b
+    if type(b) is int and b == 1:
+        return a
+    return a * b
+
+
+def _powers(e, count: int) -> list:
+    """[e^0, e^1, ..., e^count], e^0 the int 1."""
+    out = [1]
+    for _ in range(count):
+        out.append(_times(out[-1], e))
     return out
+
+
+def _side(row: tuple, coords: int) -> list:
+    """The coordinates in `coords`, which share one source bit and so one row
+    of the composed factor, as (entry, target submasks) pairs.  A submask's
+    entry is the product of the row's entries over coords, so it depends only
+    on how many target bits the submask sets: one pair per count."""
+    count = coords.bit_count()
+    if count == 0:
+        return [(1, (0,))]
+    if count == 1 or len(row) == 1:  # one submask per pair of the row
+        return [(_powers(e, count)[-1], (coords if bit else 0,)) for bit, e in row]
+    (_, e0), (_, e1) = row
+    by_count = [[] for _ in range(count + 1)]
+    for sub in iter_submasks(coords):
+        by_count[sub.bit_count()].append(sub)
+    p0, p1 = _powers(e0, count), _powers(e1, count)
+    return [(_times(p0[count - j], p1[j]), subs) for j, subs in enumerate(by_count)]
+
+
+def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -> list:
+    """The label `mask` of degree n in basis src, expanded in tgt as
+    (entry, target masks) pairs, one per distinct signature.
+
+    A target mask's entry is the product over the n-1 coordinates of the
+    composed factor's entry at (source bit, target bit), so it depends only on
+    the signature: how many target bits are set on the source's 0 coordinates
+    and how many on its 1 coordinates.  The masks are grouped by signature
+    before any coefficient is touched, and each group's entry is built once
+    from powers of the factor's four entries: at most (n+1)^2/4 entries
+    instead of 2^(n-1) products of n-1 factors.  The groups partition the
+    target masks, so no mask appears twice."""
+    if n <= 1:  # no coordinates: the empty product
+        return [(1, (0,))]
+    zeros, ones = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
+    return [
+        (_times(e0, e1), [a | b for a in subs0 for b in subs1])
+        for e0, subs0 in _side(zeros, _full_mask(n) & ~mask)
+        for e1, subs1 in _side(ones, mask)
+    ]
 
 
 def _m_factor(basis: str, nu: int | None) -> tuple:
@@ -97,14 +147,18 @@ def _m_factor(basis: str, nu: int | None) -> tuple:
 
 def _convert_into(out, x):
     """x expanded by the conversion kernel into the basis of out, an empty
-    element of x's algebra with a validated tag."""
+    element of x's algebra with a validated tag.  Each distinct entry of a
+    label is scaled by its coefficient once and shared by its target masks."""
 
-    def row(comp):  # keyed by (degree, mask), so each output label is built once
-        n = comp.size
-        entries = _expand(x._factor, x.basis, x.nu, out.basis, out.nu, n, set_of_comp(comp).mask)
-        return (((n, m), c) for m, c in entries.items())
+    def groups():
+        for comp, v in x.terms.items():
+            n = comp.size
+            mask = set_of_comp(comp).mask
+            for e, masks in _expand(x._factor, x.basis, x.nu, out.basis, out.nu, n, mask):
+                yield (n, masks), _times(v, e)
 
-    acc = extend(x.terms.items(), row)
+    # keyed by (degree, mask), so each output label is built once
+    acc = extend(groups(), lambda group: (((group[0], m), 1) for m in group[1]))
     return out._with_terms({comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()})
 
 
@@ -112,8 +166,8 @@ def _expand_comp(factor, src: str, tgt: str, comp: Composition) -> dict:
     """One parameter-free label expanded by the conversion kernel, keyed by
     composition."""
     n = comp.size
-    row = _expand(factor, src, None, tgt, None, n, set_of_comp(comp).mask)
-    return {comp_of_set(SubsetLabel(n, m)): e for m, e in row.items()}
+    groups = _expand(factor, src, None, tgt, None, n, set_of_comp(comp).mask)
+    return {comp_of_set(SubsetLabel(n, m)): e for e, masks in groups for m in masks}
 
 
 class QSymElem(LinComb):

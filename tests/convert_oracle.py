@@ -4,7 +4,9 @@ This is the basis conversion hopfscf had before its one Kronecker-factor
 kernel, kept whole as the slow oracle: every label is expanded in the hub (M
 for QSym, H for NSym) by its own hand-written display, and every hub term is
 expanded again in the target basis.  The kernel must agree with it exactly.
-The dual basis of B(q,t) in M and the triangular shape of B -> H, which only
+`expand_per_coordinate` is the kernel as it was before it grouped the target
+masks by signature: one product of n-1 factor entries per target mask.  The
+dual basis of B(q,t) in M and the triangular shape of B -> H, which only
 tests check, live here too.
 """
 
@@ -18,9 +20,26 @@ from hopfscf.qsym import (
     QSymElem,
     M_from_pi_entry,
     _full_mask,
+    _transition,
     pi_from_M_entry,
 )
 from hopfscf.scalars import ONE, Q, T, ScalarQT, rational
+
+# ---------------------------------------------------------------------------
+# The conversion kernel, one coordinate at a time
+
+
+def expand_per_coordinate(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -> dict:
+    """The label `mask` of degree n in basis src, expanded in tgt as
+    {target mask: entry}.  Each of the n-1 coordinates multiplies in its row of
+    the composed factor and adds a fresh bit, so no two products share a mask."""
+    factor = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
+    out = {0: 1}
+    for i in range(n - 1):
+        row = factor[mask >> i & 1]
+        out = {m | k << i: c * e for m, c in out.items() for k, e in row}
+    return out
+
 
 # ---------------------------------------------------------------------------
 # QSym, through M

@@ -93,6 +93,18 @@ class TestCompSetBijection:
         assert comp_of_set(SubsetLabel.of(0)) == Composition()
         assert set_of_comp(()) == SubsetLabel.of(0)
 
+    def test_is_the_validated_composition_of_every_label(self):
+        cases = 0
+        for n in range(11):
+            for mask in range(1 << max(n - 1, 0)):
+                label = SubsetLabel(n, mask)
+                points = (0, *label.members, n) if n else (0,)
+                expected = Composition(b - a for a, b in itertools.pairwise(points))
+                alpha = comp_of_set(label)
+                assert type(alpha) is Composition and alpha == expected
+                cases += 1
+        assert cases == 1 + (1 << 10) - 1
+
     def test_round_trip_all_degrees(self):
         for n in range(0, 8):
             for alpha in compositions_of(n):

@@ -4,9 +4,13 @@ qsym.convert and nsym.convert expand each label by one composed 2x2 factor
 per coordinate; convert_oracle keeps the hub routes through M and H that they
 replaced.  Both must give the same terms, by value and by the printed string
 of every coefficient, on every ordered pair of bases: in QSym with Pi(nu) for
-nu = 2, 3 and 5, in NSym over Q(q,t).
+nu = 2, 3 and 5, in NSym over Q(q,t).  The kernel's signature groups are
+checked against the per-coordinate products they replaced, and the CLI's
+`expand --json` against the hub routes' elements printed term by term.
 """
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convert_oracle as oracle
-from hopfscf import nsym, qsym
+from hopfscf import cli, nsym, qsym
 from hopfscf.compositions import SubsetLabel, comp_of_set, compositions_of, set_of_comp
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
@@ -60,6 +64,75 @@ def test_qsym_pair_on_every_label(src, tgt):
 def test_nsym_pair_on_every_label(src, tgt):
     for comp in LABELS:
         assert_same(*nsym_pair(src, tgt, {comp: ONE}))
+
+
+# -- the grouped kernel against the per-coordinate one --------------------------
+
+KERNEL_DEGREE = 8
+HUB_FACTORS = {"qsym": qsym._m_factor, "nsym": nsym._h_factor}
+KERNEL_PAIRS = [("qsym", s, t) for s, t in QSYM_PAIRS]
+KERNEL_PAIRS += [("nsym", (s, None), (t, None)) for s, t in NSYM_PAIRS]
+
+
+@pytest.mark.parametrize("algebra,src,tgt", KERNEL_PAIRS, ids=str)
+def test_grouped_kernel_matches_the_per_coordinate_products(algebra, src, tgt):
+    """Every label of degree <= 8: the groups partition the target masks of
+    the per-coordinate expansion, and each group's one entry equals every
+    product it stands for, by value and by its printed string."""
+    hub_factor = HUB_FACTORS[algebra]
+    cases = 0
+    for n in range(KERNEL_DEGREE + 1):
+        for mask in range(qsym._full_mask(n) + 1):
+            groups = qsym._expand(hub_factor, *src, *tgt, n, mask)
+            slow = oracle.expand_per_coordinate(hub_factor, *src, *tgt, n, mask)
+            masks = [m for _, ms in groups for m in ms]
+            assert len(masks) == len(set(masks)) and set(masks) == set(slow)
+            for entry, ms in groups:
+                for m in ms:
+                    assert entry == slow[m] and str(entry) == str(slow[m]), (n, mask, m)
+                    cases += 1
+    assert cases > 0
+
+
+# -- CLI output past the repr guard's degree 4 ---------------------------------
+
+CLI_PAIRS = [("qsym", s, t) for s in qsym.BASES for t in qsym.BASES if s != t]
+CLI_PAIRS += [("nsym", s, t) for s in nsym.BASES for t in nsym.BASES if s != t]
+
+
+def cli_cases(seed: int = 0):
+    """Two seeded labels per degree 5, 6 and 7 for each of the 42 basis pairs,
+    and for each nu of a pair that names Pi."""
+    rng = random.Random(seed)
+    for algebra, src, tgt in CLI_PAIRS:
+        for nu in NUS if "Pi" in (src, tgt) else (None,):
+            for n in (5, 6, 7, 5, 6, 7):
+                yield algebra, src, tgt, nu, comp_of_set(SubsetLabel(n, rng.getrandbits(n - 1)))
+
+
+def printed(elem) -> str:
+    """The expected `expand --json` line, every coefficient printed on its own."""
+    terms = [{"comp": list(k), "coeff": str(elem.terms[k])} for k in sorted(elem.terms)]
+    payload = {"basis": elem.basis, "terms": terms}
+    if getattr(elem, "nu", None) is not None:
+        payload["nu"] = elem.nu
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_cli_expand_json_is_the_hub_routes_output(capsys):
+    cases = 0
+    for algebra, src, tgt, nu, comp in cli_cases():
+        argv = ["expand", "--elem", f"{src}:({','.join(map(str, comp))})", "--to", tgt, "--json"]
+        if algebra == "qsym":
+            argv += [] if nu is None else ["--nu", str(nu)]
+            x = QSymElem(src, {comp: ONE}, nu=nu if src == "Pi" else None)
+            slow = oracle.qsym_convert(x, tgt, nu=nu if tgt == "Pi" else None)
+        else:
+            slow = oracle.nsym_convert(NSymElem(src, {comp: ONE}), tgt)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == printed(slow), argv
+        cases += 1
+    assert cases == 6 * (6 * 3 + 6 + 30)
 
 
 # -- random mixed-degree, multi-term inputs -----------------------------------

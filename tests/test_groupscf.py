@@ -326,6 +326,14 @@ class TestProduct:
         assert after["product_map"].hits == before["product_map"].hits
         assert {n: i.misses for n, i in after.items()} == {n: i.misses for n, i in before.items()}
 
+    def test_a_plan_build_adds_no_per_A_table_to_the_cache(self):
+        from hopfscf import groupscf
+
+        groupscf.product_map.cache_clear()
+        ia, ib, weights, counts = groupscf.product_plan.__wrapped__(2, 3, 2)
+        assert len(counts) == 2**4 and sum(counts) == len(ia) == len(ib) == len(weights)
+        assert groupscf.product_map.cache_info().currsize == 0
+
     def test_arity_violations_rejected(self):
         phi = dot_chi(GroupSpec.standard(2, 3), {1})
         psi = dot_chi(GroupSpec.standard(2, 2), set())
@@ -598,6 +606,15 @@ class TestAxioms:
         report = verify_axioms(GroupSpec.standard(nu, n))
         assert report.passed, report.failures()
 
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_rank_0_has_no_orthogonality_check(self, nu):
+        """Q_1(nu) has one superclass, so there is no pair to be orthogonal."""
+        report = verify_axioms(GroupSpec.standard(nu, 1))
+        names = [name for name, _, _ in report.checks]
+        assert report.passed, report.failures()
+        assert "Hall orthogonality" not in names and "Hall norms" in names
+        assert "Hall orthogonality" in [c[0] for c in verify_axioms(GroupSpec.standard(nu, 2)).checks]
+
     def test_empty_report_fails(self):
         assert not CheckReport([]).passed
         assert CheckReport([("one check", True, "")]).passed
@@ -646,6 +663,10 @@ class TestCheck:
 
     def test_all_none_passes_with_empty_witness(self):
         assert check("sweep", range(5), lambda case: None) == ("sweep", True, "")
+
+    def test_no_case_fails(self):
+        assert check("x", [], lambda case: None) == ("x", False, "no cases examined")
+        assert check("x", iter(()), lambda case: "never") == ("x", False, "no cases examined")
 
     def test_empty_witness_fails(self):
         assert check("sweep", range(5), lambda case: "" if case == 2 else None) == (
