@@ -19,6 +19,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from . import groupscf, qsym
 from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
@@ -49,7 +50,7 @@ class ScfElem(LinComb):
         degree, tag, label = key
         if tag not in (KAPPA, CHI_DOT):
             raise ValueError(f"unknown basis tag {tag!r}")
-        if label.ambient != degree:
+        if label.ambient != index(degree):
             raise ValueError(f"label {label} does not match degree {degree}")
         return key
 

@@ -112,7 +112,8 @@ def cmd_expand(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        rows = [[repr(Composition(t["comp"])), t["coeff"]] for t in payload["terms"]]
+        # to_json_dict lists the terms in sorted label order
+        rows = [[repr(k), t["coeff"]] for k, t in zip(sorted(elem.terms), payload["terms"])]
         title = f"{args.elem} expanded in {target}"
         if payload.get("nu") is not None:
             title += f" (nu={payload['nu']})"

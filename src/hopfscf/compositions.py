@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import index
 
 # Largest supported degree: subsets carry at most MAX_AMBIENT - 1 split points.
 # Exceeding the bound raises AmbientBoundError; desk-scale checks sit far below it.
@@ -27,7 +28,7 @@ class Composition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         if any(p < 1 for p in parts):
             raise ValueError(f"composition parts must be positive, got {parts}")
         return super().__new__(cls, parts)

@@ -8,6 +8,8 @@ descent sets.
 
 from __future__ import annotations
 
+from operator import index
+
 from .compositions import (
     comp_of_set,
     descent_set,
@@ -22,7 +24,7 @@ Word = tuple[int, ...]
 
 
 def _check_permutation(word: Word) -> Word:
-    word = tuple(word)
+    word = tuple(map(index, word))
     if sorted(word) != list(range(1, len(word) + 1)):
         raise ValueError(f"{word} is not a permutation in one-line notation")
     return word

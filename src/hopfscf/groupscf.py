@@ -10,12 +10,14 @@ The dense kernels are gathers plus integer multiplies.  Their tables (support
 masks, inverse, restriction, tensor embedding, and the composite map of one
 m_A) are each a sum of per-coordinate terms, so `_coordinate_sum` builds them
 by outer sums over the coordinates, without visiting elements one by one.
-Each is built on first use per group shape and kept as an `array` in a
-bounded LRU cache; `cache_info()` on each table function reports its hits and
-misses.  The product m reads one summed composite gather per shape,
-`product_plan`: the m_A tables added over A, each (phi index, psi index) pair
-of an element kept once with its weights summed, and pairs that cancel
-dropped.
+The support-mask, inverse and restriction tables are built on first use per
+group shape and kept as `array`s in bounded LRU caches.  So is the one summed
+composite gather per shape that the product m reads, `product_plan`: the m_A
+tables added over A, each (phi index, psi index) pair of an element kept once
+with its weights summed, and pairs that cancel dropped.  `cache_info()` on
+each cached function reports its hits and misses.  The tensor embedding and
+m_A tables are built on each call, since only a plan build and the public
+`tensor_embed` and `product_mA` read them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .compositions import run_markers, subsets_of
 from .scalars import _exact_nu, _rational
@@ -60,7 +62,7 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         _exact_nu(self.nu)
-        if tuple(sorted(set(self.index_set))) != self.index_set or any(
+        if tuple(sorted(set(map(index, self.index_set)))) != self.index_set or any(
             i < 1 for i in self.index_set
         ):
             raise ValueError(f"index set must be sorted positive integers, got {self.index_set}")
@@ -88,20 +90,6 @@ class GroupSpec:
     def elements(self):
         """All (g_s) tuples aligned with the sorted index set."""
         return itertools.product(range(self.nu), repeat=self.rank)
-
-    def index_of(self, element: tuple[int, ...]) -> int:
-        # mixed radix matching the elements() enumeration (last index fastest)
-        idx = 0
-        for g in element:
-            idx = idx * self.nu + g
-        return idx
-
-    def element_at(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.rank):
-            idx, g = divmod(idx, self.nu)
-            out.append(g)
-        return tuple(reversed(out))
 
     def support_of(self, element: tuple[int, ...]) -> frozenset[int]:
         return frozenset(
@@ -206,10 +194,6 @@ class ClassFunction:
             self.spec, map(c.numerator.__mul__, self.nums), self.den * c.denominator
         )
 
-    def pointwise_mul(self, other: "ClassFunction") -> "ClassFunction":
-        _require_same_spec(self, other)
-        return ClassFunction(self.spec, map(mul, self.nums, other.nums), self.den * other.den)
-
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -282,7 +266,6 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
     return array("I", _coordinate_sum(rows))
 
 
-@lru_cache(maxsize=256)
 def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array, array]:
     """Per element g of the rank-`rank` group, the indices of its parts on
     `positions` and on the remaining positions."""
@@ -292,7 +275,6 @@ def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array
     )
 
 
-@lru_cache(maxsize=1024)
 def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
     """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
 
@@ -498,8 +480,7 @@ def product_plan(nu: int, m: int, n: int) -> tuple[array, array, tuple[int, ...]
     weights, _ = _off_weights(nu, m + n)
     rows = [{} for _ in range(nu ** (m + n - 1))]
     for A in itertools.combinations(range(1, m + n + 1), n):
-        # built past the cache, which holds only the tables product_mA reads
-        for row, a, b, e in zip(rows, *product_map.__wrapped__(nu, m, n, A)):
+        for row, a, b, e in zip(rows, *product_map(nu, m, n, A)):
             row[a, b] = row.get((a, b), 0) + weights[e]
     kept = [[(a, b, w) for (a, b), w in row.items() if w] for row in rows]
     ia, ib, summed = zip(*itertools.chain.from_iterable(kept))

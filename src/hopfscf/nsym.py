@@ -71,10 +71,6 @@ class NSymElem(LinComb):
     def basis_elem(cls, basis: str, parts) -> "NSymElem":
         return cls(basis, {Composition(parts): ONE})
 
-    @classmethod
-    def zero(cls, basis: str = "H") -> "NSymElem":
-        return cls(basis, {})
-
     def _hub(self) -> "NSymElem":
         return self if self.basis == "H" else convert(self, "H")
 

@@ -197,10 +197,6 @@ class QSymElem(LinComb):
         return cls(basis, {Composition(parts): ONE}, nu=nu)
 
     @classmethod
-    def zero(cls, basis: str = "M", nu: int | None = None) -> "QSymElem":
-        return cls(basis, {}, nu=nu)
-
-    @classmethod
     def unit(cls, basis: str = "M", nu: int | None = None) -> "QSymElem":
         return cls.basis_elem(basis, (), nu=nu)
 

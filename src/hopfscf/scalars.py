@@ -297,19 +297,6 @@ class ScalarQT:
             raise ZeroDivisionError(f"denominator {_terms_str(den)} vanishes at (q,t)=({q0},{t0})")
         return _eval(num, q0, t0) / d
 
-    def substitute(self, q_expr: "ScalarQT", t_expr: "ScalarQT") -> "ScalarQT":
-        """Formal composition q -> q_expr, t -> t_expr."""
-        num, den = (
-            sum((rational(c) * q_expr**a * t_expr**b for (a, b), c in p.items()), ZERO)
-            for p in self._pair()
-        )
-        if den.is_zero():
-            raise ZeroDivisionError("substitution produced a zero denominator")
-        return num / den
-
-    def is_polynomial(self) -> bool:
-        return self.as_poly() is not None
-
     def as_poly(self) -> ScalarQT | None:
         """This scalar if it is a polynomial: a Laurent form with no negative
         exponent.  A reduced quotient never is one: an exact quotient collapses."""

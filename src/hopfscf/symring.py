@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .compositions import compositions_of
 from .linear import LinComb, extend, extend2
@@ -18,7 +19,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...] | list[int] = ()) -> "Partition":
-        parts = tuple(sorted((int(p) for p in parts), reverse=True))
+        parts = tuple(sorted(map(index, parts), reverse=True))
         if any(p < 1 for p in parts):
             raise ValueError(f"partition parts must be positive, got {parts}")
         return super().__new__(cls, parts)
@@ -30,9 +31,6 @@ class Partition(tuple):
     @property
     def length(self) -> int:
         return len(self)
-
-    def multiplicity(self, i: int) -> int:
-        return sum(1 for p in self if p == i)
 
 
 def partitions_of(n: int):

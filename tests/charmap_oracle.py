@@ -25,7 +25,7 @@ from hopfscf.scalars import rational
 
 def ch(x: ScfElem) -> QSymElem:
     """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
-    total = QSymElem.zero("M")
+    total = QSymElem("M")
     for (degree, tag, label), coeff in sorted(
         x.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].members)
     ):

@@ -3,7 +3,7 @@
 These are the straightforward versions of restriction, tensor embedding, the
 m_A summand and the Hall product: they walk the mixed-radix enumeration of
 the target group, rebuild each element as a tuple, look its preimages up with
-GroupSpec.index_of and multiply Fractions one element at a time.  The integer
+`index_of` and multiply Fractions one element at a time.  The integer
 gather kernels in groupscf must agree with them exactly.  So must groupscf's
 gather tables, which are coordinate sums: the element walks that built them
 before are kept here under their names.  So must the coproduct slices, which
@@ -33,6 +33,16 @@ from hopfscf.groupscf import (
     relabel,
     unit,
 )
+
+
+def index_of(spec: GroupSpec, element: tuple[int, ...]) -> int:
+    """The index of `element` in `spec.elements()`."""
+    # mixed radix matching the elements() enumeration (last index fastest)
+    idx = 0
+    for g in element:
+        idx = idx * spec.nu + g
+    return idx
+
 
 # ---------------------------------------------------------------------------
 # Single-index factors (functions on C_nu) and the coordinate notation
@@ -121,7 +131,7 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
         g = [0] * spec.rank
         for pos, value in zip(positions, h):
             g[pos] = value
-        values.append(phi.values[spec.index_of(tuple(g))])
+        values.append(phi.values[index_of(spec, tuple(g))])
     return ClassFunction(target, values)
 
 
@@ -134,7 +144,7 @@ def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     for g in target.elements():
         a = tuple(g[p] for p in pos_a)
         b = tuple(g[p] for p in pos_b)
-        values.append(phi.values[sa.index_of(a)] * psi.values[sb.index_of(b)])
+        values.append(phi.values[index_of(sa, a)] * psi.values[index_of(sb, b)])
     return ClassFunction(target, values)
 
 
@@ -217,7 +227,7 @@ def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     total = Fraction(0)
     for g, v in zip(spec.elements(), phi.values):
         inv = tuple((-x) % spec.nu for x in g)
-        total += v * psi.values[spec.index_of(inv)]
+        total += v * psi.values[index_of(spec, inv)]
     return total / spec.order
 
 
@@ -238,7 +248,7 @@ def support_masks(nu: int, rank: int) -> array:
 def inverse_map(nu: int, rank: int) -> array:
     """Per element g, the index of g^{-1}; inverses negate componentwise."""
     spec = _shape(nu, rank)
-    return array("I", (spec.index_of((-x) % nu for x in g) for g in spec.elements()))
+    return array("I", (index_of(spec, ((-x) % nu for x in g)) for g in spec.elements()))
 
 
 def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
@@ -250,7 +260,7 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
         g = [0] * rank
         for pos, value in zip(positions, h):
             g[pos] = value
-        out.append(source.index_of(g))
+        out.append(index_of(source, g))
     return array("I", out)
 
 
@@ -261,8 +271,8 @@ def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array
     left, right = _shape(nu, len(positions)), _shape(nu, len(rest))
     ia, ib = [], []
     for g in _shape(nu, rank).elements():
-        ia.append(left.index_of(g[p] for p in positions))
-        ib.append(right.index_of(g[p] for p in rest))
+        ia.append(index_of(left, (g[p] for p in positions)))
+        ib.append(index_of(right, (g[p] for p in rest)))
     return array("I", ia), array("I", ib)
 
 
@@ -283,8 +293,8 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
     ia, ib, ee = [], [], array("B")
     for g in GroupSpec.standard(nu, k).elements():
         h = [0 if i in dropped else g[i - 1] for i in range(1, k + 1)]
-        ia.append(left.index_of(h[i - 1] for i in ac[:-1]))
-        ib.append(right.index_of(h[i - 1] for i in A[:-1]))
+        ia.append(index_of(left, (h[i - 1] for i in ac[:-1])))
+        ib.append(index_of(right, (h[i - 1] for i in A[:-1])))
         ee.append(
             sum(1 for p in marker_off if g[p]) + (h[ac[-1] - 1] != 0) + (h[A[-1] - 1] != 0)
         )

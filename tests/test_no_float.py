@@ -7,7 +7,10 @@ token).  Strings and comments are not code, so prose that mentions floats is
 allowed.  At run time, every element class, `rational`, evaluation points,
 class-function values and scale factors, and the generating-set rank sweep
 refuse an inexact number, and so does every class that takes the group
-parameter nu, and every Pi transition display and its inverse check.
+parameter nu, and every Pi transition display and its inverse check.  Labels
+are exact too: a composition or partition part, a permutation letter, a group
+index and an ScfElem degree must be an `int` (read with `operator.index`), so
+2.0 or Decimal(1) is refused with TypeError and 2.5 is never truncated to 2.
 """
 
 import ast
@@ -18,7 +21,7 @@ import pytest
 
 from hopfscf import qsym
 from hopfscf.charmap import ScfElem
-from hopfscf.compositions import SubsetLabel
+from hopfscf.compositions import Composition, SubsetLabel
 from hopfscf.fqsym import FQSymElem
 from hopfscf.groupscf import ClassFunction, GroupSpec, one
 from hopfscf.nsym import NSymElem, NSymTensor
@@ -95,3 +98,24 @@ INEXACT_COEFFICIENT = {
 def test_inexact_coefficients_are_refused(name, value):
     with pytest.raises(TypeError):
         INEXACT_COEFFICIENT[name](value)
+
+
+INEXACT_LABEL = {
+    "Composition part": lambda v: Composition((v, 1)),
+    "qsym.M part": lambda v: qsym.M((v, 2)),
+    "QSymElem label": lambda v: QSymElem("M", {(v,): 1}),
+    "NSymElem label": lambda v: NSymElem("H", {(v,): 1}),
+    "QSymTensor label": lambda v: QSymTensor(("M", "M"), {((1,), (v,)): 1}),
+    "Partition part": lambda v: Partition((v, 1)),
+    "SymElem label": lambda v: SymElem({(v,): 1}),
+    "FQSymElem letter": lambda v: FQSymElem({(v, 2): 1}),
+    "GroupSpec index": lambda v: GroupSpec(2, (v, 2)),
+    "ScfElem degree": lambda v: ScfElem(2, {(v, "kappa", SubsetLabel.of(2, ())): 1}),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal(1)], ids=repr)
+@pytest.mark.parametrize("name", sorted(INEXACT_LABEL))
+def test_inexact_labels_are_refused(name, value):
+    with pytest.raises(TypeError):
+        INEXACT_LABEL[name](value)

@@ -241,8 +241,8 @@ class TestCoproduct:
         for n in range(0, 6):
             for alpha in compositions_of(n):
                 x = H(alpha)
-                left = NSymElem.zero("H")
-                right = NSymElem.zero("H")
+                left = NSymElem("H")
+                right = NSymElem("H")
                 for (a, b), c in coproduct(x).terms.items():
                     left = left + H(b).scale(c * counit(H(a)))
                     right = right + H(a).scale(c * counit(H(b)))

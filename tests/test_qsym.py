@@ -176,8 +176,8 @@ class TestCoproduct:
         for n in range(0, 7):
             for alpha in compositions_of(n):
                 x = M(alpha)
-                left = QSymElem.zero("M")
-                right = QSymElem.zero("M")
+                left = QSymElem("M")
+                right = QSymElem("M")
                 for (a, b), c in coproduct(x).terms.items():
                     left = left + M(b).scale(c * counit(M(a)))
                     right = right + M(a).scale(c * counit(M(b)))
@@ -208,7 +208,7 @@ class TestAntipode:
         for n in range(0, 6):
             for alpha in compositions_of(n):
                 x = M(alpha)
-                acc = QSymElem.zero("M")
+                acc = QSymElem("M")
                 for (a, b), c in coproduct(x).terms.items():
                     acc = acc + (antipode(M(a)) * M(b)).scale(c)
                 expected = QSymElem.unit("M").scale(counit(x))
@@ -217,7 +217,7 @@ class TestAntipode:
     def test_linear_on_sums(self):
         # L_(3) = M_(3) + M_(1,2) + M_(2,1) + M_(1,1,1)
         x = L((3,)).scale(2) - M((1, 2))
-        expected = QSymElem.zero("M")
+        expected = QSymElem("M")
         for alpha in ((3,), (2, 1), (1, 1, 1), (1, 2)):
             expected = expected + antipode_M(alpha).scale(2)
         assert antipode(x) == expected - antipode_M((1, 2))

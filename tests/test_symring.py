@@ -19,7 +19,7 @@ def rearrangement_count(lam: Partition) -> Fraction:
     """Number of compositions rearranging to lam: len(lam)! / prod m_i!."""
     out = factorial(len(lam))
     for part in set(lam):
-        out //= factorial(lam.multiplicity(part))
+        out //= factorial(lam.count(part))
     return Fraction(out)
 
 
