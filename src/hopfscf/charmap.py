@@ -8,9 +8,9 @@ support mask, on Q_n the superclass label's mask; the per-term `to_dense` is
 the test oracle.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
-denominator, and `_ch_of_dense` feeds it a dense function's numerators.  The
-per-term route through the hub conversion of tests/convert_oracle.py is the
-test oracle (tests/charmap_oracle.py).
+denominator into int and Fraction coefficients, and `_ch_of_dense` feeds it a
+dense function's numerators.  The per-term route through the hub conversion
+of tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
 from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
-from .scalars import _exact_nu, _rational, rational
+from .scalars import _exact_nu, _rational
 
 KAPPA = "kappa"
 CHI_DOT = "chi_dot"
@@ -36,7 +36,7 @@ Key = tuple[int, str, SubsetLabel]
 
 class ScfElem(LinComb):
     """Element of the direct sum over n of the supercharacter function spaces:
-    rational coefficients on (degree, tag, label) keys, all for one nu."""
+    int and Fraction coefficients on (degree, tag, label) keys, all for one nu."""
 
     __slots__ = _TAG = ("nu",)
     _coeff = staticmethod(_rational)
@@ -60,13 +60,11 @@ class ScfElem(LinComb):
 
     @classmethod
     def kappa(cls, nu: int, degree: int, members=()) -> "ScfElem":
-        label = SubsetLabel.of(degree, members)
-        return cls(nu, {(degree, KAPPA, label): Fraction(1)})
+        return cls(nu, {(degree, KAPPA, SubsetLabel.of(degree, members)): 1})
 
     @classmethod
     def chi_dot(cls, nu: int, degree: int, members=()) -> "ScfElem":
-        label = SubsetLabel.of(degree, members)
-        return cls(nu, {(degree, CHI_DOT, label): Fraction(1)})
+        return cls(nu, {(degree, CHI_DOT, SubsetLabel.of(degree, members)): 1})
 
     @classmethod
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
@@ -141,7 +139,8 @@ def ch(x: ScfElem) -> QSymElem:
 
 def _ch_sum(nu: int, terms) -> QSymElem:
     """Sum of num/den times ch(label) over (degree, tag, mask, num, den) terms:
-    each label's cached integer row, summed over one common denominator."""
+    each label's cached integer row, summed over one common denominator into
+    int or Fraction coefficients."""
     den, acc = 1, {}  # acc[comp] / den is the coefficient of M_comp
     for degree, tag, mask, num, d0 in terms:
         d, row = _ch_row(nu, degree, tag, mask)
@@ -153,7 +152,8 @@ def _ch_sum(nu: int, terms) -> QSymElem:
         a = num * (den // e)
         for comp, c in row:
             acc[comp] = acc.get(comp, 0) + a * c
-    return QSymElem("M")._with_terms({comp: rational(Fraction(v, den)) for comp, v in acc.items() if v})
+    terms = {comp: Fraction(v, den) if v % den else v // den for comp, v in acc.items() if v}
+    return QSymElem("M")._with_terms(terms)
 
 
 def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:

@@ -91,7 +91,7 @@ class SubsetLabel:
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if self.ambient < 0:
+        if index(self.ambient) < 0:
             raise ValueError(f"ambient must be nonnegative, got {self.ambient}")
         if self.ambient > MAX_AMBIENT:
             raise AmbientBoundError(

@@ -18,7 +18,6 @@ from .compositions import (
 )
 from .linear import LinComb, extend, extend2
 from .qsym import QSymElem
-from .scalars import ONE, ScalarQT
 
 Word = tuple[int, ...]
 
@@ -39,7 +38,7 @@ class FQSymElem(LinComb):
 
     @classmethod
     def F(cls, word: Word) -> "FQSymElem":
-        return cls({tuple(word): ONE})
+        return cls({tuple(word): 1})
 
     def _label(self, word: Word) -> str:
         return f"F{''.join(map(str, word)) or 'e'}"
@@ -63,7 +62,7 @@ def coproduct_F(word: Word) -> list[tuple[Word, Word]]:
     ]
 
 
-def coproduct(x: FQSymElem) -> dict[tuple[Word, Word], ScalarQT]:
+def coproduct(x: FQSymElem) -> dict:
     return extend(x.terms.items(), lambda word: ((pair, 1) for pair in coproduct_F(word)))
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, index, mul, sub
 
-from .compositions import run_markers, subsets_of
+from .compositions import MAX_AMBIENT, run_markers, subsets_of
 from .scalars import _exact_nu, _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
@@ -53,6 +53,11 @@ def max_group_order() -> int:
         raise GroupBoundError(f"{MAX_GROUP_ENV} must be an integer, got {raw!r}") from exc
 
 
+def _too_large(nu: int, rank: int) -> GroupBoundError:
+    bound = max_group_order()
+    return GroupBoundError(f"group order {nu}^{rank} exceeds bound {bound}; raise {MAX_GROUP_ENV} to override")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Q_S(nu): one copy of the cyclic group C_nu for each index in S."""
@@ -67,16 +72,17 @@ class GroupSpec:
         ):
             raise ValueError(f"index set must be sorted positive integers, got {self.index_set}")
         if self.order > max_group_order():
-            raise GroupBoundError(
-                f"group order {self.nu}^{len(self.index_set)} exceeds bound "
-                f"{max_group_order()}; raise {MAX_GROUP_ENV} to override"
-            )
+            raise _too_large(self.nu, len(self.index_set))
 
     @classmethod
     def standard(cls, nu: int, degree: int) -> "GroupSpec":
         """Q_degree(nu) = Q_[degree-1](nu); degrees 0 and 1 are both trivial."""
-        if degree < 0:
+        if (degree := index(degree)) < 0:
             raise ValueError(f"degree must be nonnegative, got {degree}")
+        # A degree past the mask bound is refused before its index tuple is built:
+        # nu >= 2, so past the bound's bit length the order exceeds the bound.
+        if degree > MAX_AMBIENT and degree - 1 > max_group_order().bit_length():
+            raise _too_large(_exact_nu(nu), degree - 1)
         return cls(nu, tuple(range(1, degree)))
 
     @property

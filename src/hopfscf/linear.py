@@ -8,8 +8,9 @@ share; a subclass supplies only
 - its tag, the slots named in `_TAG` (a basis, a nu, a pair of bases), and
   the validation of the tag in its `__init__`;
 - `_key`, the normaliser that validates one label from outside;
-- `_coeff`, the coefficient ring's exact coercion (`ScalarQT.wrap`, or
-  `scalars._rational` for rational coefficients), which refuses floats;
+- `_coeff`, the exact coercion that refuses floats: `scalars._coeff`, which
+  keeps a constant an int or a Fraction and a ScalarQT only where q or t
+  enters, or `scalars._rational` for ScfElem's rational coefficients;
 - `_label`, the printed form of one label;
 - `_hub`, the element in the basis where mixed-basis `==` and `+` meet (the
   element itself where the class has one basis);
@@ -29,7 +30,7 @@ linear combination is accumulated, always into a fresh dict.
 
 from __future__ import annotations
 
-from .scalars import ScalarQT, parse_scalar
+from .scalars import ScalarQT, _coeff, _format, parse_scalar
 
 
 def _add_term(acc: dict, key, coeff) -> None:
@@ -70,7 +71,7 @@ class LinComb:
 
     __slots__ = ("terms",)
     _TAG: tuple[str, ...] = ()
-    _coeff = staticmethod(ScalarQT.wrap)
+    _coeff = staticmethod(_coeff)
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -84,7 +85,7 @@ class LinComb:
 
     def _with_terms(self, terms: dict):
         """The trusted constructor: self's tag over terms whose labels are
-        normalised and whose coefficients are wrapped and nonzero."""
+        normalised and whose coefficients are exact and nonzero."""
         out = object.__new__(type(self))
         for name in self._TAG:
             setattr(out, name, getattr(self, name))
@@ -97,8 +98,8 @@ class LinComb:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, key):
-        return self.terms.get(self._key(key), self._coeff(0))
+    def coefficient(self, key) -> ScalarQT:
+        return ScalarQT.wrap(self.terms.get(self._key(key), 0))
 
     def scale(self, c):
         c = self._coeff(c)
@@ -139,18 +140,16 @@ class LinComb:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({self.terms[k]})*{self._label(k)}" for k in sorted(self.terms))
+        return " + ".join(f"({_format(self.terms[k])})*{self._label(k)}" for k in sorted(self.terms))
 
     # JSON, for the classes that name a `basis` and have sequences as labels
 
     def to_json_dict(self) -> dict:
         printed: dict = {}  # by id: a conversion shares one coefficient among many labels
-        terms = []
-        for k, v in sorted(self.terms.items()):
-            text = printed.get(id(v))
-            if text is None:
-                text = printed[id(v)] = str(v)
-            terms.append({"comp": list(k), "coeff": text})
+        terms = [
+            {"comp": list(k), "coeff": printed.get(id(v)) or printed.setdefault(id(v), _format(v))}
+            for k, v in sorted(self.terms.items())
+        ]
         out = {"basis": self.basis, "terms": terms}
         out.update((name, v) for name, v in zip(self._TAG, self._tag()) if v is not None)
         return out

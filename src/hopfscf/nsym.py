@@ -34,7 +34,7 @@ from .compositions import (
 )
 from .linear import LinComb, extend, extend2
 from .qsym import QSymElem, Tensor, _comp, _convert_into, _full_mask, convert as qsym_convert
-from .scalars import ONE, Q, T, ZERO, ScalarQT, rational
+from .scalars import ONE, Q, T, ZERO, ScalarQT, _rational
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
@@ -43,12 +43,12 @@ def _h_factor(basis: str, nu=None) -> tuple:
     """The hub factor into H (no basis takes nu); B's is b_to_H_masks one
     coordinate at a time and Bhat's is B's with the label bit flipped."""
     return {
-        "H": ((ONE, ZERO), (ZERO, ONE)),
-        "Lambda": ((-ONE, ONE), (ZERO, ONE)),
-        "R": ((ONE, ZERO), (-ONE, ONE)),
-        "Estar": ((ONE, -ONE), (ZERO, ONE)),
-        "B": ((ZERO, ONE), (Q, T)),
-        "Bhat": ((Q, T), (ZERO, ONE)),
+        "H": ((1, 0), (0, 1)),
+        "Lambda": ((-1, 1), (0, 1)),
+        "R": ((1, 0), (-1, 1)),
+        "Estar": ((1, -1), (0, 1)),
+        "B": ((0, 1), (Q, T)),
+        "Bhat": ((Q, T), (0, 1)),
     }[basis]
 
 
@@ -69,7 +69,7 @@ class NSymElem(LinComb):
 
     @classmethod
     def basis_elem(cls, basis: str, parts) -> "NSymElem":
-        return cls(basis, {Composition(parts): ONE})
+        return cls(basis, {Composition(parts): 1})
 
     def _hub(self) -> "NSymElem":
         return self if self.basis == "H" else convert(self, "H")
@@ -145,7 +145,7 @@ def convert(x: NSymElem, target: str) -> NSymElem:
 
 def specialize(x: NSymElem, q0, t0) -> NSymElem:
     """Evaluate every coefficient at (q, t) = (q0, t0)."""
-    values = ((comp, rational(coeff.eval_at(q0, t0))) for comp, coeff in x.terms.items())
+    values = ((comp, _rational(ScalarQT.wrap(c).eval_at(q0, t0))) for comp, c in x.terms.items())
     return x._with_terms({comp: v for comp, v in values if v})
 
 

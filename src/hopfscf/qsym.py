@@ -37,7 +37,7 @@ from .compositions import (
     set_of_comp,
 )
 from .linear import LinComb, extend, extend2, tensor_terms
-from .scalars import ONE, ScalarQT, _exact_nu, _rational
+from .scalars import ScalarQT, _coeff, _exact_nu
 
 BASES = ("M", "L", "E", "Pi")
 
@@ -54,23 +54,19 @@ def _comp(parts) -> Composition:
 # A hub factor F of a basis is its 2x2 transition into the hub at one
 # coordinate of a subset mask: where a label's bit is a, the hub bit b carries
 # F[a][b], and a label's hub expansion is the product of those entries over its
-# coordinates.  The entries are Fractions (QSym, hub M) or ScalarQT (NSym, hub
-# H), so the inverse below stays exact; an integral composed Fraction entry is
-# kept as an int, which keeps the products of the L, E and M rows in ints.
+# coordinates.  The entries are ints, Fractions or ScalarQT in q and t (NSym's
+# B and Bhat); the inverse below divides a Fraction 1, so it stays exact, and
+# `_coeff` keeps each constant composed entry an int or a Fraction.
 # 256 cache entries hold every ordered pair of both algebras for dozens of nu.
 @lru_cache(maxsize=256)
 def _transition(hub_factor, src: str, src_nu, tgt: str, tgt_nu) -> tuple:
     """The composed factor src @ tgt^-1 of hub_factor's bases, as the nonzero
     (target bit, entry) pairs of its row for source bit 0 and for source bit 1."""
     (a, b), (c, d) = hub_factor(tgt, tgt_nu)
-    det = a * d - b * c
-    inv = ((d / det, -b / det), (-c / det, a / det))
+    r = Fraction(1) / (a * d - b * c)
+    inv = ((d * r, -b * r), (-c * r, a * r))
     return tuple(
-        tuple(
-            (k, _rational(e) if type(e) is Fraction else e)
-            for k in (0, 1)
-            if (e := x * inv[0][k] + y * inv[1][k])
-        )
+        tuple((k, _coeff(e)) for k in (0, 1) if (e := x * inv[0][k] + y * inv[1][k]))
         for x, y in hub_factor(src, src_nu)
     )
 
@@ -135,13 +131,12 @@ def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -
 def _m_factor(basis: str, nu: int | None) -> tuple:
     """The hub factor into M: L_K = sum_{I >= K} M_I, E_K = sum_{I <= K} M_I,
     and M_from_pi_entry one coordinate at a time."""
-    one, nil = Fraction(1), Fraction(0)
     if basis == "Pi":
-        return (Fraction(nu - 1, nu), one), (Fraction(-1, nu), nil)
+        return (Fraction(nu - 1, nu), 1), (Fraction(-1, nu), 0)
     return {
-        "M": ((one, nil), (nil, one)),
-        "L": ((one, one), (nil, one)),
-        "E": ((one, nil), (one, one)),
+        "M": ((1, 0), (0, 1)),
+        "L": ((1, 1), (0, 1)),
+        "E": ((1, 0), (1, 1)),
     }[basis]
 
 
@@ -194,7 +189,7 @@ class QSymElem(LinComb):
 
     @classmethod
     def basis_elem(cls, basis: str, parts, nu: int | None = None) -> "QSymElem":
-        return cls(basis, {Composition(parts): ONE}, nu=nu)
+        return cls(basis, {Composition(parts): 1}, nu=nu)
 
     @classmethod
     def unit(cls, basis: str = "M", nu: int | None = None) -> "QSymElem":

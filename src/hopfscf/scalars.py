@@ -11,6 +11,11 @@ by a multivariate gcd, folded back when its denominator comes out a monomial,
 and compared by cross-multiplication.  The canonical string is 'num / den'
 with coprime integer coefficients, e.g. `1 / q^2`, `1 / 2`, `3*q + 2*t / 6`,
 or the polynomial alone when it has integer coefficients, e.g. `q*t + t^2`.
+
+A coefficient of an element is an int or a Fraction while it is constant and
+a ScalarQT only once q or t enters: `_coeff` lowers a constant ScalarQT,
+`_format` prints either canonically, and a ScalarQT takes an int or a Fraction
+as an operand on either side.
 """
 
 from __future__ import annotations
@@ -79,8 +84,6 @@ def _mul(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(b) == 1:
         ((q2, t2), c2), = b.items()
-        if q2 == t2 == 0:
-            return {mono: _rational(c1 * c2) for mono, c1 in a.items()}
         return {(q1 + q2, t1 + t2): _rational(c1 * c2) for (q1, t1), c1 in a.items()}
     out: dict = {}
     for (q2, t2), c2 in b.items():
@@ -318,8 +321,7 @@ class ScalarQT:
 
 
 def rational(value) -> ScalarQT:
-    value = _rational(value)
-    return ScalarQT({(0, 0): value} if value else {})
+    return ScalarQT.wrap(_rational(value))
 
 
 def _operand(other):
@@ -328,8 +330,26 @@ def _operand(other):
     if type(other) is ScalarQT:
         return other
     if isinstance(other, (int, Fraction)):
-        return rational(other)
+        return ScalarQT({(0, 0): _rational(other)} if other else {})
     return NotImplemented
+
+
+def _coeff(value):
+    """value as a coefficient: an int or a Fraction while it is constant, a
+    ScalarQT once q or t enters.  A non-scalar is refused, as by wrap."""
+    if isinstance(value, (int, Fraction)):
+        return _rational(value)
+    terms = ScalarQT.wrap(value).terms
+    if terms is not None and all(mono == (0, 0) for mono in terms):
+        return terms.get((0, 0), 0)
+    return value
+
+
+def _format(value) -> str:
+    """str(ScalarQT.wrap(value)), without the wrapping."""
+    if type(value) is Fraction and value.denominator != 1:
+        return f"{value.numerator} / {value.denominator}"
+    return str(value)
 
 
 ZERO = ScalarQT({})

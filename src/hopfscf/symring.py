@@ -10,7 +10,7 @@ from operator import index
 from .compositions import compositions_of
 from .linear import LinComb, extend, extend2
 from .nsym import Bhat, NSymElem, convert, specialize
-from .scalars import ONE, _rational
+from .scalars import _rational
 
 
 class Partition(tuple):
@@ -55,7 +55,7 @@ class SymElem(LinComb):
 
     @classmethod
     def h(cls, parts) -> "SymElem":
-        return cls({Partition(parts): ONE})
+        return cls({Partition(parts): 1})
 
     def _label(self, lam: Partition) -> str:
         return f"h{tuple(lam)}"
@@ -75,29 +75,22 @@ def comm(x: NSymElem) -> SymElem:
 
 def _rank_of_rational_rows(rows: list[list[Fraction]]) -> int:
     """Exact rank over Q by fraction-free elimination on cleared rows."""
-    mat: list[list[int]] = []
+    mat = []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        mat.append([int(x * denom) for x in row])
+        denom = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (denom // x.denominator) for x in row])
     rank = 0
-    n_cols = len(mat[0]) if mat else 0
-    row_idx = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row_idx, len(mat)) if mat[r][col]), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row_idx], mat[pivot] = mat[pivot], mat[row_idx]
-        lead = mat[row_idx][col]
-        for r in range(row_idx + 1, len(mat)):
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
             if mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [lead * a - factor * b for a, b in zip(mat[r], mat[row_idx])]
-        row_idx += 1
+                mat[r] = [lead * a - factor * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
-        if row_idx == len(mat):
-            break
     return rank
 
 
@@ -119,25 +112,16 @@ def generating_set_rank(a, b, n_max: int) -> dict:
     report: dict = {"a": str(a), "b": str(b), "degrees": []}
     for n in range(1, n_max + 1):
         comps = list(compositions_of(n))
-        rows = []
-        for alpha in comps:
-            expansion = _bhat_numeric(alpha, a, b)
-            rows.append(
-                [expansion.coefficient(beta).eval_at(0, 0) for beta in comps]
-            )
-        nsym_rank = _rank_of_rational_rows(rows)
+        expansions = (_bhat_numeric(alpha, a, b).terms for alpha in comps)
+        nsym_rank = _rank_of_rational_rows([[t.get(beta, 0) for beta in comps] for t in expansions])
 
         parts_n = list(partitions_of(n))
-        index = {lam: i for i, lam in enumerate(parts_n)}
         sym_rows = []
         for lam in parts_n:
-            prod = SymElem({Partition(()): ONE})
+            prod = SymElem({Partition(()): 1})
             for part in lam:
                 prod = prod * comm(_bhat_numeric((part,), a, b))
-            row = [Fraction(0)] * len(parts_n)
-            for mu, coeff in prod.terms.items():
-                row[index[mu]] = coeff.eval_at(0, 0)
-            sym_rows.append(row)
+            sym_rows.append([prod.terms.get(mu, 0) for mu in parts_n])
         sym_rank = _rank_of_rational_rows(sym_rows)
 
         report["degrees"].append(

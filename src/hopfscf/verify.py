@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from . import charmap, groupscf, nsym, qsym
 from .compositions import (
@@ -300,12 +299,10 @@ def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
         constants = nsym.structure_constants_sweep(k, m, I, J)
         for kmask in range(_full_mask(k) + 1):
             K = SubsetLabel(k, kmask).members
-            c = constants.get(kmask, ZERO)
-            poly = c.as_integer_poly()
-            if poly is None and not c.is_zero():
+            poly = constants.get(kmask, ZERO).as_integer_poly()
+            if poly is None:
                 return f"non-polynomial constant at K={K}"
-            value = poly.eval_at(1, 0) if poly is not None else Fraction(0)
-            if value != shuffles.get(_weight(k, kmask), 0):
+            if poly.eval_at(1, 0) != shuffles.get(_weight(k, kmask), 0):
                 return f"C(1,0) mismatch m={m} n={n} I={sorted(I)} J={sorted(J)} K={K}"
 
     def routes(pair):

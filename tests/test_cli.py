@@ -239,6 +239,20 @@ class TestVerify:
             "error: group order 2^8 exceeds bound 100; raise HOPF_SCF_MAX_GROUP to override\n"
         )
 
+    @pytest.mark.parametrize("suite", ["diagrams", "group-axioms"])
+    def test_astronomical_degree_exits_2(self, capsys, monkeypatch, suite):
+        # the degree is refused by arithmetic, before a tuple of its indices is built
+        monkeypatch.delenv("HOPF_SCF_MAX_GROUP", raising=False)
+        degree = 10**20
+        code = main(["verify", "--suite", suite, "--max-degree", str(degree)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: group order 2^{degree - 1} exceeds bound {1 << 20}; "
+            "raise HOPF_SCF_MAX_GROUP to override\n"
+        )
+
     @pytest.mark.parametrize("raw", ["abc", "", "1e6"])
     def test_malformed_group_bound_exits_2(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("HOPF_SCF_MAX_GROUP", raw)

@@ -1,0 +1,154 @@
+"""Constant coefficients stay exact ints and Fractions; ScalarQT only where q or t enters.
+
+`scalars._coeff` is the coercion of every element class but ScfElem: it keeps
+an int or a Fraction as it is, lowers a constant (or zero) ScalarQT to one,
+keeps a ScalarQT in which q or t appears, and refuses anything inexact.
+`scalars._format` prints a coefficient of either kind; its oracle is the
+canonical string of the wrapped scalar, `str(ScalarQT.wrap(v))`.
+
+The guard walks the QSym side (ch, every conversion among M, L, E and
+Pi(2, 3, 5), products, coproducts, antipode, the tensor constructor) and
+requires int or Fraction coefficients throughout, then checks that NSym in
+B and Bhat still carries a ScalarQT wherever q or t enters.
+"""
+
+import itertools
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfscf import nsym, qsym
+from hopfscf.charmap import ScfElem, ch
+from hopfscf.compositions import compositions_of
+from hopfscf.nsym import NSymElem
+from hopfscf.qsym import QSymElem, QSymTensor
+from hopfscf.scalars import ONE, Q, T, ZERO, ScalarQT, _coeff, _format, parse_scalar, rational
+
+RATIONAL = (int, Fraction)
+
+# -- the formatter against the canonical string ------------------------------
+
+ints = st.integers(-10**6, 10**6)
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40))
+laurent = st.builds(
+    lambda c, a, b: rational(c) * Q**a * T**b, fractions, st.integers(-2, 3), st.integers(-2, 3)
+)
+polys = st.lists(laurent, min_size=1, max_size=3).map(lambda ms: sum(ms, ZERO))
+quotients = st.tuples(polys, polys.filter(bool)).map(lambda nd: nd[0] / nd[1])
+values = st.one_of(ints, fractions, fractions.map(rational), polys, quotients)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_format_is_the_canonical_string(v):
+    text = _format(v)
+    assert text == str(ScalarQT.wrap(v))
+    assert parse_scalar(text) == v
+    # lowering a constant changes neither its value nor its string
+    assert _format(_coeff(v)) == text and _coeff(v) == v
+
+
+def test_format_reads_fractions_without_a_scalar():
+    assert [_format(v) for v in (0, 7, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2))] == [
+        "0", "7", "-3", "1 / 2", "-5 / 3", "2",
+    ]
+
+
+# -- the coercion ------------------------------------------------------------
+
+
+def test_coeff_lowers_constants_and_keeps_q_and_t():
+    for value, want in ((ONE, 1), (ZERO, 0), (-ONE, -1), (rational(Fraction(3, 4)), Fraction(3, 4)),
+                        (Fraction(6, 3), 2), (True, 1), (5, 5)):
+        got = _coeff(value)
+        assert got == want and type(got) is type(want), value
+    for value in (Q, T, Q + 1, ONE / (Q + T), Q / Q * T):
+        assert _coeff(value) is value
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), complex(1, 0), "1"], ids=repr)
+def test_coeff_refuses_inexact_and_non_scalars(value):
+    with pytest.raises(TypeError):
+        _coeff(value)
+
+
+# -- the guard ---------------------------------------------------------------
+
+QSYM_BASES = [("M", None), ("L", None), ("E", None), ("Pi", 2), ("Pi", 3), ("Pi", 5)]
+COMPS = [c for n in range(5) for c in compositions_of(n)]
+
+
+def rational_coeffs(x) -> int:
+    """How many coefficients x has; each must be an int or a Fraction."""
+    bad = {k: v for k, v in x.terms.items() if type(v) not in RATIONAL}
+    assert not bad, bad
+    return len(x.terms)
+
+
+def elem(basis, nu, comp, c=Fraction(2, 3)):
+    return QSymElem(basis, {comp: c}, nu=nu)
+
+
+def test_ch_has_rational_coefficients():
+    seen = 0
+    for nu in (2, 3):
+        for n in range(5):
+            total = ScfElem(nu)
+            for members in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n), r) for r in range(n)
+            ):
+                for x in (ScfElem.kappa(nu, n, members), ScfElem.chi_dot(nu, n, members)):
+                    seen += rational_coeffs(ch(x.scale(Fraction(1, 3))))
+                    total = total + x.scale(-2)
+            seen += rational_coeffs(ch(total))
+    assert seen > 150
+
+
+def test_conversions_have_rational_coefficients():
+    seen = 0
+    for (src, snu), (tgt, tnu) in itertools.product(QSYM_BASES, repeat=2):
+        for comp in COMPS:
+            seen += rational_coeffs(qsym.convert(elem(src, snu, comp), tgt, nu=tnu))
+    assert seen > 1000
+
+
+def test_products_coproducts_and_antipode_have_rational_coefficients():
+    seen = 0
+    small = [c for c in COMPS if c.size <= 3]
+    for (basis, nu), (other, onu) in itertools.product(QSYM_BASES, repeat=2):
+        for a, b in itertools.product(small, repeat=2):
+            seen += rational_coeffs(qsym.product(elem(basis, nu, a), elem(other, onu, b, 1)))
+    for basis, nu in QSYM_BASES:
+        for comp in COMPS:
+            x = elem(basis, nu, comp)
+            seen += rational_coeffs(qsym.coproduct(x)) + rational_coeffs(qsym.antipode(x))
+    assert seen > 1000
+
+
+def test_basis_elements_and_the_tensor_constructor_lower_constants():
+    assert type(qsym.M((2, 1)).terms[(2, 1)]) is int
+    x = QSymTensor(("M", "L"), {((1,), (2,)): rational(Fraction(1, 2)), ((), (1,)): ONE * 3})
+    assert rational_coeffs(x) == 2 and x.terms[((), (1,))] == 3
+    assert QSymTensor(("M", "M"), {((1,), ()): ZERO}).terms == {}
+    assert rational_coeffs(x.product(x)) > 0
+
+
+def test_nsym_carries_scalars_where_q_or_t_enters():
+    scalars = 0
+    for basis, target in (("B", "H"), ("Bhat", "H"), ("H", "B"), ("B", "Bhat"), ("R", "Bhat")):
+        for comp in COMPS:
+            x = nsym.convert(NSymElem.basis_elem(basis, comp), target)
+            for v in x.terms.values():
+                # a constant is never a ScalarQT here; q or t makes one
+                assert type(v) in RATIONAL or _coeff(v) is v
+                scalars += type(v) is ScalarQT
+    assert scalars > 100
+    # the q-free bases stay in ints
+    for comp in COMPS:
+        for v in nsym.convert(nsym.Lam(comp), "R").terms.values():
+            assert type(v) is int
+    assert nsym.B((1, 2)).coefficient((1, 2)) == ONE
+    assert type(nsym.counit(nsym.H(()))) is ScalarQT

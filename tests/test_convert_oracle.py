@@ -22,7 +22,7 @@ from hopfscf import cli, nsym, qsym
 from hopfscf.compositions import SubsetLabel, comp_of_set, compositions_of, set_of_comp
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
-from hopfscf.scalars import ONE, Q, T, ScalarQT, rational
+from hopfscf.scalars import ONE, Q, T, ScalarQT, _coeff, rational
 
 NUS = (2, 3, 5)
 MAX_DEGREE = 7
@@ -112,7 +112,7 @@ def cli_cases(seed: int = 0):
 
 def printed(elem) -> str:
     """The expected `expand --json` line, every coefficient printed on its own."""
-    terms = [{"comp": list(k), "coeff": str(elem.terms[k])} for k in sorted(elem.terms)]
+    terms = [{"comp": list(k), "coeff": str(ScalarQT.wrap(elem.terms[k]))} for k in sorted(elem.terms)]
     payload = {"basis": elem.basis, "terms": terms}
     if getattr(elem, "nu", None) is not None:
         payload["nu"] = elem.nu
@@ -174,11 +174,12 @@ def factor_matrix(factor):
 
 def test_composed_factors_are_exact_and_invert():
     cases = [(qsym._m_factor, s, t, (int, Fraction)) for s, t in QSYM_PAIRS]
-    cases += [(nsym._h_factor, (s, None), (t, None), (ScalarQT,)) for s, t in NSYM_PAIRS]
+    cases += [(nsym._h_factor, (s, None), (t, None), (int, ScalarQT)) for s, t in NSYM_PAIRS]
     for hub_factor, (s, snu), (t, tnu), ring in cases:
         there = qsym._transition(hub_factor, s, snu, t, tnu)
         back = qsym._transition(hub_factor, t, tnu, s, snu)
-        assert all(type(e) in ring for row in there for _, e in row)
+        # a constant entry is an int or a Fraction, never a ScalarQT
+        assert all(type(e) in ring and _coeff(e) is e for row in there for _, e in row)
         assert all(e.denominator > 1 for row in there for _, e in row if type(e) is Fraction)
         a, b = factor_matrix(there), factor_matrix(back)
         product = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)] for i in (0, 1)]

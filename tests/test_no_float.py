@@ -9,8 +9,9 @@ class-function values and scale factors, and the generating-set rank sweep
 refuse an inexact number, and so does every class that takes the group
 parameter nu, and every Pi transition display and its inverse check.  Labels
 are exact too: a composition or partition part, a permutation letter, a group
-index and an ScfElem degree must be an `int` (read with `operator.index`), so
-2.0 or Decimal(1) is refused with TypeError and 2.5 is never truncated to 2.
+index, an ScfElem degree and a SubsetLabel ambient must be an `int` (read with
+`operator.index`), so 2.0 or Decimal(1) is refused with TypeError and 2.5 is
+never truncated to 2.
 """
 
 import ast
@@ -111,6 +112,7 @@ INEXACT_LABEL = {
     "FQSymElem letter": lambda v: FQSymElem({(v, 2): 1}),
     "GroupSpec index": lambda v: GroupSpec(2, (v, 2)),
     "ScfElem degree": lambda v: ScfElem(2, {(v, "kappa", SubsetLabel.of(2, ())): 1}),
+    "SubsetLabel ambient": SubsetLabel,
 }
 
 
