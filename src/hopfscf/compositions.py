@@ -23,11 +23,13 @@ class AmbientBoundError(ValueError):
 
 
 class Composition(tuple):
-    """A finite sequence of positive integers."""
+    """A finite sequence of positive integers; one already built is kept as it is."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Composition":
+        if type(parts) is cls:
+            return parts
         parts = tuple(map(index, parts))
         if any(p < 1 for p in parts):
             raise ValueError(f"composition parts must be positive, got {parts}")

@@ -25,18 +25,21 @@ matches, so an accumulator that did would corrupt the caller's element.
 
 Every product, coproduct and basis map is a rule on basis labels, extended
 linearly by `extend` or bilinearly by `extend2`; those two are where a
-linear combination is accumulated, always into a fresh dict.
+linear combination is accumulated, always into a fresh dict.  Every
+coefficient product is `scalars._times` and every sum `_add_term`, and both
+lower a q,t cancellation to an int or a Fraction: no element stores a
+constant ScalarQT.
 """
 
 from __future__ import annotations
 
-from .scalars import ScalarQT, _coeff, _format, parse_scalar
+from .scalars import ScalarQT, _coeff, _format, _lower, _times, parse_scalar
 
 
 def _add_term(acc: dict, key, coeff) -> None:
-    """Add coeff to acc[key], dropping the key when the sum is zero."""
+    """Add coeff to acc[key] in normal form, dropping the key when the sum is zero."""
     cur = acc.get(key)
-    new = coeff if cur is None else cur + coeff
+    new = coeff if cur is None else _lower(cur + coeff)
     if new:
         acc[key] = new
     else:
@@ -46,18 +49,17 @@ def _add_term(acc: dict, key, coeff) -> None:
 def extend(pairs, rule) -> dict:
     """The linear extension of a rule on basis labels: the sum over the
     (label, coefficient) pairs of coefficient * c * out, for each (out, c) that
-    rule(label) yields, as fresh terms with zero sums dropped.  A c that is the
-    int 1 adds the coefficient as it is, with no multiplication."""
+    rule(label) yields, as fresh terms with zero sums dropped."""
     acc: dict = {}
     for label, v in pairs:
         for key, c in rule(label):
-            _add_term(acc, key, v if type(c) is int and c == 1 else v * c)
+            _add_term(acc, key, _times(v, c))
     return acc
 
 
 def tensor_terms(x_terms: dict, y_terms: dict):
     """The pure tensors of two term dicts, as ((a, b), va * vb) pairs."""
-    return (((a, b), va * vb) for a, va in x_terms.items() for b, vb in y_terms.items())
+    return (((a, b), _times(va, vb)) for a, va in x_terms.items() for b, vb in y_terms.items())
 
 
 def extend2(x_terms: dict, y_terms: dict, rule) -> dict:
@@ -104,7 +106,7 @@ class LinComb:
     def scale(self, c):
         c = self._coeff(c)
         # a product of nonzero field elements is nonzero
-        return self._with_terms({k: v * c for k, v in self.terms.items()} if c else {})
+        return self._with_terms({k: _times(v, c) for k, v in self.terms.items()} if c else {})
 
     def __add__(self, other):
         if type(other) is not type(self):

@@ -33,8 +33,8 @@ from .compositions import (
     runs_composition,
 )
 from .linear import LinComb, extend, extend2
-from .qsym import QSymElem, Tensor, _comp, _convert_into, _full_mask, convert as qsym_convert
-from .scalars import ONE, Q, T, ZERO, ScalarQT, _rational
+from .qsym import QSymElem, Tensor, _convert_into, _full_mask, convert as qsym_convert
+from .scalars import ONE, Q, T, ZERO, ScalarQT, _lower, _rational, _times
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
@@ -56,7 +56,7 @@ class NSymElem(LinComb):
     """A finite linear combination of compositions in one basis of NSym."""
 
     __slots__ = _TAG = ("basis",)
-    _key = staticmethod(_comp)
+    _key = Composition
     HUB = "H"
     _factor = staticmethod(_h_factor)
     nu = None  # the conversion kernel reads (basis, nu); no NSym basis takes a nu
@@ -291,14 +291,14 @@ def _ranks_within(sub: int, pool: int) -> int:
 def coproduct_B_comp(k: int, K) -> NSymTensor:
     """Delta B(q,t)_{comp(K)} straight from the structure constants."""
     terms = {
-        (comp_of_set(SubsetLabel(m, imask)), comp_of_set(SubsetLabel(k - m, jmask))): coeff
+        (comp_of_set(SubsetLabel(m, imask)), comp_of_set(SubsetLabel(k - m, jmask))): _lower(coeff)
         for m in range(k + 1)
         for (imask, jmask), coeff in structure_constants_table(k, K, m).items()
     }
     return NSymTensor(("B", "B"))._with_terms(terms)
 
 
-def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT]]:
+def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT | int]]:
     """Per-selector terms of Delta Bhat(q,t)_k: one for each A inside [k],
     with weight (q+t)^{|c2(A)|} t^{|c1(A)|} on Bhat_{alpha_A} (x) Bhat_{beta_A}."""
     out = []
@@ -306,7 +306,7 @@ def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQ
     for r in range(k + 1):
         for A in itertools.combinations(universe, r):
             c1, c2, _ = run_markers(A, k)
-            coeff = (Q + T) ** c2.size * T**c1.size
+            coeff = _times((Q + T) ** c2.size, T**c1.size)
             alpha = runs_composition(A)
             beta = runs_composition(set(universe) - set(A))
             out.append((alpha, beta, coeff))

@@ -37,18 +37,13 @@ from .compositions import (
     set_of_comp,
 )
 from .linear import LinComb, extend, extend2, tensor_terms
-from .scalars import ScalarQT, _coeff, _exact_nu
+from .scalars import ScalarQT, _coeff, _exact_nu, _times
 
 BASES = ("M", "L", "E", "Pi")
 
 
 def _full_mask(n: int) -> int:
     return (1 << (n - 1)) - 1 if n >= 1 else 0
-
-
-def _comp(parts) -> Composition:
-    """parts as a Composition; one already built is kept as it is."""
-    return parts if type(parts) is Composition else Composition(parts)
 
 
 # A hub factor F of a basis is its 2x2 transition into the hub at one
@@ -69,15 +64,6 @@ def _transition(hub_factor, src: str, src_nu, tgt: str, tgt_nu) -> tuple:
         tuple((k, _coeff(e)) for k in (0, 1) if (e := x * inv[0][k] + y * inv[1][k]))
         for x, y in hub_factor(src, src_nu)
     )
-
-
-def _times(a, b):
-    """a * b, where the int 1 of an empty product costs no multiplication."""
-    if type(a) is int and a == 1:
-        return b
-    if type(b) is int and b == 1:
-        return a
-    return a * b
 
 
 def _powers(e, count: int) -> list:
@@ -118,8 +104,6 @@ def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -
     from powers of the factor's four entries: at most (n+1)^2/4 entries
     instead of 2^(n-1) products of n-1 factors.  The groups partition the
     target masks, so no mask appears twice."""
-    if n <= 1:  # no coordinates: the empty product
-        return [(1, (0,))]
     zeros, ones = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
     return [
         (_times(e0, e1), [a | b for a in subs0 for b in subs1])
@@ -169,7 +153,7 @@ class QSymElem(LinComb):
     """A finite linear combination of compositions in one basis of QSym."""
 
     __slots__ = _TAG = ("basis", "nu")
-    _key = staticmethod(_comp)
+    _key = Composition
     HUB = "M"
     _factor = staticmethod(_m_factor)
 
@@ -335,7 +319,7 @@ class Tensor(LinComb):
     @staticmethod
     def _key(pair) -> tuple[Composition, Composition]:
         left, right = pair
-        return _comp(left), _comp(right)
+        return Composition(left), Composition(right)
 
     def _hub(self) -> "Tensor":
         return self.convert((self.algebra.HUB,) * 2)

@@ -13,9 +13,9 @@ with coprime integer coefficients, e.g. `1 / q^2`, `1 / 2`, `3*q + 2*t / 6`,
 or the polynomial alone when it has integer coefficients, e.g. `q*t + t^2`.
 
 A coefficient of an element is an int or a Fraction while it is constant and
-a ScalarQT only once q or t enters: `_coeff` lowers a constant ScalarQT,
-`_format` prints either canonically, and a ScalarQT takes an int or a Fraction
-as an operand on either side.
+a ScalarQT only once q or t enters: `_lower` keeps that normal form in the one
+coefficient product `_times` and the one sum `linear._add_term`, `_coeff` at
+the constructors, and `_format` prints either kind canonically.
 """
 
 from __future__ import annotations
@@ -294,7 +294,9 @@ class ScalarQT:
         return ScalarQT(_pow(den, -k), _pow(num, -k))
 
     def eval_at(self, q0, t0) -> Fraction:
-        num, den = self._pair() if q0 == 0 or t0 == 0 or self.quot else (self.terms, _UNIT)
+        if self.quot is None and all((q0 != 0 or a >= 0) and (t0 != 0 or b >= 0) for a, b in self.terms):
+            return _eval(self.terms, q0, t0)  # no zero meets a negative power: no num / den
+        num, den = self._pair()
         d = _eval(den, q0, t0)
         if d == 0:
             raise ZeroDivisionError(f"denominator {_terms_str(den)} vanishes at (q,t)=({q0},{t0})")
@@ -334,15 +336,25 @@ def _operand(other):
     return NotImplemented
 
 
-def _coeff(value):
-    """value as a coefficient: an int or a Fraction while it is constant, a
-    ScalarQT once q or t enters.  A non-scalar is refused, as by wrap."""
-    if isinstance(value, (int, Fraction)):
-        return _rational(value)
-    terms = ScalarQT.wrap(value).terms
-    if terms is not None and all(mono == (0, 0) for mono in terms):
-        return terms.get((0, 0), 0)
+def _lower(value):
+    """value in normal form: a ScalarQT free of q and t as its int or Fraction."""
+    if type(value) is ScalarQT and value.terms is not None and value.terms.keys() <= _UNIT.keys():
+        return value.terms.get((0, 0), 0)
     return value
+
+
+def _times(a, b):
+    """a * b in normal form, the one coefficient product; the int 1 costs no multiplication."""
+    if type(a) is int and a == 1:
+        return b
+    if type(b) is int and b == 1:
+        return a
+    return _lower(a * b)
+
+
+def _coeff(value):
+    """value as a coefficient in normal form.  A non-scalar is refused, as by wrap."""
+    return _rational(value) if isinstance(value, (int, Fraction)) else _lower(ScalarQT.wrap(value))
 
 
 def _format(value) -> str:

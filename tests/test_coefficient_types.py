@@ -9,7 +9,11 @@ canonical string of the wrapped scalar, `str(ScalarQT.wrap(v))`.
 The guard walks the QSym side (ch, every conversion among M, L, E and
 Pi(2, 3, 5), products, coproducts, antipode, the tensor constructor) and
 requires int or Fraction coefficients throughout, then checks that NSym in
-B and Bhat still carries a ScalarQT wherever q or t enters.
+B and Bhat still carries a ScalarQT wherever q or t enters.  The cancellation
+property scales every element class by a drawn p in which q or t appears and
+cancels it again, by sums, by 1/p and through products, conversions and
+coproducts: the core's one product and one sum must store the constant that
+comes out as an int or a Fraction, never as a ScalarQT.
 """
 
 import itertools
@@ -20,11 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscf import nsym, qsym
+from hopfscf import fqsym, nsym, qsym
 from hopfscf.charmap import ScfElem, ch
 from hopfscf.compositions import compositions_of
-from hopfscf.nsym import NSymElem
+from hopfscf.fqsym import FQSymElem
+from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
+from hopfscf.symring import SymElem, partitions_of
 from hopfscf.scalars import ONE, Q, T, ZERO, ScalarQT, _coeff, _format, parse_scalar, rational
 
 RATIONAL = (int, Fraction)
@@ -152,3 +158,111 @@ def test_nsym_carries_scalars_where_q_or_t_enters():
             assert type(v) is int
     assert nsym.B((1, 2)).coefficient((1, 2)) == ONE
     assert type(nsym.counit(nsym.H(()))) is ScalarQT
+
+
+# -- q,t cancellations store constants as ints and Fractions -------------------
+
+
+def constant_scalars(terms: dict) -> dict:
+    """The stored coefficients that are a ScalarQT in which neither q nor t appears."""
+    return {
+        k: v for k, v in terms.items()
+        if type(v) is ScalarQT and v.terms is not None and set(v.terms) <= {(0, 0)}
+    }
+
+
+def assert_no_constant_scalars(*results):
+    for x in results:
+        terms = x if isinstance(x, dict) else x.terms
+        assert not constant_scalars(terms), x
+
+
+NSYM_BASES = list(nsym.BASES)
+TENSOR_SIDES = {QSymTensor: ["M", "L", "E"], NSymTensor: NSYM_BASES}
+SMALL = [c for c in COMPS if c.size <= 3]
+coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+# p carries q or t: a Laurent monomial or a sum of two, so 1/p is a true quotient at times
+p_monomials = st.builds(
+    lambda c, a, b: rational(c) * Q**a * T**b, coeffs, st.integers(-2, 2), st.integers(-2, 2)
+)
+p_values = st.one_of(p_monomials, st.tuples(p_monomials, p_monomials).map(sum)).filter(
+    lambda p: bool(p) and _coeff(p) is p
+)
+CANCEL = settings(max_examples=30, deadline=None)
+
+
+def terms_of(labels):
+    return st.dictionaries(st.sampled_from(labels), coeffs, min_size=1, max_size=3)
+
+
+def cancellations(x, y, p, mul, maps=()):
+    """The ways p cancels out: x p + x (1 - p), x p - x (p - 1), x p / p, the
+    product of x p and y / p, and each map of x p and of x / p."""
+    yield x.scale(p) + x.scale(1 - p)
+    yield x.scale(p) - x.scale(p - 1)
+    yield x.scale(p).scale(1 / p)
+    yield mul(x.scale(p), y.scale(1 / p))
+    for f in maps:
+        yield f(x.scale(p))
+        yield f(x.scale(1 / p))
+
+
+@CANCEL
+@given(st.sampled_from(QSYM_BASES), terms_of(SMALL), terms_of(SMALL), p_values)
+def test_qsym_cancellations_store_no_constant_scalar(basis, xs, ys, p):
+    (b, nu) = basis
+    x, y = QSymElem(b, xs, nu=nu), QSymElem(b, ys, nu=nu)
+    maps = [lambda z, t=t: qsym.convert(z, t[0], nu=t[1]) for t in QSYM_BASES]
+    assert_no_constant_scalars(*cancellations(x, y, p, qsym.product, maps + [qsym.coproduct]))
+
+
+@CANCEL
+@given(st.sampled_from(NSYM_BASES), terms_of(SMALL), terms_of(SMALL), p_values)
+def test_nsym_cancellations_store_no_constant_scalar(basis, xs, ys, p):
+    x, y = NSymElem(basis, xs), NSymElem(basis, ys)
+    maps = [lambda z, t=t: nsym.convert(z, t) for t in NSYM_BASES]
+    assert_no_constant_scalars(*cancellations(x, y, p, nsym.product, maps + [nsym.coproduct]))
+
+
+@CANCEL
+@given(st.sampled_from(sorted(TENSOR_SIDES, key=str)), st.data(), p_values)
+def test_tensor_cancellations_store_no_constant_scalar(cls, data, p):
+    sides = st.sampled_from(TENSOR_SIDES[cls])
+    bases = data.draw(st.tuples(sides, sides))
+    pairs = [(a, b) for a in SMALL for b in SMALL if a.size + b.size <= 3]
+    x, y = (cls(bases, data.draw(terms_of(pairs))) for _ in range(2))
+    maps = [lambda z, t=t: z.convert((t, t)) for t in TENSOR_SIDES[cls]]
+    assert_no_constant_scalars(*cancellations(x, y, p, cls.product, maps))
+
+
+@CANCEL
+@given(terms_of([lam for n in range(4) for lam in partitions_of(n)]), st.data(), p_values)
+def test_sym_cancellations_store_no_constant_scalar(xs, data, p):
+    ys = data.draw(terms_of(list(xs)))
+    assert_no_constant_scalars(*cancellations(SymElem(xs), SymElem(ys), p, SymElem.__mul__))
+
+
+@CANCEL
+@given(terms_of([w for n in range(4) for w in itertools.permutations(range(1, n + 1))]),
+       st.data(), p_values)
+def test_fqsym_cancellations_store_no_constant_scalar(xs, data, p):
+    x, y = FQSymElem(xs), FQSymElem(data.draw(terms_of(list(xs))))
+    maps = [fqsym.coproduct, fqsym.project_pi]
+    assert_no_constant_scalars(*cancellations(x, y, p, fqsym.product_F, maps))
+
+
+def test_structure_constant_coproducts_store_no_constant_scalar():
+    seen = 0
+    for k in range(6):
+        for r in range(k):
+            for K in itertools.combinations(range(1, k), r):
+                x = nsym.coproduct_B_comp(k, K)
+                assert_no_constant_scalars(x)
+                seen += sum(type(v) is int for v in x.terms.values())
+        x = nsym.coproduct_bhat(k)
+        assert_no_constant_scalars(x)
+        seen += sum(type(v) is int for v in x.terms.values())
+    assert seen > 50
+    # the scalar API still answers in ScalarQT
+    assert type(nsym.structure_constant(4, {1, 3}, 2, (), ())) is ScalarQT
+    assert all(type(v) is ScalarQT for v in nsym.structure_constants_table(4, {1, 3}, 2).values())

@@ -40,7 +40,7 @@ from hopfscf.nsym import (
     structure_constants_table,
 )
 from hopfscf.qsym import E, L, M
-from hopfscf.scalars import ONE, Q, T, ZERO, parse_scalar, rational
+from hopfscf.scalars import ONE, Q, T, ZERO, ScalarQT, parse_scalar, rational
 
 
 def subsets(n):
@@ -397,8 +397,9 @@ class TestStructureConstants:
             at_10 = {}
             at_m11 = {}
             for (a, b), c in table.terms.items():
-                v10 = c.eval_at(1, 0)
-                v11 = c.eval_at(-1, 1)
+                # a constant coefficient is an int; read it as nsym.specialize does
+                v10 = ScalarQT.wrap(c).eval_at(1, 0)
+                v11 = ScalarQT.wrap(c).eval_at(-1, 1)
                 if v10:
                     at_10[(tuple(a), tuple(b))] = v10
                 if v11:

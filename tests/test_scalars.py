@@ -37,6 +37,24 @@ def small_scalars(draw):
     return ScalarQT(num, den)
 
 
+@st.composite
+def laurent_scalars(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mono = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        terms[mono] = draw(rationals)
+    return ScalarQT(terms, {(0, 0): 1})
+
+
+# evaluation points, zero among them on either coordinate
+POINTS = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def at(terms: dict, q0, t0) -> Fraction:
+    """A polynomial term dict summed at (q0, t0), exponents all >= 0."""
+    return sum((c * Fraction(q0) ** a * Fraction(t0) ** b for (a, b), c in terms.items()), Fraction(0))
+
+
 class TestArithmetic:
     def test_product_minus_square(self):
         assert (Q + T) * T - T**2 == Q * T
@@ -90,6 +108,22 @@ class TestEvaluation:
         with pytest.raises(ZeroDivisionError) as err:
             (ONE / (Q + T)).eval_at(1, -1)
         assert "(1,-1)" in str(err.value)
+
+    @given(st.one_of(laurent_scalars(), small_scalars()), st.sampled_from(POINTS), st.sampled_from(POINTS))
+    @settings(max_examples=200, deadline=None)
+    def test_direct_laurent_route_agrees_with_num_over_den(self, s, q0, t0):
+        """eval_at sums the Laurent form directly unless a zero meets a
+        negative power; num / den of the canonical form gives the same value,
+        or the same error where its denominator vanishes."""
+        num, den = s.num, s.den
+        d = at(den.terms, q0, t0)
+        if d == 0:
+            with pytest.raises(ZeroDivisionError) as err:
+                s.eval_at(q0, t0)
+            assert str(err.value) == f"denominator {den} vanishes at (q,t)=({q0},{t0})"
+        else:
+            got = s.eval_at(q0, t0)
+            assert type(got) is Fraction and got == at(num.terms, q0, t0) / d
 
 
 def substitute(s: ScalarQT, q_expr: ScalarQT, t_expr: ScalarQT) -> ScalarQT:
