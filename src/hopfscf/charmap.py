@@ -16,7 +16,6 @@ of tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import index
@@ -26,7 +25,7 @@ from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
 from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
-from .scalars import _exact_nu, _rational
+from .scalars import _exact_nu, _ratio, _rational
 
 KAPPA = "kappa"
 CHI_DOT = "chi_dot"
@@ -70,7 +69,8 @@ class ScfElem(LinComb):
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
         """Expand a dense superclass function in the kappa basis."""
         nums, labels = _standard_nums(phi, degree), _labels(degree)
-        terms = {(degree, KAPPA, labels[s]): Fraction(v, phi.den) for s, v in nums.items() if v}
+        den = phi.den
+        terms = {(degree, KAPPA, labels[s]): _ratio(v, den) for s, v in nums.items() if v}
         return cls(phi.spec.nu)._with_terms(terms)
 
     def to_dense(self, degree: int) -> ClassFunction:
@@ -101,9 +101,7 @@ def _labels(degree: int) -> tuple[SubsetLabel, ...]:
 
 def _standard_nums(phi: ClassFunction, degree: int) -> dict[int, int]:
     """phi's numerators per support mask, once phi is known to live on Q_degree."""
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    if phi.spec.index_set != tuple(range(1, degree)):
+    if not groupscf._is_standard(phi.spec, degree):
         raise ValueError("dense lift expects a standard group")
     return groupscf._superclass_nums(phi)
 
@@ -152,7 +150,7 @@ def _ch_sum(nu: int, terms) -> QSymElem:
         a = num * (den // e)
         for comp, c in row:
             acc[comp] = acc.get(comp, 0) + a * c
-    terms = {comp: Fraction(v, den) if v % den else v // den for comp, v in acc.items() if v}
+    terms = {comp: _ratio(v, den) for comp, v in acc.items() if v}
     return QSymElem("M")._with_terms(terms)
 
 

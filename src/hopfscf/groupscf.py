@@ -18,6 +18,14 @@ with its weights summed, and pairs that cancel dropped.  `cache_info()` on
 each cached function reports its hits and misses.  The tensor embedding and
 m_A tables are built on each call, since only a plan build and the public
 `tensor_embed` and `product_mA` read them.
+
+A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
+returns one interned spec per (nu, degree) and bound, the operand checks
+compare index sets with [degree - 1] and build no spec, and the weights
+`_off_weights` of m are cached per (nu, degree).  `expand_kappa` reads a
+function's coordinates as ints where integral and Fractions otherwise, the
+normal form of `scalars._rational`.  Superclass indicators and characters
+are built on each call.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from math import gcd, lcm
 from operator import add, index, mul, sub
 
 from .compositions import MAX_AMBIENT, run_markers, subsets_of
-from .scalars import _exact_nu, _rational
+from .scalars import _exact_nu, _ratio, _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
 MAX_GROUP_ENV = "HOPF_SCF_MAX_GROUP"
@@ -53,8 +61,7 @@ def max_group_order() -> int:
         raise GroupBoundError(f"{MAX_GROUP_ENV} must be an integer, got {raw!r}") from exc
 
 
-def _too_large(nu: int, rank: int) -> GroupBoundError:
-    bound = max_group_order()
+def _too_large(nu: int, rank: int, bound: int) -> GroupBoundError:
     return GroupBoundError(f"group order {nu}^{rank} exceeds bound {bound}; raise {MAX_GROUP_ENV} to override")
 
 
@@ -71,19 +78,16 @@ class GroupSpec:
             i < 1 for i in self.index_set
         ):
             raise ValueError(f"index set must be sorted positive integers, got {self.index_set}")
-        if self.order > max_group_order():
-            raise _too_large(self.nu, len(self.index_set))
+        if self.order > (bound := max_group_order()):
+            raise _too_large(self.nu, len(self.index_set), bound)
 
     @classmethod
     def standard(cls, nu: int, degree: int) -> "GroupSpec":
-        """Q_degree(nu) = Q_[degree-1](nu); degrees 0 and 1 are both trivial."""
-        if (degree := index(degree)) < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
-        # A degree past the mask bound is refused before its index tuple is built:
-        # nu >= 2, so past the bound's bit length the order exceeds the bound.
-        if degree > MAX_AMBIENT and degree - 1 > max_group_order().bit_length():
-            raise _too_large(_exact_nu(nu), degree - 1)
-        return cls(nu, tuple(range(1, degree)))
+        """Q_degree(nu) = Q_[degree-1](nu); degrees 0 and 1 are both trivial.
+
+        One interned spec per shape and bound: the bound is read on every
+        call, so lowering it refuses a shape built before."""
+        return _standard_spec(nu, degree, max_group_order())
 
     @property
     def rank(self) -> int:
@@ -101,6 +105,27 @@ class GroupSpec:
         return frozenset(
             label for label, g in zip(self.index_set, element) if g != 0
         )
+
+
+# typed, so a nu of 2.0 or True, equal to 2 and 1 as keys, misses the int's entry and is refused
+@lru_cache(maxsize=256, typed=True)
+def _standard_spec(nu: int, degree: int, bound: int) -> GroupSpec:
+    if (degree := index(degree)) < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    # A degree past the mask bound is refused before its index tuple is built:
+    # nu >= 2, so past the bound's bit length the order exceeds the bound.
+    if degree > MAX_AMBIENT and degree - 1 > bound.bit_length():
+        raise _too_large(_exact_nu(nu), degree - 1, bound)
+    return GroupSpec(nu, tuple(range(1, degree)))
+
+
+def _is_standard(spec: GroupSpec, degree: int) -> bool:
+    """Whether spec's index set is [degree - 1], that of Q_degree.  Its labels
+    are sorted, distinct and positive, so they are [r] when the last is r."""
+    if (degree := index(degree)) < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    labels = spec.index_set
+    return len(labels) == max(degree - 1, 0) and (not labels or labels[-1] == len(labels))
 
 
 class _Values(Sequence):
@@ -425,10 +450,9 @@ def relabel(phi: ClassFunction, index_set) -> ClassFunction:
 
 
 def _check_product_operands(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> None:
-    nu = phi.spec.nu
-    if psi.spec.nu != nu:
+    if psi.spec.nu != phi.spec.nu:
         raise ValueError("operands must share nu")
-    if phi.spec != GroupSpec.standard(nu, m) or psi.spec != GroupSpec.standard(nu, n):
+    if not (_is_standard(phi.spec, m) and _is_standard(psi.spec, n)):
         raise ValueError("operands must live on standard groups Q_m, Q_n")
 
 
@@ -438,12 +462,13 @@ def _scalar_product(phi: ClassFunction, psi: ClassFunction, m: int) -> ClassFunc
     return (psi if m == 0 else phi).scale(scalar)
 
 
-def _off_weights(nu: int, k: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=256)
+def _off_weights(nu: int, k: int) -> tuple[tuple[int, ...], int]:
     """(-1/(nu-1))^e for e = 0..k+1 as numerators over one denominator.
 
     m_A on Q_k carries at most k + 1 factors (nu-1)^{-1}(reg - 1).
     """
-    return [(-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)], (nu - 1) ** (k + 1)
+    return tuple((-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)), (nu - 1) ** (k + 1)
 
 
 def _mA_nums(phi: ClassFunction, psi: ClassFunction, A: tuple[int, ...], m: int, n: int, weights):
@@ -541,12 +566,13 @@ def _superclass_nums(phi: ClassFunction) -> dict[int, int]:
     return nums
 
 
-def expand_kappa(phi: ClassFunction) -> dict[frozenset, Fraction]:
-    """Coefficients of phi in the superclass-identifier basis, keyed by label
-    in the order of `_superclass_nums`, which raises outside the
-    supercharacter function space."""
-    labels = support_labels(phi.spec)
-    return {labels[s]: Fraction(v, phi.den) for s, v in _superclass_nums(phi).items()}
+def expand_kappa(phi: ClassFunction) -> dict[frozenset, int | Fraction]:
+    """Coefficients of phi in the superclass-identifier basis, an int where
+    integral and a Fraction otherwise, keyed by label in the order of
+    `_superclass_nums`, which raises outside the supercharacter function
+    space."""
+    labels, den = support_labels(phi.spec), phi.den
+    return {labels[s]: _ratio(v, den) for s, v in _superclass_nums(phi).items()}
 
 
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
@@ -558,7 +584,7 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
     sum_L kappa_L (x) phi(a_L, .), one pair per L whose row is not zero.
     """
     nu = phi.spec.nu
-    if phi.spec != GroupSpec.standard(nu, n):
+    if not _is_standard(phi.spec, n):
         raise ValueError("coproduct operands must live on a standard group")
     if not 0 <= k <= n:
         raise ValueError(f"slice position k={k} out of range 0..{n}")

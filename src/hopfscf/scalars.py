@@ -46,6 +46,11 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _ratio(num: int, den: int):
+    """num / den for ints, den nonzero, as `_rational` would give it."""
+    return Fraction(num, den) if num % den else num // den
+
+
 def _exact_nu(nu, message: str = "") -> int:
     """nu as the parameter of Q_n(nu) and of Pi(nu): an int of at least 2.
     A nu that is not an int is refused with TypeError, one below 2 with
@@ -337,7 +342,10 @@ def _operand(other):
 
 
 def _lower(value):
-    """value in normal form: a ScalarQT free of q and t as its int or Fraction."""
+    """value in normal form: a ScalarQT free of q and t as its int or Fraction,
+    an integral Fraction as its int."""
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if type(value) is ScalarQT and value.terms is not None and value.terms.keys() <= _UNIT.keys():
         return value.terms.get((0, 0), 0)
     return value

@@ -5,7 +5,7 @@ import pytest
 
 import hopfscf.qsym as qsym
 from hopfscf.charmap import ScfElem, _ch_of_dense, ch, verify_diagrams
-from hopfscf.compositions import Composition, SubsetLabel
+from hopfscf.compositions import Composition, SubsetLabel, subsets_of
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
@@ -47,10 +47,11 @@ class TestScfElem:
         for degree in (2, 4):
             with pytest.raises(ValueError, match="expects a standard group"):
                 lift(phi, degree)
-        gapped = kappa(GroupSpec(2, (1, 3)), {1})
-        for degree in (3, 4):
-            with pytest.raises(ValueError, match="expects a standard group"):
-                lift(gapped, degree)
+        for labels in [(1, 3), (2, 3)]:
+            gapped = kappa(GroupSpec(2, labels), {3})
+            for degree in (3, 4):
+                with pytest.raises(ValueError, match="expects a standard group"):
+                    lift(gapped, degree)
         # tuple(range(1, -1)) == (), the trivial group's index set
         trivial = kappa(GroupSpec.standard(2, 0), set())
         with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
@@ -93,6 +94,36 @@ class TestDenseToSymbolic:
             labels = support_labels(phi.spec)
             view = [(labels[s], Fraction(v, phi.den)) for s, v in _superclass_nums(phi).items()]
             assert list(expand_kappa(phi).items()) == view
+
+    @pytest.mark.parametrize("nu", [2, 3, 5])
+    def test_dense_lifts_store_an_int_exactly_where_integral(self, nu):
+        rng = random.Random(20 + nu)
+        kinds = set()
+        for n in range(6):
+            for _ in range(4):
+                phi = random_superclass_function(rng, nu, n)
+                labels = support_labels(phi.spec)
+                view = {labels[s]: Fraction(v, phi.den) for s, v in _superclass_nums(phi).items()}
+                expanded = expand_kappa(phi)
+                lifted = {
+                    frozenset(label.members): c
+                    for (_, _, label), c in ScfElem.from_dense(phi, n).terms.items()
+                }
+                assert expanded == view
+                assert lifted == {I: v for I, v in view.items() if v}
+                for c in [*expanded.values(), *lifted.values()]:
+                    assert type(c) is (int if c.denominator == 1 else Fraction), c
+                    kinds.add(type(c))
+        assert kinds == {int, Fraction}
+
+    @pytest.mark.parametrize("nu", [2, 3, 5])
+    def test_from_dense_of_kappa_is_the_kappa_element(self, nu):
+        for n in range(5):
+            for members in subsets_of(n):
+                lifted = ScfElem.from_dense(kappa(GroupSpec.standard(nu, n), members), n)
+                want = ScfElem.kappa(nu, n, members)
+                assert lifted.terms == want.terms
+                assert [type(c) for c in lifted.terms.values()] == [int]
 
     def test_every_route_refuses_a_function_off_the_superclasses_alike(self):
         phi = ClassFunction(GroupSpec.standard(3, 3), range(9), 1)

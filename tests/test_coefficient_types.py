@@ -13,7 +13,8 @@ B and Bhat still carries a ScalarQT wherever q or t enters.  The cancellation
 property scales every element class by a drawn p in which q or t appears and
 cancels it again, by sums, by 1/p and through products, conversions and
 coproducts: the core's one product and one sum must store the constant that
-comes out as an int or a Fraction, never as a ScalarQT.
+comes out as an int or a Fraction, never as a ScalarQT, and an integral
+Fraction as its int.
 """
 
 import itertools
@@ -163,18 +164,27 @@ def test_nsym_carries_scalars_where_q_or_t_enters():
 # -- q,t cancellations store constants as ints and Fractions -------------------
 
 
-def constant_scalars(terms: dict) -> dict:
-    """The stored coefficients that are a ScalarQT in which neither q nor t appears."""
+def off_normal_form(terms: dict) -> dict:
+    """The stored coefficients off the normal form: a ScalarQT in which neither
+    q nor t appears, or an integral Fraction."""
     return {
         k: v for k, v in terms.items()
         if type(v) is ScalarQT and v.terms is not None and set(v.terms) <= {(0, 0)}
+        or type(v) is Fraction and v.denominator == 1
     }
 
 
 def assert_no_constant_scalars(*results):
     for x in results:
         terms = x if isinstance(x, dict) else x.terms
-        assert not constant_scalars(terms), x
+        assert not off_normal_form(terms), x
+
+
+def test_integral_rational_results_are_stored_as_ints():
+    x = QSymElem("M", {(1,): Fraction(2, 3)})
+    third = ScfElem.kappa(2, 2, {1}).scale(Fraction(1, 3))
+    for y in (x.scale(Fraction(3, 2)), x + x.scale(Fraction(1, 2)), third + third + third):
+        assert [type(c) for c in y.terms.values()] == [int] and list(y.terms.values()) == [1]
 
 
 NSYM_BASES = list(nsym.BASES)

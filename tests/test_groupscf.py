@@ -68,6 +68,35 @@ class TestGroupSpec:
         with pytest.raises(ValueError):
             GroupSpec(1, (1,))
 
+    def test_standard_is_one_spec_per_shape(self):
+        spec = GroupSpec.standard(3, 4)
+        assert GroupSpec.standard(3, 4) is spec and spec == GroupSpec(3, (1, 2, 3))
+        assert GroupSpec.standard(3, 5) is not spec and GroupSpec.standard(2, 4) is not spec
+
+    def test_a_lowered_bound_refuses_a_cached_shape(self, monkeypatch):
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        spec = GroupSpec.standard(2, 9)
+        assert GroupSpec.standard(2, 9) is spec
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "100")
+        with pytest.raises(GroupBoundError, match="group order 2\\^8 exceeds bound 100"):
+            GroupSpec.standard(2, 9)
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        assert GroupSpec.standard(2, 9) is spec
+
+    def test_a_malformed_bound_raises_on_every_call(self, monkeypatch):
+        GroupSpec.standard(2, 3)
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "lots")
+        # a cached shape and one never built, twice each
+        for nu, degree in [(2, 3), (97, 2)] * 2:
+            with pytest.raises(GroupBoundError, match="must be an integer, got 'lots'"):
+                GroupSpec.standard(nu, degree)
+
+    def test_non_int_arguments_refused_after_the_int_shape_is_cached(self):
+        GroupSpec.standard(2, 3)
+        for nu, degree in [(2.0, 3), (True, 3), (2, 3.0)]:
+            with pytest.raises(TypeError):
+                GroupSpec.standard(nu, degree)
+
 
 class TestKappaAndChi:
     def test_kappa_empty_is_identity_indicator(self):
@@ -308,6 +337,8 @@ class TestProduct:
             "restriction_map",
             "product_plan",
             "element_supports",
+            "_standard_spec",
+            "_off_weights",
         )
         tables = {name: getattr(groupscf, name) for name in names}
         for name, table in tables.items():
@@ -329,8 +360,29 @@ class TestProduct:
             product_mA(phi, psi, {1}, 3, 2)  # |A| != n
         with pytest.raises(ValueError):
             product_mA(phi, psi, {1, 9}, 3, 2)  # out of range
-        with pytest.raises(ValueError):
-            product_mA(phi, relabel(psi, (2, 5)), {1, 2}, 3, 2)  # non-standard group
+        with pytest.raises(ValueError, match="standard groups"):
+            product_mA(phi, relabel(psi, (2,)), {1, 2}, 3, 2)  # non-standard group
+
+    @pytest.mark.parametrize(
+        "op",
+        [product_m, lambda phi, psi, m, n: product_mA(phi, psi, set(range(1, n + 1)), m, n)],
+        ids=["product_m", "product_mA"],
+    )
+    def test_operands_off_the_standard_index_sets_refused(self, op):
+        phi = kappa(GroupSpec.standard(2, 3), {1})
+        # the order of Q_3(2) on another index set
+        shifted = kappa(GroupSpec(2, (2, 3)), {2})
+        for a, b, m, n in [(phi, shifted, 3, 3), (shifted, phi, 3, 3), (phi, phi, 4, 3), (phi, phi, 3, 2)]:
+            with pytest.raises(ValueError, match="^operands must live on standard groups Q_m, Q_n$"):
+                op(a, b, m, n)
+        with pytest.raises(ValueError, match="^operands must share nu$"):
+            op(phi, kappa(GroupSpec.standard(3, 3), {1}), 3, 3)
+        with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+            op(unit(2), phi, -1, 3)
+
+    def test_coproduct_refuses_a_nonstandard_index_set(self):
+        with pytest.raises(ValueError, match="^coproduct operands must live on a standard group$"):
+            coproduct_k(kappa(GroupSpec(2, (2, 3)), {2}), 1, 3)
 
     def test_degenerate_degrees_multiply_by_scalar(self):
         phi = dot_chi(GroupSpec.standard(2, 3), {1})

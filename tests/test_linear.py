@@ -288,8 +288,8 @@ def test_extend_adds_a_unit_coefficient_as_it_is():
     assert extend([("a", v)], lambda k: [(k + "b", 1)])["ab"] is v
     assert extend([("a", c)], lambda k: [(k, 1), ("b", 2)]) == {"a": c, "b": 2 * c}
     assert extend([("a", c)], lambda k: [(k, 1)])["a"] is c
-    # every other c multiplies, a Fraction 1 among them
-    assert type(extend([("a", 3)], lambda k: [(k, Fraction(1))])["a"]) is Fraction
+    # every other c multiplies, a Fraction 1 among them, into normal form: int when integral
+    assert type(extend([("a", 3)], lambda k: [(k, Fraction(1))])["a"]) is int
 
 
 def test_extend_drops_cancelling_terms():
