@@ -10,7 +10,8 @@ the test oracle.
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
 denominator into int and Fraction coefficients, and `_ch_of_dense` feeds it a
 dense function's numerators.  The per-term route through the hub conversion
-of tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).
+of tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).  The
+diagram verifier maps each distinct dense function to QSym once per call.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class ScfElem(LinComb):
         """Expand a dense superclass function in the kappa basis."""
         nums, labels = _standard_nums(phi, degree), _labels(degree)
         den = phi.den
-        terms = {(degree, KAPPA, labels[s]): _ratio(v, den) for s, v in nums.items() if v}
-        return cls(phi.spec.nu)._with_terms(terms)
+        out = cls(phi.spec.nu)
+        out.terms = {(degree, KAPPA, labels[s]): _ratio(v, den) for s, v in nums.items() if v}
+        return out
 
     def to_dense(self, degree: int) -> ClassFunction:
         """Lower the degree-n component to a dense function on Q_n(nu): one
@@ -170,6 +172,15 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     """Check that ch intertwines the group-side (m, delta) with QSym's product
     and coproduct on every kappa/chi_dot basis tuple up to the degree bound."""
 
+    memo = {}  # ch of each distinct dense function, for this call only
+
+    def ch_of(phi, n):
+        # degrees 0 and 1 share the trivial group but map to M() and M(1)
+        key = (n, phi.spec, phi.nums, phi.den)
+        if key not in memo:
+            memo[key] = _ch_of_dense(phi, n)
+        return memo[key]
+
     def basis(n):  # (degree, witness label, dense lowering, ch image) per basis function
         spec = GroupSpec.standard(nu, n)
         lowered = (
@@ -177,7 +188,7 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
             for tag in (KAPPA, CHI_DOT)
             for mem in subsets_of(n)
         )
-        return [(n, label, phi, _ch_of_dense(phi, n)) for label, phi in lowered]
+        return [(n, label, phi, ch_of(phi, n)) for label, phi in lowered]
 
     # products: ch(m(phi, psi)) == ch(phi) * ch(psi)
     def products(case):
@@ -190,7 +201,7 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     def coproducts(case):
         n, label, phi, ch_phi = case
         images = (
-            tensor_terms(_ch_of_dense(left, k).terms, _ch_of_dense(right, n - k).terms)
+            tensor_terms(ch_of(left, k).terms, ch_of(right, n - k).terms)
             for k, pairs in groupscf.coproduct(phi, n).items()
             for left, right in pairs
         )

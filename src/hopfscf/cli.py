@@ -160,7 +160,7 @@ def cmd_verify(args) -> int:
     if name not in verify.SUITES:
         raise CliError(f"unknown suite {name!r}; choose from {', '.join(verify.SUITES)}")
     nus = None
-    if args.nu:
+    if args.nu is not None:
         try:
             nus = [int(x) for x in args.nu.split(",")]
         except ValueError as exc:

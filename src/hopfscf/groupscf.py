@@ -19,13 +19,16 @@ each cached function reports its hits and misses.  The tensor embedding and
 m_A tables are built on each call, since only a plan build and the public
 `tensor_embed` and `product_mA` read them.
 
-A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
-returns one interned spec per (nu, degree) and bound, the operand checks
-compare index sets with [degree - 1] and build no spec, and the weights
-`_off_weights` of m are cached per (nu, degree).  `expand_kappa` reads a
-function's coordinates as ints where integral and Fractions otherwise, the
-normal form of `scalars._rational`.  Superclass indicators and characters
-are built on each call.
+A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`,
+`restrict` and `unit` take their spec from one bounded interning cache keyed
+on the index set and the bound (read on every call, so a lowered bound still
+refuses), the operand checks compare index sets with [degree - 1] and build
+no spec, and the weights `_off_weights` of m are cached per (nu, degree).
+`expand_kappa` reads a function's coordinates as ints where integral and
+Fractions otherwise, the normal form of `scalars._rational`.  `kappa`, `chi`
+and `dot_chi` build a fresh function on each call; the left factors kappa_L
+that `coproduct_k` hands out are interned in a bounded cache instead, shared
+and never to be modified.
 """
 
 from __future__ import annotations
@@ -107,7 +110,16 @@ class GroupSpec:
         )
 
 
-# typed, so a nu of 2.0 or True, equal to 2 and 1 as keys, misses the int's entry and is refused
+# Both interning caches are typed, so a nu of 2.0 or True, equal to 2 and 1
+# as keys, misses the int's entry and is refused.
+@lru_cache(maxsize=256, typed=True)
+def _spec(nu: int, index_set: tuple[int, ...], bound: int) -> GroupSpec:
+    """The one interned Q_S(nu) per index set and bound; the callers read the
+    bound on every call, so a lowered one misses and refuses a spec built
+    before."""
+    return GroupSpec(nu, index_set)
+
+
 @lru_cache(maxsize=256, typed=True)
 def _standard_spec(nu: int, degree: int, bound: int) -> GroupSpec:
     if (degree := index(degree)) < 0:
@@ -116,7 +128,7 @@ def _standard_spec(nu: int, degree: int, bound: int) -> GroupSpec:
     # nu >= 2, so past the bound's bit length the order exceeds the bound.
     if degree > MAX_AMBIENT and degree - 1 > bound.bit_length():
         raise _too_large(_exact_nu(nu), degree - 1, bound)
-    return GroupSpec(nu, tuple(range(1, degree)))
+    return _spec(nu, tuple(range(1, degree)), bound)
 
 
 def _is_standard(spec: GroupSpec, degree: int) -> bool:
@@ -340,7 +352,7 @@ def one(spec: GroupSpec) -> ClassFunction:
 
 def unit(nu: int) -> ClassFunction:
     """The function 1 on the trivial group (degrees 0 and 1)."""
-    return one(GroupSpec(nu, ()))
+    return one(_spec(nu, (), max_group_order()))
 
 
 def _mask_of(spec: GroupSpec, I) -> int:
@@ -409,7 +421,8 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
     """phi pulled back to the subgroup Q_T supported inside T."""
     spec = phi.spec
     T = _require_subset(T, spec.index_set, "restriction target")
-    target = GroupSpec(spec.nu, tuple(sorted(T)))
+    # index() refuses a label such as 2.0 that equals one of the index set
+    target = _spec(spec.nu, tuple(map(index, sorted(T))), max_group_order())
     positions = tuple(spec.index_set.index(label) for label in target.index_set)
     gather = restriction_map(spec.nu, spec.rank, positions)
     return ClassFunction(target, map(phi.nums.__getitem__, gather), phi.den)
@@ -575,6 +588,11 @@ def expand_kappa(phi: ClassFunction) -> dict[frozenset, int | Fraction]:
     return {labels[s]: _ratio(v, den) for s, v in _superclass_nums(phi).items()}
 
 
+# The interned left factors of coproduct_k: shared, and never to be modified.
+# 1024 entries hold every superclass of Q_k for k <= 10 at one nu.
+_left_kappa = lru_cache(maxsize=1024)(kappa)
+
+
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
     """delta_k as a list of pure tensor summands (left on Q_k, right on Q_{n-k}).
 
@@ -602,7 +620,7 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
         start = width * sum(nu ** (k - 1 - i) for i in L)
         row = keep.nums[start:start + width]
         if any(row):
-            out.append((kappa(left_spec, L), ClassFunction(right_spec, row, keep.den)))
+            out.append((_left_kappa(left_spec, L), ClassFunction(right_spec, row, keep.den)))
     return out
 
 

@@ -33,7 +33,10 @@ constant ScalarQT.
 
 from __future__ import annotations
 
-from .scalars import ScalarQT, _coeff, _format, _lower, _times, parse_scalar
+from fractions import Fraction
+from math import lcm
+
+from .scalars import ScalarQT, _coeff, _format, _lower, _ratio, _times, parse_scalar
 
 
 def _add_term(acc: dict, key, coeff) -> None:
@@ -62,10 +65,28 @@ def tensor_terms(x_terms: dict, y_terms: dict):
     return (((a, b), _times(va, vb)) for a, va in x_terms.items() for b, vb in y_terms.items())
 
 
+def _denominator(terms: dict) -> int:
+    """The lcm of the denominators of all-rational terms; 0 if one is a ScalarQT."""
+    if any(type(v) is ScalarQT for v in terms.values()):
+        return 0
+    return lcm(*(v.denominator for v in terms.values()))
+
+
 def extend2(x_terms: dict, y_terms: dict, rule) -> dict:
     """The bilinear extension of rule(a, b) over two term dicts: each (out, c)
-    it yields counts va * vb * c."""
-    return extend(tensor_terms(x_terms, y_terms), lambda ab: rule(*ab))
+    it yields counts va * vb * c.
+
+    Two all-rational dicts are cleared of their denominators dx and dy first,
+    so the sums run on ints and each output is divided by dx * dy once; a
+    dict holding a ScalarQT is extended as it is."""
+    dx, dy = _denominator(x_terms), _denominator(y_terms)
+    if not (dx and dy):
+        return extend(tensor_terms(x_terms, y_terms), lambda ab: rule(*ab))
+    xs = {a: v.numerator * (dx // v.denominator) for a, v in x_terms.items()}
+    ys = {b: v.numerator * (dy // v.denominator) for b, v in y_terms.items()}
+    d = dx * dy
+    acc = extend(tensor_terms(xs, ys), lambda ab: rule(*ab))
+    return {k: _ratio(v, d) if type(v) is int else _times(v, Fraction(1, d)) for k, v in acc.items()}
 
 
 class LinComb:

@@ -373,8 +373,9 @@ def coproduct(x: QSymElem) -> QSymTensor:
 
         return QSymTensor(("L", "L"))._with_terms(extend(x.terms.items(), split_or_fuse))
 
-    def deconcatenations(comp):
-        return (((Composition(comp[:k]), Composition(comp[k:])), 1) for k in range(len(comp) + 1))
+    def deconcatenations(comp):  # the slices of a valid composition are valid: built unchecked
+        for k in range(len(comp) + 1):
+            yield (tuple.__new__(Composition, comp[:k]), tuple.__new__(Composition, comp[k:])), 1
 
     terms = extend(convert(x, "M").terms.items(), deconcatenations)
     return QSymTensor(("M", "M"))._with_terms(terms)

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import hopfscf.charmap as charmap
+import hopfscf.groupscf as groupscf
 import hopfscf.qsym as qsym
 from hopfscf.charmap import ScfElem, _ch_of_dense, ch, verify_diagrams
 from hopfscf.compositions import Composition, SubsetLabel, subsets_of
@@ -15,6 +18,7 @@ from hopfscf.groupscf import (
     kappa,
     support_labels,
     support_masks,
+    unit,
 )
 from hopfscf.qsym import L, QSymElem
 
@@ -170,6 +174,15 @@ class TestCh:
             ScfElem.chi_dot(nu, 3, {2})
         )
 
+    def test_a_sparse_label_of_high_degree_costs_its_row(self):
+        # L_{1^30} is M_{1^30}: a one-entry row, summed without touching the
+        # 2^29 compositions of 30
+        ones = Composition((1,) * 30)
+        x = ScfElem.chi_dot(2, 30, range(1, 30))
+        assert ch(x) == QSymElem("M", {ones: 1})
+        y = x.scale(Fraction(1, 3)) + ScfElem.chi_dot(2, 2, {1})
+        assert ch(y).terms == {ones: Fraction(1, 3), Composition((1, 1)): 1}
+
     def test_graded_injective_small(self):
         # images of the kappa basis stay linearly independent: convertible back
         for nu in (2, 3):
@@ -196,3 +209,34 @@ class TestDiagrams:
     def test_diagrams_small(self, nu, bound):
         report = verify_diagrams(nu, bound)
         assert report.passed, report.failures()
+
+    @pytest.mark.parametrize("nu", [2, 3, 5])
+    def test_degrees_zero_and_one_share_a_group_but_not_an_image(self, nu):
+        # why the verifier's memo of ch images keys on the degree as well
+        assert unit(nu).spec == GroupSpec.standard(nu, 0) == GroupSpec.standard(nu, 1)
+        assert _ch_of_dense(unit(nu), 0) == QSymElem.unit("M")
+        assert _ch_of_dense(unit(nu), 1) == QSymElem.basis_elem("M", (1,))
+
+    @pytest.mark.parametrize("nu,bound", [(2, 4), (3, 3)])
+    def test_each_distinct_dense_function_crosses_once(self, nu, bound, monkeypatch):
+        # the basis functions and the coproduct factors go through the memo;
+        # each product check maps its own product, kept alive so ids stay unique
+        products, calls, real = {}, Counter(), groupscf.product_m
+
+        def product_m(*args):
+            out = real(*args)
+            products[id(out)] = out
+            return out
+
+        def counted(phi, degree):
+            if id(phi) not in products:
+                calls[degree, phi.spec, phi.nums, phi.den] += 1
+            return _ch_of_dense(phi, degree)
+
+        monkeypatch.setattr(groupscf, "product_m", product_m)
+        monkeypatch.setattr(charmap, "_ch_of_dense", counted)
+        assert verify_diagrams(nu, bound).passed
+        assert products and calls and set(calls.values()) == {1}
+        # the unit factors of the k = 0 and k = n slices are mapped in degree 0 and 1
+        assert (0, GroupSpec.standard(nu, 0), (1,), 1) in calls
+        assert (1, GroupSpec.standard(nu, 1), (1,), 1) in calls

@@ -203,6 +203,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("nus", ["", ",", "2,", "two"])
+    def test_malformed_nu_list_exits_2(self, capsys, nus):
+        # an empty --nu once fell through to the default nus and exited 0
+        code = main(["verify", "--suite", "group-axioms", "--max-degree", "2", "--nu", nus])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     @pytest.mark.parametrize("suite", ["group-axioms", "dualities"])
     def test_negative_max_degree_exits_2(self, capsys, suite):
         code = main(["verify", "--suite", suite, "--nu", "2", "--max-degree", "-1"])

@@ -257,6 +257,40 @@ class TestRestrictTensorRelabel:
         spec = GroupSpec.standard(3, 4)
         assert restrict(one(spec), {2}) == one(GroupSpec(3, (2,)))
 
+    def test_restriction_and_unit_specs_are_interned(self):
+        phi = one(GroupSpec.standard(3, 4))
+        assert restrict(phi, {1, 3}).spec is restrict(phi, [3, 1]).spec
+        assert unit(3).spec is unit(3).spec == GroupSpec(3, ())
+        # the standard spec of a shape is the interned spec of its index set
+        assert restrict(phi, {1, 2}).spec is GroupSpec.standard(3, 3)
+
+    def test_a_lowered_bound_refuses_a_restriction_built_before(self, monkeypatch):
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        phi = one(GroupSpec.standard(3, 6))
+        target = restrict(phi, {1, 2, 3, 4}).spec
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "80")
+        with pytest.raises(GroupBoundError, match="group order 3\\^4 exceeds bound 80"):
+            restrict(phi, {1, 2, 3, 4})
+        restrict(phi, {1, 2, 3})  # 27 elements: still inside
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        assert restrict(phi, {1, 2, 3, 4}).spec is target
+
+    def test_a_malformed_bound_raises_on_every_restriction_and_unit(self, monkeypatch):
+        phi = one(GroupSpec.standard(2, 4))
+        restrict(phi, {2})
+        unit(2)
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "lots")
+        for _ in range(2):
+            for call in (lambda: restrict(phi, {2}), lambda: restrict(phi, {1, 3}), lambda: unit(2)):
+                with pytest.raises(GroupBoundError, match="must be an integer, got 'lots'"):
+                    call()
+
+    def test_a_non_int_restriction_label_is_refused(self):
+        phi = one(GroupSpec.standard(2, 4))
+        restrict(phi, {2})  # the int target is cached first
+        with pytest.raises(TypeError):
+            restrict(phi, {2.0})
+
     def test_tensor_of_ones(self):
         a = one(GroupSpec(2, (1, 3)))
         b = one(GroupSpec(2, (2,)))
@@ -338,7 +372,9 @@ class TestProduct:
             "product_plan",
             "element_supports",
             "_standard_spec",
+            "_spec",
             "_off_weights",
+            "_left_kappa",
         )
         tables = {name: getattr(groupscf, name) for name in names}
         for name, table in tables.items():
@@ -561,6 +597,15 @@ class TestCoproduct:
             for k in range(1, n):
                 with pytest.raises(ValueError, match="not a superclass function"):
                     coproduct_k(phi, k, n)
+
+    def test_left_factors_are_interned_superclass_indicators(self):
+        for nu, n in [(2, 5), (3, 4)]:
+            phi = dot_chi(GroupSpec.standard(nu, n), {2})  # every row is nonzero
+            for k in range(1, n):
+                first, again = coproduct_k(phi, k, n), coproduct_k(phi, k, n)
+                spec = GroupSpec.standard(nu, k)
+                assert [left for left, _ in first] == [kappa(spec, L) for L in subsets(range(1, k))]
+                assert all(a is b for (a, _), (b, _) in zip(first, again))
 
     def test_slice_position_out_of_range(self):
         phi = kappa(GroupSpec.standard(2, 3), {1})

@@ -25,11 +25,13 @@ from hopfscf import fqsym, nsym, qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem
 from hopfscf.compositions import SubsetLabel, comp_of_set
 from hopfscf.fqsym import FQSymElem
-from hopfscf.linear import LinComb, extend, extend2
+from hopfscf.linear import LinComb, extend, extend2, tensor_terms
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
-from hopfscf.scalars import Q, T, rational
+from hopfscf.scalars import Q, T, _coeff, rational
 from hopfscf.symring import Partition, SymElem, comm
+
+from test_coefficient_types import off_normal_form
 
 SETTINGS = settings(max_examples=40, deadline=None)
 MAX_DEGREE = 3
@@ -312,3 +314,39 @@ def test_extensions_leave_their_operands_unchanged():
     assert out == x and out is not x
     out["a"] = out2["a"] = 0
     assert x == {"a": 2, "b": 3} and y == {"c": 5}
+
+
+# extend2 clears the denominators of two all-rational dicts and sums on ints;
+# its oracle is the bilinear extension through tensor_terms, as written before
+nonzero = st.integers(-6, 6).filter(bool)
+coefficients = {
+    "int": nonzero,
+    "Fraction": st.builds(Fraction, nonzero, st.integers(2, 6)),
+    "q,t": scalars,
+    "quotient": st.builds(lambda s, d: s / d, scalars, st.sampled_from([1 + Q, Q - T, 1 - Q * T])),
+}
+# mostly rational, so that both dicts often take the cleared route
+mixes = [["int"], ["Fraction"], ["int", "Fraction"]] * 3 + [["q,t"], ["quotient"], list(coefficients)]
+# a rule yields its coefficients in normal form too: an int, or a Fraction that is not integral
+rule_coefficients = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 4)).map(_coeff))
+
+
+def normal_terms(draw, labels):
+    kinds = draw(st.sampled_from(mixes))
+    values = st.one_of(*(coefficients[k] for k in kinds)).map(_coeff).filter(bool)
+    return draw(st.dictionaries(st.sampled_from(labels), values, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_extend2_matches_the_tensor_terms_route(data):
+    draw = data.draw
+    x, y = normal_terms(draw, "abc"), normal_terms(draw, "uvw")
+    outs = st.lists(st.tuples(st.sampled_from(["o", "p", "q"]), rule_coefficients), max_size=3)
+    table = {(a, b): draw(outs) for a in "abc" for b in "uvw"}
+    rule = lambda a, b: table[a, b]  # noqa: E731
+    got = extend2(x, y, rule)
+    want = extend(tensor_terms(x, y), lambda ab: rule(*ab))
+    assert {k: (type(v), v) for k, v in got.items()} == {k: (type(v), v) for k, v in want.items()}
+    assert all(got.values())
+    assert not off_normal_form(got), got
