@@ -8,10 +8,11 @@ support mask, on Q_n the superclass label's mask; the per-term `to_dense` is
 the test oracle.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
-denominator into int and Fraction coefficients, and `_ch_of_dense` feeds it a
-dense function's numerators.  The per-term route through the hub conversion
-of tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).  The
-diagram verifier maps each distinct dense function to QSym once per call.
+denominator into int and Fraction coefficients.  The per-term route through
+the hub conversion of tests/convert_oracle.py is the test oracle
+(tests/charmap_oracle.py).  A dense function crosses to QSym one way, through
+`ch(ScfElem.from_dense(...))`, and the diagram verifier maps each distinct one
+once per call.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ class ScfElem(LinComb):
 
     @classmethod
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
-        """Expand a dense superclass function in the kappa basis."""
-        nums, labels = _standard_nums(phi, degree), _labels(degree)
-        den = phi.den
+        """Expand a dense superclass function on Q_degree in the kappa basis."""
+        if not groupscf._is_standard(phi.spec, degree):
+            raise ValueError("dense lift expects a standard group")
+        nums, labels, den = groupscf._superclass_nums(phi), _labels(degree), phi.den
         out = cls(phi.spec.nu)
         out.terms = {(degree, KAPPA, labels[s]): _ratio(v, den) for s, v in nums.items() if v}
         return out
@@ -99,13 +101,6 @@ def _labels(degree: int) -> tuple[SubsetLabel, ...]:
     """SubsetLabel(degree, mask) at index mask, for every mask: on the
     standard group Q_degree a support mask is its superclass label's mask."""
     return tuple(SubsetLabel(degree, mask) for mask in range(1 << max(degree - 1, 0)))
-
-
-def _standard_nums(phi: ClassFunction, degree: int) -> dict[int, int]:
-    """phi's numerators per support mask, once phi is known to live on Q_degree."""
-    if not groupscf._is_standard(phi.spec, degree):
-        raise ValueError("dense lift expects a standard group")
-    return groupscf._superclass_nums(phi)
 
 
 @lru_cache(maxsize=4096)
@@ -162,12 +157,6 @@ def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:
     return groupscf.dot_chi(spec, members)
 
 
-def _ch_of_dense(phi: ClassFunction, degree: int) -> QSymElem:
-    """ch(ScfElem.from_dense(phi, degree)), with no ScfElem and no Fraction."""
-    nums = _standard_nums(phi, degree).items()
-    return _ch_sum(phi.spec.nu, ((degree, KAPPA, s, v, phi.den) for s, v in nums if v))
-
-
 def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     """Check that ch intertwines the group-side (m, delta) with QSym's product
     and coproduct on every kappa/chi_dot basis tuple up to the degree bound."""
@@ -178,7 +167,7 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
         # degrees 0 and 1 share the trivial group but map to M() and M(1)
         key = (n, phi.spec, phi.nums, phi.den)
         if key not in memo:
-            memo[key] = _ch_of_dense(phi, n)
+            memo[key] = ch(ScfElem.from_dense(phi, n))
         return memo[key]
 
     def basis(n):  # (degree, witness label, dense lowering, ch image) per basis function
@@ -193,7 +182,7 @@ def verify_diagrams(nu: int, degree_bound: int) -> CheckReport:
     # products: ch(m(phi, psi)) == ch(phi) * ch(psi)
     def products(case):
         (m, label_a, phi, ch_phi), (n, label_b, psi, ch_psi) = case
-        lhs = _ch_of_dense(groupscf.product_m(phi, psi, m, n), m + n)
+        lhs = ch(ScfElem.from_dense(groupscf.product_m(phi, psi, m, n), m + n))
         if lhs != qsym.product(ch_phi, ch_psi):
             return f"product {label_a} * {label_b}"
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import nsym, qsym, verify
-from .compositions import AmbientBoundError, Composition, SubsetLabel
+from .compositions import AmbientBoundError, Composition, SubsetLabel, check_ambient
 from .groupscf import GroupBoundError
 
 QSYM_BASES = qsym.BASES
@@ -123,7 +123,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_structconst(args) -> int:
-    k = args.k
+    k = check_ambient(args.k)  # before [k - 1] is built
     if k < 0:
         raise CliError(f"--k must be nonnegative, got {k}")
     if args.filter_m is not None and not 0 <= args.filter_m <= k:

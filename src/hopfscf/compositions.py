@@ -22,6 +22,13 @@ class AmbientBoundError(ValueError):
     """Ambient size exceeds the supported bit-set bound."""
 
 
+def check_ambient(n: int) -> int:
+    """n, refused with AmbientBoundError past the bound before any work."""
+    if n > MAX_AMBIENT:
+        raise AmbientBoundError(f"ambient {n} exceeds supported bound {MAX_AMBIENT}")
+    return n
+
+
 class Composition(tuple):
     """A finite sequence of positive integers; one already built is kept as it is."""
 
@@ -95,10 +102,7 @@ class SubsetLabel:
     def __post_init__(self) -> None:
         if index(self.ambient) < 0:
             raise ValueError(f"ambient must be nonnegative, got {self.ambient}")
-        if self.ambient > MAX_AMBIENT:
-            raise AmbientBoundError(
-                f"ambient {self.ambient} exceeds supported bound {MAX_AMBIENT}"
-            )
+        check_ambient(self.ambient)
         limit = 1 << max(self.ambient - 1, 0) if self.ambient >= 1 else 1
         if self.mask < 0 or self.mask >= limit:
             raise ValueError(

@@ -19,11 +19,11 @@ each cached function reports its hits and misses.  The tensor embedding and
 m_A tables are built on each call, since only a plan build and the public
 `tensor_embed` and `product_mA` read them.
 
-A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`,
-`restrict` and `unit` take their spec from one bounded interning cache keyed
-on the index set and the bound (read on every call, so a lowered bound still
-refuses), the operand checks compare index sets with [degree - 1] and build
-no spec, and the weights `_off_weights` of m are cached per (nu, degree).
+A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
+takes its spec from one bounded interning cache keyed on the degree and the
+bound (read on every call, so a lowered bound still refuses), the operand
+checks compare index sets with [degree - 1] and build no spec, and the
+weights `_off_weights` of m are cached per (nu, degree).
 `expand_kappa` reads a function's coordinates as ints where integral and
 Fractions otherwise, the normal form of `scalars._rational`.  `kappa`, `chi`
 and `dot_chi` build a fresh function on each call; the left factors kappa_L
@@ -110,16 +110,8 @@ class GroupSpec:
         )
 
 
-# Both interning caches are typed, so a nu of 2.0 or True, equal to 2 and 1
-# as keys, misses the int's entry and is refused.
-@lru_cache(maxsize=256, typed=True)
-def _spec(nu: int, index_set: tuple[int, ...], bound: int) -> GroupSpec:
-    """The one interned Q_S(nu) per index set and bound; the callers read the
-    bound on every call, so a lowered one misses and refuses a spec built
-    before."""
-    return GroupSpec(nu, index_set)
-
-
+# The interning cache is typed, so a nu of 2.0 or True, equal to 2 and 1 as
+# keys, misses the int's entry and is refused.
 @lru_cache(maxsize=256, typed=True)
 def _standard_spec(nu: int, degree: int, bound: int) -> GroupSpec:
     if (degree := index(degree)) < 0:
@@ -128,7 +120,7 @@ def _standard_spec(nu: int, degree: int, bound: int) -> GroupSpec:
     # nu >= 2, so past the bound's bit length the order exceeds the bound.
     if degree > MAX_AMBIENT and degree - 1 > bound.bit_length():
         raise _too_large(_exact_nu(nu), degree - 1, bound)
-    return _spec(nu, tuple(range(1, degree)), bound)
+    return GroupSpec(nu, tuple(range(1, degree)))
 
 
 def _is_standard(spec: GroupSpec, degree: int) -> bool:
@@ -352,7 +344,7 @@ def one(spec: GroupSpec) -> ClassFunction:
 
 def unit(nu: int) -> ClassFunction:
     """The function 1 on the trivial group (degrees 0 and 1)."""
-    return one(_spec(nu, (), max_group_order()))
+    return one(GroupSpec.standard(nu, 0))
 
 
 def _mask_of(spec: GroupSpec, I) -> int:
@@ -422,7 +414,7 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
     spec = phi.spec
     T = _require_subset(T, spec.index_set, "restriction target")
     # index() refuses a label such as 2.0 that equals one of the index set
-    target = _spec(spec.nu, tuple(map(index, sorted(T))), max_group_order())
+    target = GroupSpec(spec.nu, tuple(map(index, sorted(T))))
     positions = tuple(spec.index_set.index(label) for label in target.index_set)
     gather = restriction_map(spec.nu, spec.rank, positions)
     return ClassFunction(target, map(phi.nums.__getitem__, gather), phi.den)
@@ -596,10 +588,11 @@ _left_kappa = lru_cache(maxsize=1024)(kappa)
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
     """delta_k as a list of pure tensor summands (left on Q_k, right on Q_{n-k}).
 
-    Read off phi restricted to Q_{[n-1] \\ {k}}, enumerated left coordinates
-    slowest: phi is constant on superclasses, so the row of the left element
-    that is 1 exactly on L is phi(a_L, .) on Q_{n-k}, and the restriction is
-    sum_L kappa_L (x) phi(a_L, .), one pair per L whose row is not zero.
+    Read off phi restricted to Q_{[n-1] \\ {k}}, gathered through
+    `restriction_map` with left coordinates slowest: phi is constant on
+    superclasses, so the row of the left element that is 1 exactly on L is
+    phi(a_L, .) on Q_{n-k}, and the restriction is sum_L kappa_L (x)
+    phi(a_L, .), one pair per L whose row is not zero.
     """
     nu = phi.spec.nu
     if not _is_standard(phi.spec, n):
@@ -613,14 +606,15 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
     _superclass_nums(phi)  # raises outside the supercharacter function space
     left_spec = GroupSpec.standard(nu, k)
     right_spec = GroupSpec.standard(nu, n - k)
-    keep = restrict(phi, set(range(1, n)) - {k})
+    gather = restriction_map(nu, n - 1, tuple(p for p in range(n - 1) if p != k - 1))
+    keep = tuple(map(phi.nums.__getitem__, gather))
     width = right_spec.order
     out = []
     for L in subsets_of(k):
         start = width * sum(nu ** (k - 1 - i) for i in L)
-        row = keep.nums[start:start + width]
+        row = keep[start:start + width]
         if any(row):
-            out.append((_left_kappa(left_spec, L), ClassFunction(right_spec, row, keep.den)))
+            out.append((_left_kappa(left_spec, L), ClassFunction(right_spec, row, phi.den)))
     return out
 
 

@@ -354,9 +354,9 @@ def _lower(value):
 def _times(a, b):
     """a * b in normal form, the one coefficient product; the int 1 costs no multiplication."""
     if type(a) is int and a == 1:
-        return b
+        return _lower(b)
     if type(b) is int and b == 1:
-        return a
+        return _lower(a)
     return _lower(a * b)
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 from . import charmap, groupscf, nsym, qsym
 from .compositions import (
     SubsetLabel,
+    check_ambient,
     comp_of_set,
     complement,
     compositions_of,
@@ -447,13 +448,14 @@ def _nu_degrees(defaults: dict[int, int], max_degree: int | None, nus) -> dict[i
 
 def run_suite(name: str, max_degree: int | None = None, nus: list[int] | None = None) -> CheckReport:
     """Dispatch a named suite with optional overrides; without max_degree each
-    suite runs at its own default bound."""
+    suite runs at its own default bound.  A symbolic suite past the subset-mask
+    bound could only end in AmbientBoundError, so it is refused first."""
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if name in _NU_DEFAULTS:
         return suite(_nu_degrees(_NU_DEFAULTS[name], max_degree, nus))
-    return suite() if max_degree is None else suite(max_degree)
+    return suite() if max_degree is None else suite(check_ambient(max_degree))
 
 
 SUITES = {

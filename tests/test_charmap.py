@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-import hopfscf.charmap as charmap
 import hopfscf.groupscf as groupscf
 import hopfscf.qsym as qsym
-from hopfscf.charmap import ScfElem, _ch_of_dense, ch, verify_diagrams
+from hopfscf.charmap import ScfElem, ch, verify_diagrams
 from hopfscf.compositions import Composition, SubsetLabel, subsets_of
 from hopfscf.groupscf import (
     ClassFunction,
@@ -43,23 +42,20 @@ class TestScfElem:
                 lifted = ScfElem.from_dense(phi, degree)
                 assert lifted.to_dense(degree) == phi
 
-    @pytest.mark.parametrize(
-        "lift", [ScfElem.from_dense, _ch_of_dense], ids=["from_dense", "ch_of_dense"]
-    )
-    def test_from_dense_refuses_a_nonstandard_spec_or_degree(self, lift):
+    def test_from_dense_refuses_a_nonstandard_spec_or_degree(self):
         phi = kappa(GroupSpec.standard(2, 3), {1})
         for degree in (2, 4):
             with pytest.raises(ValueError, match="expects a standard group"):
-                lift(phi, degree)
+                ScfElem.from_dense(phi, degree)
         for labels in [(1, 3), (2, 3)]:
             gapped = kappa(GroupSpec(2, labels), {3})
             for degree in (3, 4):
                 with pytest.raises(ValueError, match="expects a standard group"):
-                    lift(gapped, degree)
+                    ScfElem.from_dense(gapped, degree)
         # tuple(range(1, -1)) == (), the trivial group's index set
         trivial = kappa(GroupSpec.standard(2, 0), set())
         with pytest.raises(ValueError, match="degree must be nonnegative, got -1"):
-            lift(trivial, -1)
+            ScfElem.from_dense(trivial, -1)
 
     def test_dense_round_trip_chi(self):
         nu, degree = 3, 4
@@ -78,18 +74,6 @@ def random_superclass_function(rng: random.Random, nu: int, n: int) -> ClassFunc
 
 
 class TestDenseToSymbolic:
-    @pytest.mark.parametrize("nu", [2, 3, 5])
-    def test_fused_route_matches_from_dense_then_ch(self, nu):
-        rng = random.Random(nu)
-        cases = 0
-        for n in range(7):
-            for _ in range(6):
-                phi = random_superclass_function(rng, nu, n)
-                fused, lifted = _ch_of_dense(phi, n), ch(ScfElem.from_dense(phi, n))
-                assert fused == lifted and str(fused) == str(lifted)
-                cases += not fused.is_zero()
-        assert cases > 0
-
     @pytest.mark.parametrize("nu", [2, 3, 5])
     def test_expand_kappa_is_the_fraction_view_of_superclass_nums(self, nu):
         rng = random.Random(10 + nu)
@@ -135,7 +119,6 @@ class TestDenseToSymbolic:
             _superclass_nums,
             expand_kappa,
             lambda f: ScfElem.from_dense(f, 3),
-            lambda f: _ch_of_dense(f, 3),
         )
         messages = set()
         for route in routes:
@@ -214,27 +197,27 @@ class TestDiagrams:
     def test_degrees_zero_and_one_share_a_group_but_not_an_image(self, nu):
         # why the verifier's memo of ch images keys on the degree as well
         assert unit(nu).spec == GroupSpec.standard(nu, 0) == GroupSpec.standard(nu, 1)
-        assert _ch_of_dense(unit(nu), 0) == QSymElem.unit("M")
-        assert _ch_of_dense(unit(nu), 1) == QSymElem.basis_elem("M", (1,))
+        assert ch(ScfElem.from_dense(unit(nu), 0)) == QSymElem.unit("M")
+        assert ch(ScfElem.from_dense(unit(nu), 1)) == QSymElem.basis_elem("M", (1,))
 
     @pytest.mark.parametrize("nu,bound", [(2, 4), (3, 3)])
     def test_each_distinct_dense_function_crosses_once(self, nu, bound, monkeypatch):
         # the basis functions and the coproduct factors go through the memo;
         # each product check maps its own product, kept alive so ids stay unique
-        products, calls, real = {}, Counter(), groupscf.product_m
+        products, calls, real, lift = {}, Counter(), groupscf.product_m, ScfElem.from_dense
 
         def product_m(*args):
             out = real(*args)
             products[id(out)] = out
             return out
 
-        def counted(phi, degree):
+        def counted(cls, phi, degree):
             if id(phi) not in products:
                 calls[degree, phi.spec, phi.nums, phi.den] += 1
-            return _ch_of_dense(phi, degree)
+            return lift(phi, degree)
 
         monkeypatch.setattr(groupscf, "product_m", product_m)
-        monkeypatch.setattr(charmap, "_ch_of_dense", counted)
+        monkeypatch.setattr(ScfElem, "from_dense", classmethod(counted))
         assert verify_diagrams(nu, bound).passed
         assert products and calls and set(calls.values()) == {1}
         # the unit factors of the k = 0 and k = n slices are mapped in degree 0 and 1

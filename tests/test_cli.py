@@ -1,11 +1,36 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hopfscf.cli import build_parser, main, parse_composition, parse_elem, parse_subset
 from hopfscf.compositions import Composition
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter held to 1 GiB; a refusal that regresses
+    to a hang fails after 30 s instead of stalling the run."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    command = [sys.executable, "-m", "hopfscf.cli", *argv]
+    return subprocess.run(
+        command, capture_output=True, text=True, timeout=30, env=env, preexec_fn=_cap_memory
+    )
+
+
+def refused(done: subprocess.CompletedProcess, message: str) -> bool:
+    return (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestParsing:
@@ -87,6 +112,12 @@ class TestStructconst:
         main(["structconst", "--k", "3", "--K", "{1,2}", "--csv", "--filter-m", "1"])
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows and all(r["m"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("k", [65, 10**20])
+    def test_k_past_the_mask_bound_exits_2_at_once(self, k):
+        # checked before [k - 1] is built
+        done = run_cli("structconst", "--k", str(k), "--K", "{}")
+        assert refused(done, f"ambient {k} exceeds supported bound 64")
 
     def test_bad_subset_exits_2(self):
         assert main(["structconst", "--k", "2", "--K", "{5}"]) == 2
@@ -261,6 +292,11 @@ class TestVerify:
             f"error: group order 2^{degree - 1} exceeds bound {1 << 20}; "
             "raise HOPF_SCF_MAX_GROUP to override\n"
         )
+
+    @pytest.mark.parametrize("suite", ["hopf-axioms", "integrality"])
+    def test_symbolic_suite_past_the_mask_bound_exits_2_at_once(self, suite):
+        done = run_cli("verify", "--suite", suite, "--max-degree", "65")
+        assert refused(done, "ambient 65 exceeds supported bound 64")
 
     @pytest.mark.parametrize("raw", ["abc", "", "1e6"])
     def test_malformed_group_bound_exits_2(self, capsys, monkeypatch, raw):

@@ -29,10 +29,11 @@ from hopfscf import fqsym, nsym, qsym
 from hopfscf.charmap import ScfElem, ch
 from hopfscf.compositions import compositions_of
 from hopfscf.fqsym import FQSymElem
+from hopfscf.linear import extend
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
 from hopfscf.symring import SymElem, partitions_of
-from hopfscf.scalars import ONE, Q, T, ZERO, ScalarQT, _coeff, _format, parse_scalar, rational
+from hopfscf.scalars import ONE, Q, T, ZERO, ScalarQT, _coeff, _format, _times, parse_scalar, rational
 
 RATIONAL = (int, Fraction)
 
@@ -185,6 +186,22 @@ def test_integral_rational_results_are_stored_as_ints():
     third = ScfElem.kappa(2, 2, {1}).scale(Fraction(1, 3))
     for y in (x.scale(Fraction(3, 2)), x + x.scale(Fraction(1, 2)), third + third + third):
         assert [type(c) for c in y.terms.values()] == [int] and list(y.terms.values()) == [1]
+
+
+@pytest.mark.parametrize("c", [ONE, Fraction(1), Fraction(4, 2)], ids=repr)
+def test_a_unit_factor_skips_the_product_not_the_normal_form(c):
+    # a rule coefficient that is a constant ScalarQT or an integral Fraction
+    got = extend([("a", 1)], lambda k: [(k, c)])
+    assert got == {"a": c} and type(got["a"]) is int
+    assert all(type(v) is int for v in (_times(1, c), _times(c, 1)))
+
+
+def test_the_counit_of_a_coproduct_term_is_stored_as_an_int():
+    # the sum verify's counit laws take: qsym.counit answers in ScalarQT
+    x = qsym.M((1, 2))
+    terms = qsym.coproduct(x).terms.items()
+    left = extend(terms, lambda ab: ((ab[1], qsym.counit(qsym.M(ab[0]))),))
+    assert left == x.terms and [type(v) for v in left.values()] == [int]
 
 
 NSYM_BASES = list(nsym.BASES)

@@ -257,12 +257,12 @@ class TestRestrictTensorRelabel:
         spec = GroupSpec.standard(3, 4)
         assert restrict(one(spec), {2}) == one(GroupSpec(3, (2,)))
 
-    def test_restriction_and_unit_specs_are_interned(self):
+    def test_restriction_and_unit_specs(self):
         phi = one(GroupSpec.standard(3, 4))
-        assert restrict(phi, {1, 3}).spec is restrict(phi, [3, 1]).spec
-        assert unit(3).spec is unit(3).spec == GroupSpec(3, ())
-        # the standard spec of a shape is the interned spec of its index set
-        assert restrict(phi, {1, 2}).spec is GroupSpec.standard(3, 3)
+        assert restrict(phi, {1, 3}).spec == restrict(phi, [3, 1]).spec == GroupSpec(3, (1, 3))
+        assert restrict(phi, {1, 2}).spec == GroupSpec.standard(3, 3)
+        # the unit lives on the interned trivial group
+        assert unit(3).spec is GroupSpec.standard(3, 0) == GroupSpec(3, ())
 
     def test_a_lowered_bound_refuses_a_restriction_built_before(self, monkeypatch):
         monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
@@ -273,7 +273,7 @@ class TestRestrictTensorRelabel:
             restrict(phi, {1, 2, 3, 4})
         restrict(phi, {1, 2, 3})  # 27 elements: still inside
         monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
-        assert restrict(phi, {1, 2, 3, 4}).spec is target
+        assert restrict(phi, {1, 2, 3, 4}).spec == target
 
     def test_a_malformed_bound_raises_on_every_restriction_and_unit(self, monkeypatch):
         phi = one(GroupSpec.standard(2, 4))
@@ -287,7 +287,7 @@ class TestRestrictTensorRelabel:
 
     def test_a_non_int_restriction_label_is_refused(self):
         phi = one(GroupSpec.standard(2, 4))
-        restrict(phi, {2})  # the int target is cached first
+        restrict(phi, {2})  # the int target is accepted
         with pytest.raises(TypeError):
             restrict(phi, {2.0})
 
@@ -372,7 +372,6 @@ class TestProduct:
             "product_plan",
             "element_supports",
             "_standard_spec",
-            "_spec",
             "_off_weights",
             "_left_kappa",
         )
@@ -606,6 +605,19 @@ class TestCoproduct:
                 spec = GroupSpec.standard(nu, k)
                 assert [left for left, _ in first] == [kappa(spec, L) for L in subsets(range(1, k))]
                 assert all(a is b for (a, _), (b, _) in zip(first, again))
+
+    def test_slices_build_functions_on_standard_groups_only(self, monkeypatch):
+        # the restriction to Q_{[n-1] \ {k}} is read by gather, not built
+        built, init = [], ClassFunction.__init__
+
+        def record(self, spec, *args):
+            built.append(spec.index_set)
+            init(self, spec, *args)
+
+        monkeypatch.setattr(ClassFunction, "__init__", record)
+        for nu, n in [(2, 5), (3, 4)]:
+            coproduct(dot_chi(GroupSpec.standard(nu, n), {2}), n)
+        assert built and all(labels == tuple(range(1, len(labels) + 1)) for labels in built)
 
     def test_slice_position_out_of_range(self):
         phi = kappa(GroupSpec.standard(2, 3), {1})

@@ -41,6 +41,7 @@ ALLOWED = {
     "groupscf.hall_inner": PAPER + " (the Hall inner product)",
     "groupscf.relabel": PAPER + " (transport along the order-preserving bijection)",
     "groupscf.expand_kappa": PAPER + " (a superclass function's coordinates in the kappa basis)",
+    "groupscf.restrict": PAPER + " (phi pulled back to the subgroup Q_T)",
     "symring.generating_set_rank": ACCEPTANCE,
     "nsym.coproduct_bhat": ACCEPTANCE,
     "verify.pi_L_matrices_inverse": ACCEPTANCE,
@@ -50,7 +51,6 @@ ALLOWED = {
     "qsym.Pi": "public API: the Pi(nu) basis element constructor, as M and L are",
     "fqsym.project_pi": "public API: the projection FQSym -> QSym",
     "charmap.ScfElem.chi_dot": "public API: the chi_dot basis element constructor, twin of ScfElem.kappa",
-    "charmap.ScfElem.from_dense": "public API: a dense function's kappa coordinates; perfbench calls it",
     "charmap.ScfElem.to_dense": "public API: an element as a dense function; perfbench calls it",
     "fqsym.FQSymElem.F": "public API: the F basis element constructor; the repr guard builds with it",
     "symring.SymElem.h": "public API: the h basis element constructor; the repr guard builds with it",
