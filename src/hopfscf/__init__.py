@@ -18,7 +18,6 @@ from .groupscf import ClassFunction, GroupSpec
 from .qsym import QSymElem
 from .nsym import NSymElem
 from .symring import Partition, SymElem, comm
-from .fqsym import FQSymElem
 from .charmap import ScfElem, ch
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "Partition",
     "SymElem",
     "comm",
-    "FQSymElem",
     "ScfElem",
     "ch",
 ]

@@ -169,6 +169,8 @@ def cmd_verify(args) -> int:
             raise CliError(f"every --nu must be at least 2, got {args.nu}")
     if args.max_degree is not None and args.max_degree < 0:
         raise CliError(f"--max-degree must be nonnegative, got {args.max_degree}")
+    if nus is not None and name not in verify._NU_DEFAULTS:
+        raise CliError(f"--nu applies only to the suites {', '.join(verify._NU_DEFAULTS)}, not {name}")
     report = verify.run_suite(name, max_degree=args.max_degree, nus=nus)
     summary = {
         "suite": name,

@@ -1,4 +1,4 @@
-"""Compositions, subset labels, run decompositions, shuffles, and word tools.
+"""Compositions, subset labels, run decompositions and shuffles.
 
 Compositions of n are identified with subsets of [n-1] = {1, ..., n-1}
 through partial sums; every basis of QSym/NSym used elsewhere is labelled by
@@ -290,41 +290,3 @@ def overlapping_shuffles(alpha: Composition | Iterable[int], beta: Composition |
     two next parts into one."""
     words = _interleavings(Composition(alpha), Composition(beta), fuse=True)
     return Counter({Composition(w): count for w, count in words.items()})
-
-
-# ---------------------------------------------------------------------------
-# Words over a totally ordered alphabet
-
-
-def descent_set(word: Sequence[int]) -> SubsetLabel:
-    """Positions i with word[i] > word[i+1] (1-based), in ambient len(word)."""
-    return SubsetLabel.of(
-        len(word), (i for i in range(1, len(word)) if word[i - 1] > word[i])
-    )
-
-
-def standardize(word: Sequence[int]) -> tuple[int, ...]:
-    """The permutation with the same relative order; ties broken left to right."""
-    order = sorted(range(len(word)), key=lambda i: (word[i], i))
-    std = [0] * len(word)
-    for rank, i in enumerate(order, start=1):
-        std[i] = rank
-    return tuple(std)
-
-
-def shuffle_words(u: Sequence[int], v: Sequence[int]) -> Counter:
-    """Multiset of all interleavings of u and v (binom(|u|+|v|, |v|) total)."""
-    return _interleavings(tuple(u), tuple(v), fuse=False)
-
-
-def shifted_shuffle(u: Sequence[int], v: Sequence[int], m: int) -> Counter:
-    """Shuffle of u with v shifted up by m."""
-    return shuffle_words(u, tuple(x + m for x in v))
-
-
-def descent_rep(I: SubsetLabel) -> tuple[int, ...]:
-    """Lexicographically smallest permutation of [ambient] with descent set I:
-    one block per part of comp(complement of I), each holding the next
-    consecutive values in decreasing order."""
-    tops = itertools.accumulate(comp_of_set(I.complement()), initial=0)
-    return tuple(v for low, top in itertools.pairwise(tops) for v in range(top, low, -1))

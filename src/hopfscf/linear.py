@@ -2,8 +2,8 @@
 
 Every element class of hopfscf is a sparse dict `terms` from basis labels to
 nonzero coefficients: QSym and NSym in one basis, their tensor squares, Sym in
-h, FQSym in F and the superclass functions.  `LinComb` holds everything they
-share; a subclass supplies only
+h and the superclass functions.  `LinComb` holds everything they share; a
+subclass supplies only
 
 - its tag, the slots named in `_TAG` (a basis, a nu, a pair of bases), and
   the validation of the tag in its `__init__`;

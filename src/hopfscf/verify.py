@@ -19,11 +19,8 @@ from .compositions import (
     comp_of_set,
     complement,
     compositions_of,
-    descent_rep,
-    descent_set,
     overlapping_shuffles,
     set_of_comp,
-    shifted_shuffle,
     subsets_of,
 )
 from .groupscf import CheckReport, GroupSpec, check
@@ -410,27 +407,6 @@ def bh_matrices_inverse(n: int) -> bool:
     return _sparse_inverses(
         n, lambda i, j: b_matrix_entry(n, i, j), lambda i, j: b_inverse_entry(n, i, j)
     )
-
-
-# ---------------------------------------------------------------------------
-# FQSym oracle sweeps
-
-
-def fqsym_descent_oracle(max_total: int = 7) -> CheckReport:
-    """Des multisets of shifted shuffles match the cached A-shuffle multisets
-    that qsym's L x L product reads."""
-
-    def fault(case):
-        m, n, I, J = case
-        I_lbl, J_lbl = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
-        words = shifted_shuffle(descent_rep(I_lbl), descent_rep(J_lbl), m).items()
-        from_words = extend(words, lambda word: ((descent_set(word).mask, 1),))
-        from_shuffles = dict(qsym._l_product_masks(m, n, I_lbl.mask, J_lbl.mask))
-        if from_words != from_shuffles:
-            return f"m={m} n={n} I={sorted(I)} J={sorted(J)}"
-
-    cases = _subset_pairs(_triangle(max_total))
-    return CheckReport([check("descents of shifted shuffles = A-shuffles", cases, fault)])
 
 
 # ---------------------------------------------------------------------------

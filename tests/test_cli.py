@@ -251,6 +251,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "suite", ["hopf-axioms", "dualities", "specializations", "omega", "overlap", "integrality"]
+    )
+    def test_nu_on_a_suite_without_nu_exits_2(self, capsys, suite):
+        # a suite that takes no nu once ran and exited 0 with --nu ignored
+        code = main(["verify", "--suite", suite, "--max-degree", "1", "--nu", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --nu applies only to the suites diagrams, group-axioms, not {suite}\n"
+
     def test_oversized_group_exits_2_before_any_degree(self, capsys, monkeypatch):
         from hopfscf import groupscf
 

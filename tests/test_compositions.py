@@ -14,8 +14,6 @@ from hopfscf.compositions import (
     comp_of_set,
     complement,
     compositions_of,
-    descent_rep,
-    descent_set,
     near_concat,
     overlapping_shuffles,
     preshuffle,
@@ -23,10 +21,8 @@ from hopfscf.compositions import (
     run_markers,
     runs_composition,
     set_of_comp,
-    shifted_shuffle,
-    shuffle_words,
-    standardize,
 )
+from fqsym_oracle import descent_rep, descent_set, shifted_shuffle, shuffle_words, standardize
 
 
 def shuffle_by_selector(u: Sequence[int], v: Sequence[int], A: Iterable[int]) -> tuple[int, ...]:

@@ -3,8 +3,17 @@ import math
 
 import pytest
 
-from hopfscf.compositions import SubsetLabel, descent_rep, descent_set
-from hopfscf.fqsym import FQSymElem, coproduct, coproduct_F, product_F, project_pi
+from fqsym_oracle import (
+    FQSymElem,
+    coproduct,
+    coproduct_F,
+    descent_rep,
+    descent_set,
+    fqsym_descent_oracle,
+    product_F,
+    project_pi,
+)
+from hopfscf.compositions import SubsetLabel
 from hopfscf.qsym import L
 import hopfscf.linear as linear
 import hopfscf.qsym as qsym
@@ -145,7 +154,5 @@ class TestRepresentativeIndependence:
 
 class TestDescentOracle:
     def test_shuffle_descents_match_a_shuffles_up_to_seven(self):
-        from hopfscf.verify import fqsym_descent_oracle
-
         report = fqsym_descent_oracle(7)
         assert report.passed, report.failures()

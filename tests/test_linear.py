@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfscf import fqsym, nsym, qsym
+import fqsym_oracle as fqsym
+from fqsym_oracle import FQSymElem
+from hopfscf import nsym, qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem
 from hopfscf.compositions import SubsetLabel, comp_of_set
-from hopfscf.fqsym import FQSymElem
 from hopfscf.linear import LinComb, extend, extend2, tensor_terms
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor

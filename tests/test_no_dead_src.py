@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
+ACCEPTANCE_TESTS = Path(__file__).resolve().with_name("test_acceptance.py")
 
 PAPER = "one of the paper's operators, kept as a public entry point"
 ACCEPTANCE = "an acceptance-criterion entry point, called from tests/test_acceptance.py"
@@ -47,12 +48,9 @@ ALLOWED = {
     "verify.pi_L_matrices_inverse": ACCEPTANCE,
     "verify.pi_M_matrices_inverse": ACCEPTANCE,
     "verify.bh_matrices_inverse": ACCEPTANCE,
-    "verify.fqsym_descent_oracle": ACCEPTANCE,
     "qsym.Pi": "public API: the Pi(nu) basis element constructor, as M and L are",
-    "fqsym.project_pi": "public API: the projection FQSym -> QSym",
     "charmap.ScfElem.chi_dot": "public API: the chi_dot basis element constructor, twin of ScfElem.kappa",
     "charmap.ScfElem.to_dense": "public API: an element as a dense function; perfbench calls it",
-    "fqsym.FQSymElem.F": "public API: the F basis element constructor; the repr guard builds with it",
     "symring.SymElem.h": "public API: the h basis element constructor; the repr guard builds with it",
     "linear.LinComb.from_json_dict": "public API: the read half of the README's JSON round trip",
     "scalars.ScalarQT.num": "public API: the numerator; read by the README, the scalar guard and perfbench",
@@ -229,3 +227,13 @@ def test_every_allowed_name_is_needed():
         if not any(d.endswith(" " + name) for d in dead_names(modules, set(ALLOWED) - {name}))
     ]
     assert stale == []
+
+
+def test_every_acceptance_entry_is_read_by_the_acceptance_tests():
+    refs, _ = _referenced([ast.parse(ACCEPTANCE_TESTS.read_text())])
+    unread = [
+        name
+        for name, reason in ALLOWED.items()
+        if reason == ACCEPTANCE and name.rsplit(".", 1)[1] not in refs
+    ]
+    assert unread == []

