@@ -1,4 +1,4 @@
-"""Compositions, subset labels, run decompositions and shuffles.
+"""Compositions, subset labels, selectors as masks, and shuffles.
 
 Compositions of n are identified with subsets of [n-1] = {1, ..., n-1}
 through partial sums; every basis of QSym/NSym used elsewhere is labelled by
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import index
 
@@ -103,8 +103,10 @@ class SubsetLabel:
         if index(self.ambient) < 0:
             raise ValueError(f"ambient must be nonnegative, got {self.ambient}")
         check_ambient(self.ambient)
+        if index(self.mask) < 0:
+            raise ValueError(f"mask must be nonnegative, got {self.mask}")
         limit = 1 << max(self.ambient - 1, 0) if self.ambient >= 1 else 1
-        if self.mask < 0 or self.mask >= limit:
+        if self.mask >= limit:
             raise ValueError(
                 f"members {members_of(self.mask)} not contained in [{self.ambient - 1}]"
             )
@@ -133,10 +135,13 @@ class SubsetLabel:
 
 
 def comp_of_set(label: SubsetLabel) -> Composition:
-    """The composition of n = ambient with partial sums at the members.  The
-    gaps of a valid label are positive, so they go into the Composition
-    unchecked."""
-    n, mask = label.ambient, label.mask
+    """The composition of n = ambient with partial sums at the members."""
+    return comp_of_mask(label.ambient, label.mask)
+
+
+def comp_of_mask(n: int, mask: int) -> Composition:
+    """comp_of_set of a subset of [n-1] given as a mask.  Its gaps are
+    positive, so they go into the Composition unchecked."""
     if n == 0:
         return EMPTY_COMPOSITION
     parts = []
@@ -203,26 +208,48 @@ def subsets_of(n: int):
         yield from itertools.combinations(range(1, n), r)
 
 
-def run_decomposition(members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Maximally connected subsets (runs), ordered by their minimum."""
-    elems = sorted(set(members))
-    runs: list[list[int]] = []
-    for x in elems:
-        if runs and runs[-1][-1] == x - 1:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
-    return tuple(tuple(r) for r in runs)
-
-
-def runs_composition(members: Iterable[int]) -> Composition:
-    """Run lengths as a composition, ordered by run minimum."""
-    return Composition(len(r) for r in run_decomposition(members))
-
-
 def run_maxima(mask: int, k: int) -> int:
     """The run maxima of a subset of [k] given as a mask, k removed."""
     return mask & ~(mask >> 1) & ((1 << k) - 1) >> 1
+
+
+def selectors(k: int, n: int):
+    """Every size-n subset A of [k] as a mask, in itertools.combinations order:
+    the one enumerator of every selector loop (nsym, and qsym's L product)."""
+    return (sum(map((1).__lshift__, A)) for A in itertools.combinations(range(k), n))
+
+
+def members_at(pool: int, ranks: int) -> int:
+    """The mask of the members of pool at the 1-based ranks in ranks."""
+    out = 0
+    while ranks and pool:
+        low = pool & -pool
+        if ranks & 1:
+            out |= low
+        ranks >>= 1
+        pool ^= low
+    return out
+
+
+def ranks_within(sub: int, pool: int) -> int:
+    """The mask of the 1-based ranks, within the members of pool, of sub's members."""
+    out, bit = 0, 1
+    while pool:
+        low = pool & -pool
+        if sub & low:
+            out |= bit
+        bit <<= 1
+        pool ^= low
+    return out
+
+
+def selector_masks(imask: int, jmask: int, amask: int, k: int) -> tuple[int, int, int]:
+    """(preshuffle, c1, c2) of the selector A inside [k], all as masks: ranks I
+    read off the complement of A joined with ranks J read off A, and the run
+    maxima of A and of its complement, both with k removed."""
+    rest = ((1 << k) - 1) ^ amask
+    pre = members_at(rest, imask) | members_at(amask, jmask)
+    return pre, run_maxima(amask, k), run_maxima(rest, k)
 
 
 def run_markers(members: Iterable[int], k: int) -> tuple[SubsetLabel, SubsetLabel, SubsetLabel]:
@@ -231,15 +258,8 @@ def run_markers(members: Iterable[int], k: int) -> tuple[SubsetLabel, SubsetLabe
     a = set(members)
     if any(x < 1 or x > k for x in a):
         raise ValueError(f"subset {sorted(a)} not contained in [{k}]")
-    amask = mask_of(a)
-    c1 = run_maxima(amask, k)
-    c2 = run_maxima(((1 << k) - 1) ^ amask, k)
+    _, c1, c2 = selector_masks(0, 0, mask_of(a), k)
     return SubsetLabel(k, c1), SubsetLabel(k, c2), SubsetLabel(k, c1 | c2)
-
-
-def _select(sorted_pool: Sequence[int], positions: Iterable[int]) -> set[int]:
-    # positions are 1-based ranks into the ascending pool
-    return {sorted_pool[i - 1] for i in positions}
 
 
 def preshuffle(I: SubsetLabel, J: SubsetLabel, A: Iterable[int], m: int, n: int) -> SubsetLabel:
@@ -252,9 +272,8 @@ def preshuffle(I: SubsetLabel, J: SubsetLabel, A: Iterable[int], m: int, n: int)
         raise ValueError(f"selector A must have size n={n}, got {a}")
     if a and (a[0] < 1 or a[-1] > m + n):
         raise ValueError(f"selector A={a} not contained in [{m + n}]")
-    ac = sorted(set(range(1, m + n + 1)) - set(a))
-    picked = _select(ac, I.members) | _select(a, J.members)
-    return SubsetLabel.of(m + n, picked)
+    pre, _, _ = selector_masks(I.mask, J.mask, mask_of(a), m + n)
+    return SubsetLabel(m + n, pre)
 
 
 def a_shuffle(I: SubsetLabel, J: SubsetLabel, A: Iterable[int], m: int, n: int) -> SubsetLabel:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import os
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -132,50 +131,14 @@ def _is_standard(spec: GroupSpec, degree: int) -> bool:
     return len(labels) == max(degree - 1, 0) and (not labels or labels[-1] == len(labels))
 
 
-class _Values(Sequence):
-    """Read-only view of numerators over one denominator as Fractions.
-
-    Compares and hashes like the tuple of its Fractions; len() builds none.
-    """
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: tuple[int, ...], den: int):
-        self._nums = nums
-        self._den = den
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(Fraction(x, self._den) for x in self._nums[i])
-        return Fraction(self._nums[i], self._den)
-
-    def __iter__(self):
-        den = self._den
-        return (Fraction(x, den) for x in self._nums)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Values):
-            return self._nums == other._nums and self._den == other._den
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-
 class ClassFunction:
     """Exact rational-valued function on Q_S(nu), stored densely.
 
     `nums[i] / den` is the value at the i-th element; the pair is gcd-reduced
-    with den > 0.  `values` is the same function as a read-only sequence of
-    Fractions.  Given `den`, `values` are taken as int numerators over it.
+    with den > 0.  Given `den`, `values` are taken as int numerators over it.
     """
 
-    __slots__ = ("spec", "nums", "den", "values")
+    __slots__ = ("spec", "nums", "den")
 
     def __init__(self, spec: GroupSpec, values, den: int | None = None):
         if den is None:
@@ -197,7 +160,11 @@ class ClassFunction:
         self.spec = spec
         self.nums = nums
         self.den = den
-        self.values = _Values(nums, den)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The function as a tuple of Fractions, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -233,7 +200,7 @@ class ClassFunction:
         return not any(self.nums)
 
     def __repr__(self) -> str:
-        return f"ClassFunction({self.spec}, {tuple(self.values)})"
+        return f"ClassFunction({self.spec}, {self.values})"
 
 
 def _over_common_denominator(values) -> tuple[tuple[int, ...], int]:
@@ -248,7 +215,7 @@ def _require_same_spec(a: ClassFunction, b: ClassFunction) -> None:
 
 
 def _require_subset(I, S, what: str):
-    I = frozenset(I)
+    I = frozenset(map(index, I))  # a label such as 2.0 raises TypeError
     if not I <= set(S):
         raise ValueError(f"{what} {sorted(I)} is not a subset of the index set {S}")
     return I
@@ -413,8 +380,7 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
     """phi pulled back to the subgroup Q_T supported inside T."""
     spec = phi.spec
     T = _require_subset(T, spec.index_set, "restriction target")
-    # index() refuses a label such as 2.0 that equals one of the index set
-    target = GroupSpec(spec.nu, tuple(map(index, sorted(T))))
+    target = GroupSpec(spec.nu, tuple(sorted(T)))
     positions = tuple(spec.index_set.index(label) for label in target.index_set)
     gather = restriction_map(spec.nu, spec.rank, positions)
     return ClassFunction(target, map(phi.nums.__getitem__, gather), phi.den)

@@ -23,14 +23,14 @@ from math import comb
 from .compositions import (
     Composition,
     SubsetLabel,
+    comp_of_mask,
     comp_of_set,
     iter_submasks,
     mask_of,
     near_concat,
-    preshuffle,
-    run_markers,
-    run_maxima,
-    runs_composition,
+    ranks_within,
+    selector_masks,
+    selectors,
 )
 from .linear import LinComb, extend, extend2
 from .qsym import QSymElem, Tensor, _convert_into, _full_mask, convert as qsym_convert
@@ -207,15 +207,12 @@ def admissible_selectors(k: int, m: int, I, J):
     n = k - m, one whose preshuffle misses c(A), and every K in the interval
     I#J <= K <= (I#J) u c(A)."""
     n = k - m
-    I_lbl = SubsetLabel.of(m, I)
-    J_lbl = SubsetLabel.of(n, J)
-    for A in itertools.combinations(range(1, k + 1), n):
-        pre = preshuffle(I_lbl, J_lbl, frozenset(A), m, n)
-        _, c2, c = run_markers(A, k)
-        if pre.mask & c.mask:
-            continue
-        for sub in iter_submasks(c.mask & ~pre.mask):
-            yield pre.mask | sub, c2.mask
+    imask, jmask = SubsetLabel.of(m, I).mask, SubsetLabel.of(n, J).mask
+    for amask in selectors(k, n):
+        pre, c1, c2 = selector_masks(imask, jmask, amask, k)
+        if not pre & (c1 | c2):
+            for sub in iter_submasks(c1 | c2):
+                yield pre | sub, c2
 
 
 def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
@@ -259,33 +256,18 @@ def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], Scalar
 # 1024 tables hold every (k, K, m) with k <= 7: 897 tables, 4,577 entries
 @lru_cache(maxsize=1024)
 def _table(k: int, kmask: int, m: int) -> dict[tuple[int, int], ScalarQT]:
-    n = k - m
     full = (1 << k) - 1
     rows: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for A in itertools.combinations(range(k), n):
-        amask = sum(1 << i for i in A)
-        rest = full ^ amask
-        c1, c2 = run_maxima(amask, k), run_maxima(rest, k)
+    for amask in selectors(k, k - m):
+        _, c1, c2 = selector_masks(0, 0, amask, k)
         target = kmask & ~(c1 | c2)
-        row = (_ranks_within(target & rest, rest), _ranks_within(target & amask, amask))
+        row = (ranks_within(target, full ^ amask), ranks_within(target, amask))
         terms = rows.setdefault(row, {})
         e_qt, e_t = (kmask & c2).bit_count(), (kmask & c1).bit_count()
         for i in range(e_qt + 1):  # (q+t)^e_qt t^e_t, binomially
             mono = (i, e_qt - i + e_t)
             terms[mono] = terms.get(mono, 0) + comb(e_qt, i)
     return {row: ScalarQT(terms) for row, terms in rows.items()}
-
-
-def _ranks_within(sub: int, pool: int) -> int:
-    """The mask of the 1-based ranks, within the members of pool, of sub's members."""
-    out, bit = 0, 1
-    while pool:
-        low = pool & -pool
-        if sub & low:
-            out |= bit
-        bit <<= 1
-        pool ^= low
-    return out
 
 
 def coproduct_B_comp(k: int, K) -> NSymTensor:
@@ -300,16 +282,21 @@ def coproduct_B_comp(k: int, K) -> NSymTensor:
 
 def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT | int]]:
     """Per-selector terms of Delta Bhat(q,t)_k: one for each A inside [k],
-    with weight (q+t)^{|c2(A)|} t^{|c1(A)|} on Bhat_{alpha_A} (x) Bhat_{beta_A}."""
+    with weight (q+t)^{|c2(A)|} t^{|c1(A)|} on Bhat_{alpha_A} (x) Bhat_{beta_A}.
+    alpha_A lists the run lengths of A, whose partial sums are the ranks
+    within A of its run maxima but the last; beta_A the same for [k] \\ A."""
+
+    def runs(pool: int, maxima: int) -> Composition:
+        size = pool.bit_count()
+        return comp_of_mask(size, ranks_within(maxima, pool) & ((1 << size) - 1) >> 1)
+
     out = []
-    universe = range(1, k + 1)
+    full = (1 << k) - 1
     for r in range(k + 1):
-        for A in itertools.combinations(universe, r):
-            c1, c2, _ = run_markers(A, k)
-            coeff = _times((Q + T) ** c2.size, T**c1.size)
-            alpha = runs_composition(A)
-            beta = runs_composition(set(universe) - set(A))
-            out.append((alpha, beta, coeff))
+        for amask in selectors(k, r):
+            _, c1, c2 = selector_masks(0, 0, amask, k)
+            coeff = _times((Q + T) ** c2.bit_count(), T ** c1.bit_count())
+            out.append((runs(amask, c1), runs(full ^ amask, c2), coeff))
     return out
 
 

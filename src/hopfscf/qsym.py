@@ -22,7 +22,6 @@ the per-coordinate products, are the test oracle (tests/convert_oracle.py).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -30,10 +29,11 @@ from functools import lru_cache
 from .compositions import (
     Composition,
     SubsetLabel,
-    a_shuffle,
     comp_of_set,
     iter_submasks,
     overlapping_shuffles,
+    selector_masks,
+    selectors,
     set_of_comp,
 )
 from .linear import LinComb, extend, extend2, tensor_terms
@@ -273,11 +273,10 @@ def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
 # 4096 entries hold every (I, J) pair with m + n <= 9.
 @lru_cache(maxsize=4096)
 def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int, int], ...]:
-    """Multiset of a_shuffle masks over all selectors A, as (mask, mult) pairs."""
-    I = SubsetLabel(m, imask)
-    J = SubsetLabel(n, jmask)
-    selectors = itertools.combinations(range(1, m + n + 1), n)
-    counts = Counter(a_shuffle(I, J, frozenset(A), m, n).mask for A in selectors)
+    """Multiset of a_shuffle masks over all selectors A, as (mask, mult) pairs:
+    c1(A) joined with the preshuffle stripped of c(A), read from the masks."""
+    masks = (selector_masks(imask, jmask, amask, m + n) for amask in selectors(m + n, n))
+    counts = Counter(c1 | pre & ~c2 for pre, c1, c2 in masks)
     return tuple(sorted(counts.items()))
 
 

@@ -126,12 +126,13 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
         raise ValueError(f"restriction target {sorted(T)} is not inside {spec.index_set}")
     target = GroupSpec(spec.nu, tuple(sorted(T)))
     positions = [spec.index_set.index(label) for label in target.index_set]
+    phi_values = phi.values
     values = []
     for h in target.elements():
         g = [0] * spec.rank
         for pos, value in zip(positions, h):
             g[pos] = value
-        values.append(phi.values[index_of(spec, tuple(g))])
+        values.append(phi_values[index_of(spec, tuple(g))])
     return ClassFunction(target, values)
 
 
@@ -140,11 +141,12 @@ def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     target = GroupSpec(sa.nu, tuple(sorted(sa.index_set + sb.index_set)))
     pos_a = [target.index_set.index(label) for label in sa.index_set]
     pos_b = [target.index_set.index(label) for label in sb.index_set]
+    phi_values, psi_values = phi.values, psi.values
     values = []
     for g in target.elements():
         a = tuple(g[p] for p in pos_a)
         b = tuple(g[p] for p in pos_b)
-        values.append(phi.values[index_of(sa, a)] * psi.values[index_of(sb, b)])
+        values.append(phi_values[index_of(sa, a)] * psi_values[index_of(sb, b)])
     return ClassFunction(target, values)
 
 
@@ -225,9 +227,10 @@ def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:
     if psi.spec != spec:
         raise ValueError("class functions live on different groups")
     total = Fraction(0)
+    psi_values = psi.values
     for g, v in zip(spec.elements(), phi.values):
         inv = tuple((-x) % spec.nu for x in g)
-        total += v * psi.values[index_of(spec, inv)]
+        total += v * psi_values[index_of(spec, inv)]
     return total / spec.order
 
 

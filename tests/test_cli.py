@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from hopfscf import nsym, qsym
 from hopfscf.cli import build_parser, main, parse_composition, parse_elem, parse_subset
-from hopfscf.compositions import Composition
+from hopfscf.compositions import Composition, compositions_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,6 +52,26 @@ class TestParsing:
     def test_elem_dispatch(self):
         assert parse_elem("B:(1,2)")[0] == "nsym"
         assert parse_elem("M:(1,2)")[0] == "qsym"
+
+    def test_elem_round_trip(self):
+        # every basis of both algebras and every composition of degree <= 8:
+        # the --elem literal parses back to its parts, and the basis element
+        # built from them prints that literal as its label
+        cases = 0
+        for algebra, bases in (("qsym", qsym.BASES), ("nsym", nsym.BASES)):
+            for basis in bases:
+                for comp in (c for n in range(9) for c in compositions_of(n)):
+                    literal = f"{basis}:{comp!r}"
+                    assert parse_elem(literal) == (algebra, basis, comp), literal
+                    for nu in (2, 3) if basis == "Pi" else (None,):
+                        if algebra == "qsym":
+                            elem = qsym.QSymElem.basis_elem(basis, comp, nu=nu)
+                        else:
+                            elem = nsym.NSymElem.basis_elem(basis, comp)
+                        label = f"Pi({nu}){comp!r}" if nu else f"{basis}{comp!r}"
+                        assert repr(elem) == f"(1)*{label}", literal
+                        cases += 1
+        assert cases == 256 * (len(qsym.BASES) + 1 + len(nsym.BASES))
 
 
 class TestExpand:

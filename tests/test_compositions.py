@@ -1,6 +1,11 @@
 import itertools
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,13 +21,22 @@ from hopfscf.compositions import (
     compositions_of,
     near_concat,
     overlapping_shuffles,
+    members_at,
     preshuffle,
-    run_decomposition,
+    ranks_within,
     run_markers,
-    runs_composition,
+    selectors,
     set_of_comp,
 )
+from hopfscf.nsym import bhat_coproduct_terms
+from hopfscf.qsym import _l_product_masks
 from fqsym_oracle import descent_rep, descent_set, shifted_shuffle, shuffle_words, standardize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def shuffle_by_selector(u: Sequence[int], v: Sequence[int], A: Iterable[int]) -> tuple[int, ...]:
@@ -45,6 +59,19 @@ def shuffle_by_selector(u: Sequence[int], v: Sequence[int], A: Iterable[int]) ->
 def subsets(universe):
     for r in range(len(universe) + 1):
         yield from (frozenset(c) for c in itertools.combinations(universe, r))
+
+
+def run_decomposition(members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Maximally connected subsets (runs), ordered by their minimum: the
+    definition that run_markers and the Bhat coproduct read off masks."""
+    elems = sorted(set(members))
+    runs: list[list[int]] = []
+    for x in elems:
+        if runs and runs[-1][-1] == x - 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    return tuple(tuple(r) for r in runs)
 
 
 def descent_rep_search(I: SubsetLabel) -> tuple[int, ...]:
@@ -113,6 +140,16 @@ class TestCompSetBijection:
     def test_ambient_bound_enforced(self):
         with pytest.raises(AmbientBoundError):
             SubsetLabel.of(100, {1})
+
+    def test_negative_mask_refused_at_once(self):
+        # a negative mask has no finite member list, so the refusal must not
+        # build one: run in a fresh interpreter, capped in time and memory
+        script = "from hopfscf.compositions import SubsetLabel\nSubsetLabel(3, -1)"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=_cap_memory,
+        )
+        assert done.stderr.splitlines()[-1] == "ValueError: mask must be nonnegative, got -1"
 
 
 class TestComplement:
@@ -187,9 +224,6 @@ class TestRunMarkers:
                 cases += 1
         assert cases == 2**9 - 1
 
-    def test_runs_composition(self):
-        assert runs_composition({1, 2, 5, 7, 8, 9}) == Composition((2, 1, 3))
-
     @given(st.integers(1, 10).flatmap(lambda k: st.tuples(st.just(k), st.sets(st.integers(1, 10).filter(lambda x: x <= k)))))
     def test_marker_partition_property(self, data):
         k, members = data
@@ -258,6 +292,60 @@ class TestShuffles:
                             )
                             assert got.size == len(I) + len(J)
                             assert got.ambient == m + n
+
+
+class TestSelectorMasks:
+    def test_selectors_follow_combinations_order(self):
+        for k in range(8):
+            for n in range(k + 1):
+                expected = [sum(1 << (i - 1) for i in A) for A in itertools.combinations(range(1, k + 1), n)]
+                assert list(selectors(k, n)) == expected
+
+    @given(st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1), st.integers(0, 2**20 - 1))
+    def test_rank_maps_invert_each_other(self, pool, sub, ranks):
+        sub &= pool
+        ranks &= (1 << pool.bit_count()) - 1
+        assert members_at(pool, ranks_within(sub, pool)) == sub
+        assert ranks_within(members_at(pool, ranks), pool) == ranks
+        assert members_at(pool, ranks).bit_count() == ranks.bit_count()
+
+    def test_l_product_masks_match_the_a_shuffles(self):
+        # the cached L-product kernel against the public a_shuffle per selector
+        cases = 0
+        for m in range(8):
+            for n in range(8 - m):
+                for I in subsets(range(1, m)):
+                    for J in subsets(range(1, n)):
+                        lbl_i, lbl_j = SubsetLabel.of(m, I), SubsetLabel.of(n, J)
+                        selected = itertools.combinations(range(1, m + n + 1), n)
+                        expected = Counter(a_shuffle(lbl_i, lbl_j, A, m, n).mask for A in selected)
+                        assert dict(_l_product_masks(m, n, lbl_i.mask, lbl_j.mask)) == expected
+                        cases += 1
+        assert cases == sum(max(2 ** (m - 1), 1) * max(2 ** (n - 1), 1) for m in range(8) for n in range(8 - m))
+
+    @staticmethod
+    def bhat_terms_by_selector(k):
+        # bhat_coproduct_terms lists one term per A inside [k], by size, then lexicographically
+        terms = bhat_coproduct_terms(k)
+        assert len(terms) == 2**k
+        selected = (A for r in range(k + 1) for A in itertools.combinations(range(1, k + 1), r))
+        return dict(zip(selected, terms))
+
+    def test_bhat_coproduct_runs_match_the_run_decomposition(self):
+        # alpha_A and beta_A are the run lengths of A and of its complement in [k]
+        cases = 0
+        for k in range(9):
+            universe = frozenset(range(1, k + 1))
+            for A, (alpha, beta, _) in self.bhat_terms_by_selector(k).items():
+                assert alpha == Composition(map(len, run_decomposition(A))), (k, A)
+                assert beta == Composition(map(len, run_decomposition(universe - set(A)))), (k, A)
+                cases += 1
+        assert cases == 2**9 - 1
+
+    def test_bhat_coproduct_runs_nine_point_example(self):
+        alpha, beta, _ = self.bhat_terms_by_selector(9)[(1, 2, 5, 7, 8, 9)]
+        assert alpha == Composition((2, 1, 3))
+        assert beta == Composition((2, 1))
 
 
 class TestOverlappingShuffles:

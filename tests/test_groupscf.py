@@ -492,9 +492,10 @@ def _tensor_matrix(pairs, left_spec, right_spec):
     rows = [[Fraction(0)] * right_spec.order for _ in range(left_spec.order)]
     for left, right in pairs:
         assert left.spec == left_spec and right.spec == right_spec
+        right_values = right.values
         for i, lv in enumerate(left.values):
             if lv:
-                for j, rv in enumerate(right.values):
+                for j, rv in enumerate(right_values):
                     rows[i][j] = rows[i][j] + lv * rv
     return rows
 

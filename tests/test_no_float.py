@@ -9,7 +9,8 @@ class-function values and scale factors, and the generating-set rank sweep
 refuse an inexact number, and so does every class that takes the group
 parameter nu, and every Pi transition display and its inverse check.  Labels
 are exact too: a composition or partition part, a permutation letter, a group
-index, an ScfElem degree and a SubsetLabel ambient must be an `int` (read with
+index (also as a label of kappa, chi, dot_chi, the lattice oracle or restrict),
+an ScfElem degree and a SubsetLabel ambient or mask must be an `int` (read with
 `operator.index`), so 2.0 or Decimal(1) is refused with TypeError and 2.5 is
 never truncated to 2.
 """
@@ -24,7 +25,7 @@ from fqsym_oracle import FQSymElem
 from hopfscf import qsym
 from hopfscf.charmap import ScfElem
 from hopfscf.compositions import Composition, SubsetLabel
-from hopfscf.groupscf import ClassFunction, GroupSpec, one
+from hopfscf.groupscf import ClassFunction, GroupSpec, chi, dot_chi, kappa, lattice_superclass_oracle, one, restrict
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import Pi, QSymElem, QSymTensor
 from hopfscf.scalars import Q, T, rational
@@ -113,6 +114,12 @@ INEXACT_LABEL = {
     "GroupSpec index": lambda v: GroupSpec(2, (v, 2)),
     "ScfElem degree": lambda v: ScfElem(2, {(v, "kappa", SubsetLabel.of(2, ())): 1}),
     "SubsetLabel ambient": SubsetLabel,
+    "SubsetLabel mask": lambda v: SubsetLabel(3, v),
+    "kappa label": lambda v: kappa(GroupSpec.standard(2, 3), {v}),
+    "chi label": lambda v: chi(GroupSpec.standard(2, 3), {v}),
+    "dot_chi label": lambda v: dot_chi(GroupSpec.standard(2, 3), {v}),
+    "lattice_superclass_oracle label": lambda v: lattice_superclass_oracle(GroupSpec.standard(2, 3), {v}),
+    "restrict target": lambda v: restrict(one(GroupSpec.standard(2, 3)), {v}),
 }
 
 
