@@ -6,7 +6,9 @@ argument or parse errors, on a degree past the subset-mask bound of 64, and
 on a group larger than the enumeration bound.
 The env var HOPF_SCF_MAX_GROUP overrides that bound.  `structconst` prints a
 fixed-K table from nsym.structure_constants_table, one pass over the selectors
-per m.  The argument parser is built on the first main call and shared.
+per m.  The argument parser is built on the first main call and shared; main
+reads a well-formed request straight from its actions (`_parse`) and leaves
+help, abbreviations, --opt=value, repeats and every error to parse_args.
 """
 
 from __future__ import annotations
@@ -93,22 +95,24 @@ def _format_table(header: list[str], rows: list[list[str]]) -> str:
 def cmd_expand(args) -> int:
     algebra, basis, comp = parse_elem(args.elem)
     target = args.to.strip()
+    if algebra == "nsym" and target not in NSYM_BASES:
+        raise CliError(f"cannot expand an NSym element in basis {target!r}")
+    if algebra == "qsym" and target not in QSYM_BASES:
+        raise CliError(f"cannot expand a QSym element in basis {target!r}")
+    nu = args.nu
+    if "Pi" not in (basis, target):
+        if nu is not None:
+            raise CliError(f"--nu applies only when the --elem basis or --to is Pi, not {basis} to {target}")
+    elif nu is None:
+        raise CliError("the Pi basis needs --nu")
+    elif nu < 2:
+        raise CliError(f"the Pi basis needs --nu of at least 2, got {nu}")
     if algebra == "nsym":
-        if target not in NSYM_BASES:
-            raise CliError(f"cannot expand an NSym element in basis {target!r}")
         elem = nsym.convert(nsym.NSymElem.basis_elem(basis, comp), target)
-        payload = elem.to_json_dict()
     else:
-        if target not in QSYM_BASES:
-            raise CliError(f"cannot expand a QSym element in basis {target!r}")
-        nu = args.nu
-        if "Pi" in (basis, target) and nu is None:
-            raise CliError("the Pi basis needs --nu")
-        if "Pi" in (basis, target) and nu < 2:
-            raise CliError(f"the Pi basis needs --nu of at least 2, got {nu}")
         source = qsym.QSymElem.basis_elem(basis, comp, nu=nu if basis == "Pi" else None)
         elem = qsym.convert(source, target, nu=nu if target == "Pi" else None)
-        payload = elem.to_json_dict()
+    payload = elem.to_json_dict()
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -223,8 +227,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv=None) -> argparse.Namespace:
+    """The Namespace parse_args would build from argv (sys.argv[1:] if None).
+
+    A well-formed request is read straight from the parser's actions: a command,
+    then exact option strings of its store and store-const actions, each once
+    and followed by its value where it takes one; a value must not start with
+    "-" and must pass the option's type, and every required option is given.
+    Any other argv goes to parse_args, which owns help and every error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        action = command._option_string_actions.get(token)
+        if (not isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+                or action.nargs not in (None, 0) or action.choices is not None or action in given):
+            return parser.parse_args(argv)
+        if action.nargs == 0:
+            given[action] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return parser.parse_args(argv)
+        try:
+            given[action] = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return parser.parse_args(argv)
+    if any(a.required and a not in given for a in command._actions):
+        return parser.parse_args(argv)
+    return argparse.Namespace(**{commands.dest: argv[0]}, **{
+        a.dest: given.get(a, a.default) for a in command._actions
+        if argparse.SUPPRESS not in (a.dest, a.default)})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     command = {"expand": cmd_expand, "structconst": cmd_structconst, "verify": cmd_verify}
     try:
         return command[args.command](args)

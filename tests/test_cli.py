@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfscf import nsym, qsym
+from hopfscf import cli, nsym, qsym
 from hopfscf.cli import build_parser, main, parse_composition, parse_elem, parse_subset
 from hopfscf.compositions import Composition, compositions_of
 
@@ -106,6 +109,21 @@ class TestExpand:
     def test_unknown_basis_exits_2(self, capsys):
         assert main(["expand", "--elem", "X:(2)", "--to", "H"]) == 2
 
+    @pytest.mark.parametrize(
+        "src,tgt",
+        [(s, t) for s in qsym.BASES for t in qsym.BASES if "Pi" not in (s, t)] + [("B", "H")],
+    )
+    @pytest.mark.parametrize("nu", ["0", "3"])
+    def test_nu_without_pi_exits_2(self, capsys, src, tgt, nu):
+        # --nu on a pair without Pi once ran and exited 0 with --nu ignored
+        code = main(["expand", "--elem", f"{src}:(1,2)", "--to", tgt, "--nu", nu])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --nu applies only when the --elem basis or --to is Pi, not {src} to {tgt}\n"
+        )
+
     def test_deterministic(self, capsys):
         main(["expand", "--elem", "B:(2,1)", "--to", "H", "--json"])
         first = capsys.readouterr().out
@@ -183,6 +201,149 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "cmd_expand", lambda args: calls.append(args.elem) or 0)
         assert main(["expand", "--elem", "B:(2)", "--to", "H"]) == 0
         assert calls == ["B:(2)"]
+
+
+def outcome(parse, argv):
+    """What parse(argv) gives: the Namespace's items in order, or the exit code,
+    then the captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# a grammar of argv: each command's options with good values, and the odd
+# spellings, values and tokens that argparse must be left to judge
+OPTIONS = {
+    "expand": {"--elem": ("B:(1,2)", "M:(2,1)"), "--to": ("H", "Pi"), "--nu": ("2", "3"),
+               "--json": None},
+    "structconst": {"--k": ("3", "0"), "--K": ("{1,2}", "{}"), "--filter-m": ("1",),
+                    "--csv": None},
+    "verify": {"--suite": ("omega",), "--max-degree": ("2",), "--nu": ("2,3",), "--json": None},
+}
+REQUIRED = {"expand": ("--elem", "--to"), "structconst": ("--k", "--K"), "verify": ("--suite",)}
+ODD_VALUES = ("-1", "-3", "2.5", "abc", "", "B:(1, 2)", "x y", " 4", "-", "--", "-x")
+STRAY_TOKENS = ("--bogus", "stray", "-z", "-h", "--help", "--")
+
+
+@st.composite
+def option_tokens(draw, command):
+    option = draw(st.sampled_from(sorted(OPTIONS[command])))
+    values = OPTIONS[command][option]
+    spelling = draw(st.sampled_from(("exact", "exact", "exact", "abbreviated", "equals")))
+    if spelling == "abbreviated" and len(option) > 3:
+        option = option[: draw(st.integers(3, len(option) - 1))]
+    value = draw(st.sampled_from(ODD_VALUES if draw(st.booleans()) else values or ("x",)))
+    if spelling == "equals":
+        return [f"{option}={value}"]
+    if values is None or draw(st.integers(0, 9)) == 0:  # a flag, or a missing value
+        return [option]
+    return [option, value]
+
+
+@st.composite
+def argvs(draw):
+    head = draw(st.sampled_from((*OPTIONS, *OPTIONS, "bogus", "-h", "--help", "--", None)))
+    if head is None:
+        return []
+    if head not in OPTIONS:
+        return [head, *draw(st.lists(st.sampled_from(("expand", *STRAY_TOKENS)), max_size=2))]
+    items = []
+    if draw(st.integers(0, 3)):
+        items += [[o, draw(st.sampled_from(OPTIONS[head][o]))] for o in REQUIRED[head]]
+    items += draw(st.lists(
+        st.one_of(option_tokens(head), option_tokens(head), st.sampled_from(STRAY_TOKENS).map(
+            lambda token: [token])),
+        max_size=3,
+    ))
+    return [head, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+class TestFastParse:
+    README_EXAMPLES = [
+        ["expand", "--elem", "B:(1,2)", "--to", "H", "--json"],
+        ["expand", "--elem", "M:(1,2)", "--to", "Pi", "--nu", "2", "--json"],
+        ["structconst", "--k", "3", "--K", "{1,2}", "--csv"],
+        ["verify", "--suite", "specializations", "--max-degree", "7"],
+        ["verify", "--suite", "group-axioms", "--nu", "2,3"],
+    ]
+    GUARD_SHAPES = [
+        ["expand", "--elem", "L:(2,1)", "--to", "E", "--json"],
+        ["expand", "--elem", "Pi:(1,2)", "--to", "M", "--json", "--nu", "3"],
+        ["expand", "--elem", "Lambda:(1,2)", "--to", "Bhat", "--json"],
+        ["structconst", "--k", "4", "--K", "{1,3}"],
+        ["structconst", "--k", "4", "--K", "{1,3}", "--csv"],
+        ["structconst", "--k", "4", "--K", "{1,3}", "--filter-m", "2"],
+    ]
+
+    @staticmethod
+    def run(capsys, argv=None):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def through_argparse(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+            return self.run(capsys, argv)
+
+    @staticmethod
+    def forbid_parse_args(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a well-formed argv reached parse_args")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+
+    @pytest.mark.parametrize("argv", README_EXAMPLES + GUARD_SHAPES, ids=" ".join)
+    def test_well_formed_argv_skips_parse_args(self, capsys, monkeypatch, argv):
+        expected = self.through_argparse(capsys, monkeypatch, argv)
+        assert expected[0] == 0 and expected[1]
+        self.forbid_parse_args(monkeypatch)
+        assert self.run(capsys, argv) == expected
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["expand", "--elem", "B:(1,2)", "--to", "H"]
+        expected = self.run(capsys, argv)
+        self.forbid_parse_args(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["hopfscf", *argv])
+        assert self.run(capsys) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--el", "B:(1,2)", "--to", "H"],
+            ["expand", "--elem=B:(1,2)", "--to", "H"],
+        ],
+    )
+    def test_abbreviated_and_joined_options_go_through_argparse(self, capsys, monkeypatch, argv):
+        expected = self.run(capsys, ["expand", "--elem", "B:(1,2)", "--to", "H"])
+        assert expected[0] == 0 and expected[1].startswith("B:(1,2) expanded in H")
+        parser, seen = build_parser(), []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or real(argv))
+        assert self.run(capsys, argv) == expected
+        assert seen == [argv]
+
+    def test_parse_agrees_with_argparse(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, seen = build_parser(), []
+        real = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or real(argv))
+        fast = []
+
+        @settings(max_examples=600, deadline=None)
+        @given(argvs())
+        def agree(argv):
+            seen.clear()
+            assert outcome(cli._parse, argv) == outcome(real, argv), argv
+            if not seen:
+                fast.append(argv)
+
+        agree()
+        assert fast
 
 
 class TestOutOfDomain:
