@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import nsym, qsym, verify
-from .compositions import AmbientBoundError, Composition, SubsetLabel, check_ambient
+from .compositions import AmbientBoundError, Composition, check_ambient, members_of
 from .groupscf import GroupBoundError
 
 QSYM_BASES = qsym.BASES
@@ -142,7 +142,7 @@ def cmd_structconst(args) -> int:
             continue
         table = nsym.structure_constants_table(k, K, m)
         for imask, jmask in sorted(table):
-            I, J = SubsetLabel(m, imask).members, SubsetLabel(k - m, jmask).members
+            I, J = members_of(imask), members_of(jmask)
             rows.append(
                 [k_text, K_text, str(m), _subset_literal(I), _subset_literal(J),
                  str(table[imask, jmask])]

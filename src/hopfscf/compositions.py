@@ -123,9 +123,6 @@ class SubsetLabel:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def contains(self, i: int) -> bool:
-        return i >= 1 and bool(self.mask >> (i - 1) & 1)
-
     def complement(self) -> "SubsetLabel":
         full = (1 << (self.ambient - 1)) - 1 if self.ambient >= 1 else 0
         return SubsetLabel(self.ambient, full ^ self.mask)

@@ -6,18 +6,20 @@ evaluated on actual group elements.  Functions are stored densely over a
 mixed-radix enumeration of (g_s)_{s in S}, as int numerators over one
 positive common denominator, gcd-reduced so that equality stays exact.
 
-The dense kernels are gathers plus integer multiplies.  Their tables (support
-masks, inverse, restriction, tensor embedding, and the composite map of one
-m_A) are each a sum of per-coordinate terms, so `_coordinate_sum` builds them
-by outer sums over the coordinates, without visiting elements one by one.
+The dense kernels are gathers, and for m one scatter, plus integer
+multiplies.  Their tables (support masks, inverse, restriction, tensor
+embedding, the composite map of one m_A, and the keys of m's plan) are each
+a sum of per-coordinate terms, so `_coordinate_sum` builds them by outer sums
+over the coordinates, without visiting elements one by one.
 The support-mask, inverse and restriction tables are built on first use per
-group shape and kept as `array`s in bounded LRU caches.  So is the one summed
-composite gather per shape that the product m reads, `product_plan`: the m_A
-tables added over A, each (phi index, psi index) pair of an element kept once
-with its weights summed, and pairs that cancel dropped.  `cache_info()` on
+group shape and kept as `array`s in bounded LRU caches.  So is the plan of
+the product m per shape, `product_plan`: the m_A terms added over A, stored
+by (phi index, psi index) pair as the elements that pair reaches with their
+weights summed, and sums that cancel dropped, so that m scatters from the
+pairs where both operands are nonzero and skips the rest.  `cache_info()` on
 each cached function reports its hits and misses.  The tensor embedding and
-m_A tables are built on each call, since only a plan build and the public
-`tensor_embed` and `product_mA` read them.
+m_A tables are built on each call, since only the public `tensor_embed` and
+`product_mA` read them.
 
 A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
 takes its spec from one bounded interning cache keyed on the degree and the
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, index, mul, sub
 
-from .compositions import MAX_AMBIENT, run_markers, subsets_of
+from .compositions import MAX_AMBIENT, mask_of, members_of, run_maxima, selectors, subsets_of
 from .scalars import _exact_nu, _ratio, _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
@@ -155,7 +158,7 @@ class ClassFunction:
         if den < 0:
             g = -g
         if g != 1:
-            nums = tuple(x // g for x in nums)
+            nums = tuple(map(g.__rfloordiv__, nums))
             den //= g
         self.spec = spec
         self.nums = nums
@@ -277,28 +280,34 @@ def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array
     )
 
 
+def _selector_places(nu: int, k: int, amask: int) -> tuple[list[int], list[int], int]:
+    """Per coordinate of Q_k(nu), the place of its digit in the phi index and
+    in the psi index of m_A (0 where restricted away), and the mask c2 of the
+    marker factors; A is a mask.  Each side drops its top slot, the pad: one
+    top is k and the other a run maximum, so both are restricted away."""
+    rest = ((1 << k) - 1) ^ amask
+    c2 = run_maxima(rest, k)
+    dropped = run_maxima(amask, k) | c2
+    places = [[0] * (k - 1), [0] * (k - 1)]
+    for side, place in zip((rest, amask), places):
+        for j, i in enumerate(reversed(members_of(side)[:-1])):
+            if not dropped >> (i - 1) & 1:
+                place[i - 1] = nu ** j
+    return *places, c2
+
+
 def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
     """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
 
     Per element g: the index of the phi argument, the index of the psi
     argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the markers
     on c2) take a nonidentity value there.  m_A(phi, psi)(g) is
-    phi(a) psi(b) (-1/(nu-1))^e.  The two pads carry no such factor: they sit
-    on the top slots of A and of its complement, one of which is k and the
-    other a run maximum, so both are restricted away.  `product_plan` sums
-    these tables over A into the one gather that product_m reads.
+    phi(a) psi(b) (-1/(nu-1))^e.  The two pads carry no such factor (see
+    `_selector_places`).  `product_plan` sums these terms over A.
     """
-    k = m + n
-    ac = tuple(i for i in range(1, k + 1) if i not in A)
-    _, c2, c = run_markers(A, k)
-    dropped = set(c.members) | {k}  # restricted away: identity there
-
-    def index(labels):
-        slots = [None if i in dropped else i - 1 for i in labels]
-        return array("I", _coordinate_sum(_index_rows(nu, k - 1, slots)))
-
-    markers = [[0] + [int(c2.contains(i))] * (nu - 1) for i in range(1, k)]
-    return index(ac[:-1]), index(A[:-1]), array("B", _coordinate_sum(markers))
+    *places, c2 = _selector_places(nu, m + n, mask_of(A))
+    ia, ib = (array("I", _coordinate_sum([[x * w for x in range(nu)] for w in p])) for p in places)
+    return ia, ib, array("B", map(int.bit_count, map(c2.__and__, support_masks(nu, m + n - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +451,6 @@ def _off_weights(nu: int, k: int) -> tuple[tuple[int, ...], int]:
     return tuple((-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)), (nu - 1) ** (k + 1)
 
 
-def _mA_nums(phi: ClassFunction, psi: ClassFunction, A: tuple[int, ...], m: int, n: int, weights):
-    ia, ib, ee = product_map(phi.spec.nu, m, n, A)
-    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
-    return map(mul, pairs, map(weights.__getitem__, ee))
-
-
 def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> ClassFunction:
     """The A-indexed summand m_A of the graded product.
 
@@ -465,43 +468,64 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
         raise ValueError(f"A must be a size-{n} subset of [{m + n}], got {sorted(A)}")
     nu = phi.spec.nu
     weights, den = _off_weights(nu, m + n)
-    nums = _mA_nums(phi, psi, tuple(sorted(A)), m, n, weights)
+    ia, ib, ee = product_map(nu, m, n, tuple(sorted(A)))
+    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
+    nums = map(mul, pairs, map(weights.__getitem__, ee))
     return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
 
 
 @lru_cache(maxsize=256)
-def product_plan(nu: int, m: int, n: int) -> tuple[array, array, tuple[int, ...], array]:
-    """The composite gather of m = sum_A m_A on Q_{m+n}(nu), summed over A.
+def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
+    """The terms of m = sum_A m_A on Q_{m+n}(nu), summed over A.
 
-    Per element g, each distinct (phi index, psi index) pair that some
-    product_map(nu, m, n, A) sends g to, with its `_off_weights` numerators
-    summed over those A; a pair whose sum is zero is dropped.  Returned flat:
-    phi indices, psi indices, the weights (exact ints), and per element how
-    many of the pairs are its own, elements in enumeration order.
+    Every (phi index a, psi index b, element g) of some product_map(nu, m, n,
+    A), its `_off_weights` numerators summed over those A and a zero sum
+    dropped, stored by operand pair: plan[a] lists the rows (b, the elements
+    g as an array, their weights as a tuple of ints, equal ints shared), so
+    that m reads only the rows where phi(a) and psi(b) are both nonzero.  One
+    pass per A builds it: the keys (a nu^(n-1) + b) nu^(m+n-1) + g are one
+    coordinate sum, and the weights are read off the support masks.
     """
-    weights, _ = _off_weights(nu, m + n)
-    rows = [{} for _ in range(nu ** (m + n - 1))]
-    for A in itertools.combinations(range(1, m + n + 1), n):
-        for row, a, b, e in zip(rows, *product_map(nu, m, n, A)):
-            row[a, b] = row.get((a, b), 0) + weights[e]
-    kept = [[(a, b, w) for (a, b), w in row.items() if w] for row in rows]
-    ia, ib, summed = zip(*itertools.chain.from_iterable(kept))
-    return array("I", ia), array("I", ib), summed, array("I", map(len, kept))
+    k = m + n
+    weights, _ = _off_weights(nu, k)
+    size, width = nu ** (k - 1), nu ** (n - 1)
+    masks = support_masks(nu, k - 1)
+    sums: dict[int, int] = {}
+    get = sums.get
+    for amask in selectors(k, n):
+        pa, pb, c2 = _selector_places(nu, k, amask)
+        places = [(a * width + b) * size + nu ** (k - 2 - p) for p, (a, b) in enumerate(zip(pa, pb))]
+        terms = map(weights.__getitem__, map(int.bit_count, map(c2.__and__, masks)))
+        for key, w in zip(_coordinate_sum([range(0, nu * u, u) for u in places]), terms):
+            sums[key] = get(key, 0) + w
+    keys = sorted(filter(sums.get, sums))
+    shared, ws = {}, list(map(sums.__getitem__, keys))
+    elements, ws = array("I", map(size.__rmod__, keys)), tuple(map(shared.setdefault, ws, ws))
+    plan, start = [[] for _ in range(nu ** (m - 1))], 0
+    for pair, count in Counter(map(size.__rfloordiv__, keys)).items():  # in key order
+        end = start + count
+        plan[pair // width].append((pair % width, elements[start:end], ws[start:end]))
+        start = end
+    return tuple(map(tuple, plan))
 
 
 def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
-    """Sum of m_A over all size-n subsets A of [m+n], in one pass through
-    `product_plan`."""
+    """Sum of m_A over all size-n subsets A of [m+n]: one scatter through
+    `product_plan` over the rows whose phi and psi values are both nonzero."""
     _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
         return _scalar_product(phi, psi, m)
     nu = phi.spec.nu
-    ia, ib, weights, counts = product_plan(nu, m, n)
-    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
-    terms = map(mul, pairs, weights)
-    nums = [sum(itertools.islice(terms, c)) for c in counts]
+    out = [0] * nu ** (m + n - 1)
+    for x, rows in zip(phi.nums, product_plan(nu, m, n)):
+        if x:
+            for b, elements, weights in rows:
+                if y := psi.nums[b]:
+                    xy = x * y
+                    for g, w in zip(elements, weights):
+                        out[g] += xy * w
     _, den = _off_weights(nu, m + n)
-    return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
+    return ClassFunction(GroupSpec.standard(nu, m + n), out, phi.den * psi.den * den)
 
 
 # ---------------------------------------------------------------------------

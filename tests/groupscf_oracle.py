@@ -169,7 +169,7 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     s_a = tensor_embed(left, right)
 
     c1, _, c = run_markers(A, m + n)
-    keep = tuple(i for i in range(1, m + n) if not c.contains(i))
+    keep = tuple(i for i in range(1, m + n) if i not in c.members)
     restricted = restrict(s_a, keep)
 
     marker_spec = GroupSpec(nu, c.members)
@@ -291,7 +291,7 @@ def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, arr
     ac = tuple(i for i in range(1, k + 1) if i not in A)
     c1, _, c = run_markers(A, k)
     dropped = set(c.members) | {k}  # restricted away: identity there
-    marker_off = [i - 1 for i in c.members if not c1.contains(i)]
+    marker_off = [i - 1 for i in c.members if i not in c1.members]
     left, right = GroupSpec.standard(nu, m), GroupSpec.standard(nu, n)
     ia, ib, ee = [], [], array("B")
     for g in GroupSpec.standard(nu, k).elements():

@@ -233,7 +233,7 @@ class TestRunMarkers:
         # i splits [k] at a boundary of A exactly when one of i, i+1 is in A
         for i in range(1, k):
             boundary = (i in members) != (i + 1 in members)
-            assert c.contains(i) == boundary
+            assert (i in c.members) == boundary
 
 
 class TestShuffles:

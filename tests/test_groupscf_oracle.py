@@ -2,11 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupscf_oracle as oracle
@@ -20,6 +20,7 @@ from hopfscf.groupscf import (
     dot_chi,
     hall_inner,
     kappa,
+    one,
     product_m,
     product_mA,
     relabel,
@@ -263,16 +264,76 @@ def test_product_m_equals_its_summands_on_seeded_functions():
 
 
 def test_product_plan_keeps_only_nonzero_summed_weights():
-    cases = 0
+    """product_plan holds each (phi index a, psi index b, element g, weight w)
+    whose weight, summed over every A from the element walk `product_map`, is
+    nonzero, each once, and nothing else; equal weights are one int object."""
+    cases, sizes = 0, {}
     for nu, (_, top_degree) in TABLE_TOP.items():
         for k in range(2, top_degree + 1):
+            weights = [(-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)]
             for n in range(1, k):
-                ia, ib, weights, counts = groupscf.product_plan(nu, k - n, n)
-                assert 0 not in weights
-                assert len(counts) == nu ** (k - 1)
-                assert sum(counts) == len(ia) == len(ib) == len(weights)
-                if nu == 2:  # weights are +-1 and cancel across A
-                    assert len(weights) < comb(k, n) * nu ** (k - 1)
+                summed = Counter()
+                for A in itertools.combinations(range(1, k + 1), n):
+                    for g, (a, b, e) in enumerate(zip(*oracle.product_map(nu, k - n, n, A))):
+                        summed[a, b, g] += weights[e]
+                plan = groupscf.product_plan(nu, k - n, n)
+                held = [
+                    (a, b, g, w)
+                    for a, rows in enumerate(plan)
+                    for b, elements, ws in rows
+                    for g, w in zip(elements, ws, strict=True)
+                ]
+                assert len(plan) == nu ** (k - n - 1)
+                assert len(held) == len(set(held))
+                assert set(held) == {(*key, w) for key, w in summed.items() if w}
+                assert len({id(w) for *_, w in held}) == len({w for *_, w in held})
+                sizes[nu, k - n, n] = len(held)
                 cases += 1
     assert cases > 0
-    assert len(groupscf.product_plan(2, 4, 4)[2]) == 934  # of 70 * 2^7 = 8,960 gathered
+    assert sizes[2, 4, 4] == 934  # of 70 * 2^7 = 8,960 gathered
+    assert sizes[3, 3, 3] == 2843  # of 20 * 3^5 = 4,860 gathered
+
+
+def sparse_functions(spec: GroupSpec):
+    """Mostly-zero class functions: zero, one-hot at any element (off the
+    supercharacter function space when its superclass has more elements), a
+    few nonzero values, or a scaled superclass indicator; values over
+    denominators > 1 included."""
+    def placed(cells):
+        values = [0] * spec.order
+        for i, v in cells:
+            values[i] = v
+        return ClassFunction(spec, values)
+
+    cell = st.tuples(st.integers(0, spec.order - 1), rationals.filter(bool))
+    labels = st.sets(st.sampled_from(spec.index_set)) if spec.rank else st.just(set())
+    return st.one_of(
+        st.just(placed([])),
+        cell.map(lambda c: placed([c])),
+        st.lists(cell, max_size=3).map(placed),
+        st.builds(lambda I, c: kappa(spec, I).scale(c), labels, rationals),
+    )
+
+
+@st.composite
+def sparse_operands(draw):
+    nu = draw(nus)
+    k = draw(st.integers(0, TOP_DEGREE[nu]))
+    m = draw(st.integers(0, k))
+    phi = draw(sparse_functions(GroupSpec.standard(nu, m)))
+    psi = draw(sparse_functions(GroupSpec.standard(nu, k - m)))
+    return phi, psi, m, k - m
+
+
+@SETTINGS
+@given(sparse_operands())
+@example((one(GroupSpec.standard(5, 3)).scale(0), kappa(GroupSpec.standard(5, 2), {1}), 3, 2))
+def test_product_m_matches_summed_oracle_on_sparse_operands(operands):
+    """The scatter skips the rows where an operand is zero: on mostly-zero
+    operands it still equals the literal sum of its m_A summands, and a zero
+    operand gives the zero function over 1."""
+    phi, psi, m, n = operands
+    got = product_m(phi, psi, m, n)
+    assert got == oracle.product_m(phi, psi, m, n)
+    if phi.is_zero() or psi.is_zero():
+        assert got.is_zero() and got.den == 1
