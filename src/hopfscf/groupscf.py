@@ -8,18 +8,18 @@ positive common denominator, gcd-reduced so that equality stays exact.
 
 The dense kernels are gathers, and for m one scatter, plus integer
 multiplies.  Their tables (support masks, inverse, restriction, tensor
-embedding, the composite map of one m_A, and the keys of m's plan) are each
-a sum of per-coordinate terms, so `_coordinate_sum` builds them by outer sums
-over the coordinates, without visiting elements one by one.
+embedding, and the keys of a product plan) are each a sum of per-coordinate
+terms, so `_coordinate_sum` builds them by outer sums over the coordinates,
+without visiting elements one by one.
 The support-mask, inverse and restriction tables are built on first use per
 group shape and kept as `array`s in bounded LRU caches.  So is the plan of
 the product m per shape, `product_plan`: the m_A terms added over A, stored
 by (phi index, psi index) pair as the elements that pair reaches with their
 weights summed, and sums that cancel dropped, so that m scatters from the
-pairs where both operands are nonzero and skips the rest.  `cache_info()` on
-each cached function reports its hits and misses.  The tensor embedding and
-m_A tables are built on each call, since only the public `tensor_embed` and
-`product_mA` read them.
+pairs where both operands are nonzero and skips the rest; `_plan` builds it,
+and builds the plan of one m_A for `product_mA` on each call.  `cache_info()`
+on each cached function reports its hits and misses.  The tensor embedding is
+built on each call too: only the public `tensor_embed` reads it.
 
 A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
 takes its spec from one bounded interning cache keyed on the degree and the
@@ -296,20 +296,6 @@ def _selector_places(nu: int, k: int, amask: int) -> tuple[list[int], list[int],
     return *places, c2
 
 
-def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
-    """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
-
-    Per element g: the index of the phi argument, the index of the psi
-    argument, and how many of the (nu-1)^{-1}(reg - 1) factors (the markers
-    on c2) take a nonidentity value there.  m_A(phi, psi)(g) is
-    phi(a) psi(b) (-1/(nu-1))^e.  The two pads carry no such factor (see
-    `_selector_places`).  `product_plan` sums these terms over A.
-    """
-    *places, c2 = _selector_places(nu, m + n, mask_of(A))
-    ia, ib = (array("I", _coordinate_sum([[x * w for x in range(nu)] for w in p])) for p in places)
-    return ia, ib, array("B", map(int.bit_count, map(c2.__and__, support_masks(nu, m + n - 1))))
-
-
 # ---------------------------------------------------------------------------
 # Superclass identifiers and supercharacters
 
@@ -458,7 +444,9 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     size-n subset of [m+n] saying which slots the psi side occupies.  m_A pads
     each side by (nu-1)^{-1}(reg - 1) on its top slot, places phi on the
     complement of A and psi on A, restricts away the run markers c and
-    tensors on the marker factor: 1 on c1, (nu-1)^{-1}(reg - 1) on c2.
+    tensors on the marker factor: 1 on c1, (nu-1)^{-1}(reg - 1) on c2.  So
+    m_A(phi, psi)(g) = phi(a) psi(b) (-1/(nu-1))^e, a and b indexing g's two
+    sides and e counting the markers on c2 where g is not the identity.
     """
     _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
@@ -466,25 +454,20 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     A = frozenset(A)
     if len(A) != n or not A <= set(range(1, m + n + 1)):
         raise ValueError(f"A must be a size-{n} subset of [{m + n}], got {sorted(A)}")
-    nu = phi.spec.nu
-    weights, den = _off_weights(nu, m + n)
-    ia, ib, ee = product_map(nu, m, n, tuple(sorted(A)))
-    pairs = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
-    nums = map(mul, pairs, map(weights.__getitem__, ee))
-    return ClassFunction(GroupSpec.standard(nu, m + n), nums, phi.den * psi.den * den)
+    return _scatter(phi, psi, m, n, _plan(phi.spec.nu, m, n, (mask_of(A),)))
 
 
-@lru_cache(maxsize=256)
-def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
-    """The terms of m = sum_A m_A on Q_{m+n}(nu), summed over A.
+def _plan(nu: int, m: int, n: int, amasks) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
+    """The terms of m_A on Q_{m+n}(nu) summed over the selector masks A in
+    `amasks`, the one builder of those terms.
 
-    Every (phi index a, psi index b, element g) of some product_map(nu, m, n,
-    A), its `_off_weights` numerators summed over those A and a zero sum
+    Every (phi index a, psi index b, element g) of m_A, its `_off_weights`
+    numerator (-1)^e (nu-1)^(k+1-e) summed over those A and a zero sum
     dropped, stored by operand pair: plan[a] lists the rows (b, the elements
     g as an array, their weights as a tuple of ints, equal ints shared), so
-    that m reads only the rows where phi(a) and psi(b) are both nonzero.  One
-    pass per A builds it: the keys (a nu^(n-1) + b) nu^(m+n-1) + g are one
-    coordinate sum, and the weights are read off the support masks.
+    that a scatter reads only the rows where phi(a) and psi(b) are both
+    nonzero.  One pass per A builds it: the keys (a nu^(n-1) + b) nu^(k-1) + g
+    are one coordinate sum, and the weights are read off the support masks.
     """
     k = m + n
     weights, _ = _off_weights(nu, k)
@@ -492,7 +475,7 @@ def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple
     masks = support_masks(nu, k - 1)
     sums: dict[int, int] = {}
     get = sums.get
-    for amask in selectors(k, n):
+    for amask in amasks:
         pa, pb, c2 = _selector_places(nu, k, amask)
         places = [(a * width + b) * size + nu ** (k - 2 - p) for p, (a, b) in enumerate(zip(pa, pb))]
         terms = map(weights.__getitem__, map(int.bit_count, map(c2.__and__, masks)))
@@ -509,15 +492,17 @@ def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple
     return tuple(map(tuple, plan))
 
 
-def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
-    """Sum of m_A over all size-n subsets A of [m+n]: one scatter through
-    `product_plan` over the rows whose phi and psi values are both nonzero."""
-    _check_product_operands(phi, psi, m, n)
-    if m == 0 or n == 0:
-        return _scalar_product(phi, psi, m)
+@lru_cache(maxsize=256)
+def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
+    """The plan of m = sum_A m_A on Q_{m+n}(nu), `_plan` over every selector."""
+    return _plan(nu, m, n, selectors(m + n, n))
+
+
+def _scatter(phi: ClassFunction, psi: ClassFunction, m: int, n: int, plan) -> ClassFunction:
+    """phi and psi through a plan's terms, over the rows where both are nonzero."""
     nu = phi.spec.nu
     out = [0] * nu ** (m + n - 1)
-    for x, rows in zip(phi.nums, product_plan(nu, m, n)):
+    for x, rows in zip(phi.nums, plan):
         if x:
             for b, elements, weights in rows:
                 if y := psi.nums[b]:
@@ -526,6 +511,14 @@ def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFu
                         out[g] += xy * w
     _, den = _off_weights(nu, m + n)
     return ClassFunction(GroupSpec.standard(nu, m + n), out, phi.den * psi.den * den)
+
+
+def product_m(phi: ClassFunction, psi: ClassFunction, m: int, n: int) -> ClassFunction:
+    """Sum of m_A over all size-n subsets A of [m+n], scattered through `product_plan`."""
+    _check_product_operands(phi, psi, m, n)
+    if m == 0 or n == 0:
+        return _scalar_product(phi, psi, m)
+    return _scatter(phi, psi, m, n, product_plan(phi.spec.nu, m, n))
 
 
 # ---------------------------------------------------------------------------

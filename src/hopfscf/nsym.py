@@ -173,9 +173,9 @@ def _coproduct_H_comp(alpha: Composition) -> dict[tuple[Composition, Composition
     one H_left (x) H_right per cut 0 <= i <= p of each part p, with the zero
     parts dropped, summed with integer coefficients."""
 
-    def halves(cut):
-        rest = (p - i for p, i in zip(alpha, cut))
-        return (((Composition(i for i in cut if i), Composition(r for r in rest if r)), 1),)
+    def halves(cut):  # the nonzero cuts and rests are positive: built unchecked
+        rest = filter(None, map(int.__sub__, alpha, cut))
+        return (((tuple.__new__(Composition, filter(None, cut)), tuple.__new__(Composition, rest)), 1),)
 
     return extend(((cut, 1) for cut in itertools.product(*(range(p + 1) for p in alpha))), halves)
 

@@ -2,8 +2,9 @@
 
 `QSymElem` is a `linear.LinComb` of compositions with one basis tag (and nu
 for Pi); mixed-basis `==` and `+` meet in M.  `Tensor` is the one tensor
-square of both algebras (`QSymTensor` here, `NSymTensor` in nsym).  The order
-conventions are the refinement-sum ones,
+square of both algebras (`QSymTensor` here, `NSymTensor` in nsym), and changes
+basis one side at a time through the element kernel.  The order conventions
+are the refinement-sum ones,
 
     L_{comp(K)} = sum_{K <= I} M_{comp(I)},    E_{comp(K)} = sum_{I <= K} M_{comp(I)},
 
@@ -139,14 +140,6 @@ def _convert_into(out, x):
     # keyed by (degree, mask), so each output label is built once
     acc = extend(groups(), lambda group: (((group[0], m), 1) for m in group[1]))
     return out._with_terms({comp_of_set(SubsetLabel(n, m)): v for (n, m), v in acc.items()})
-
-
-def _expand_comp(factor, src: str, tgt: str, comp: Composition) -> dict:
-    """One parameter-free label expanded by the conversion kernel, keyed by
-    composition."""
-    n = comp.size
-    groups = _expand(factor, src, None, tgt, None, n, set_of_comp(comp).mask)
-    return {comp_of_set(SubsetLabel(n, m)): e for e, masks in groups for m in masks}
 
 
 class QSymElem(LinComb):
@@ -310,6 +303,8 @@ class Tensor(LinComb):
     algebra: type
 
     def __init__(self, bases: tuple[str, str], terms=None):
+        if len(bases) != 2:
+            raise ValueError(f"a tensor square takes a pair of bases, got {bases!r}")
         for basis in bases:
             self.algebra(basis)
         self.bases = tuple(bases)
@@ -327,17 +322,22 @@ class Tensor(LinComb):
         return f"{self.bases[0]}{pair[0]!r}(x){self.bases[1]}{pair[1]!r}"
 
     def convert(self, bases: tuple[str, str]) -> "Tensor":
-        """Change of basis on each side, one label at a time."""
+        """Change of basis one side at a time: each pass sends the terms that
+        share a right label, as one element in their left labels, through
+        `_convert_into`, and swaps every pair, so the next pass converts the
+        other side."""
         out = type(self)(bases)
         if out.bases == self.bases:
             return self
-        factor = self.algebra._factor
-
-        def sides(pair):
-            left, right = (_expand_comp(factor, *side) for side in zip(self.bases, out.bases, pair))
-            return tensor_terms(left, right)
-
-        return out._with_terms(extend(self.terms.items(), sides))
+        terms = self.terms
+        for src, tgt in zip(self.bases, out.bases):
+            x, y, groups = self.algebra(src), self.algebra(tgt), {}
+            for (a, b), v in terms.items():
+                groups.setdefault(b, {})[a] = v
+            if src != tgt:
+                groups = {b: _convert_into(y, x._with_terms(part)).terms for b, part in groups.items()}
+            terms = {(b, a): v for b, part in groups.items() for a, v in part.items()}
+        return out._with_terms(terms)
 
     def product(self, other: "Tensor") -> "Tensor":
         """(a (x) b)(c (x) d) = ac (x) bd, both sides in the hub."""

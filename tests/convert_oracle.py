@@ -5,7 +5,9 @@ kernel, kept whole as the slow oracle: every label is expanded in the hub (M
 for QSym, H for NSym) by its own hand-written display, and every hub term is
 expanded again in the target basis.  The kernel must agree with it exactly.
 `expand_per_coordinate` is the kernel as it was before it grouped the target
-masks by signature: one product of n-1 factor entries per target mask.  The
+masks by signature: one product of n-1 factor entries per target mask, and
+`tensor_convert` builds on it the per-term route of Tensor.convert, which
+expands both sides of every pure tensor and multiplies the two images.  The
 dual basis of B(q,t) in M and the triangular shape of B -> H, which only
 tests check, live here too.
 """
@@ -23,7 +25,7 @@ from hopfscf.qsym import (
     _transition,
     pi_from_M_entry,
 )
-from hopfscf.scalars import ONE, Q, T, ScalarQT, rational
+from hopfscf.scalars import ONE, Q, T, ScalarQT, _times, rational
 
 # ---------------------------------------------------------------------------
 # The conversion kernel, one coordinate at a time
@@ -39,6 +41,26 @@ def expand_per_coordinate(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int
         row = factor[mask >> i & 1]
         out = {m | k << i: c * e for m, c in out.items() for k, e in row}
     return out
+
+
+def tensor_convert(x, bases):
+    """x, a Tensor, in the basis pair `bases`, one pure tensor at a time: each
+    side's label expanded per coordinate, and every pair of the two images
+    counted with the product of their entries and x's coefficient."""
+    out = type(x)(bases)
+
+    def image(src, tgt, comp):
+        n, mask = comp.size, set_of_comp(comp).mask
+        expansion = expand_per_coordinate(x.algebra._factor, src, None, tgt, None, n, mask)
+        return {comp_of_set(SubsetLabel(n, m)): e for m, e in expansion.items()}
+
+    acc: dict = {}
+    for pair, v in x.terms.items():
+        left, right = (image(*side) for side in zip(x.bases, out.bases, pair))
+        for a, ea in left.items():
+            for b, eb in right.items():
+                _add_term(acc, (a, b), _times(v, _times(ea, eb)))
+    return out._with_terms(acc)
 
 
 # ---------------------------------------------------------------------------

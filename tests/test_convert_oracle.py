@@ -7,6 +7,8 @@ of every coefficient, on every ordered pair of bases: in QSym with Pi(nu) for
 nu = 2, 3 and 5, in NSym over Q(q,t).  The kernel's signature groups are
 checked against the per-coordinate products they replaced, and the CLI's
 `expand --json` against the hub routes' elements printed term by term.
+`Tensor.convert`, one side at a time through the element kernel, is checked
+against the per-term route that expands both sides of every pure tensor.
 """
 
 import json
@@ -165,6 +167,39 @@ def test_qsym_random_sums(pair, terms):
 @example(("Bhat", "H"), {Composition((2,)): ScalarQT({(0, -1): Fraction(1, 2)})})
 def test_nsym_random_sums(pair, terms):
     assert_same(*nsym_pair(*pair, terms))
+
+
+# -- tensor squares: one side at a time against the per-term route -------------
+
+TENSOR_SIDES = {qsym.QSymTensor: [b for b in qsym.BASES if b != "Pi"], nsym.NSymTensor: nsym.BASES}
+TENSOR_CASES = [(tensor, (s, t)) for tensor, sides in TENSOR_SIDES.items() for s in sides for t in sides]
+# a multi-term denominator makes a true quotient, not a Laurent polynomial
+quotients = st.builds(lambda c, d: c / d, scalars, st.sampled_from([Q + T, 1 + Q, Q - 2 * T]))
+small_labels = st.integers(0, 4).flatmap(
+    lambda n: st.integers(0, qsym._full_mask(n)).map(lambda m: comp_of_set(SubsetLabel(n, m)))
+)
+
+
+@pytest.mark.parametrize("tensor,bases", TENSOR_CASES, ids=str)
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_tensor_convert_is_the_per_term_route(tensor, bases, data):
+    """Every ordered pair of side bases as the target, from a random source
+    pair, on multi-term tensors whose coefficients hold q, t and quotients;
+    the operand is left as it was."""
+    sides = TENSOR_SIDES[tensor]
+    source = data.draw(st.tuples(st.sampled_from(sides), st.sampled_from(sides)))
+    pairs = st.tuples(small_labels, small_labels)
+    laurent = data.draw(st.booleans())
+    coeffs = (scalars if laurent else st.one_of(scalars, quotients)).filter(bool)
+    x = tensor(source, data.draw(st.dictionaries(pairs, coeffs, min_size=2, max_size=5)))
+    before = dict(x.terms)
+    fast, slow = x.convert(bases), oracle.tensor_convert(x, bases)
+    assert x.terms == before and x.bases == source
+    assert type(fast) is tensor and fast.bases == slow.bases == bases
+    assert fast.terms == slow.terms
+    if laurent:  # a quotient's printed form depends on the order of its sums
+        assert {k: str(v) for k, v in fast.terms.items()} == {k: str(v) for k, v in slow.terms.items()}
 
 
 # -- the composed factors -----------------------------------------------------

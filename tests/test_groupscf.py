@@ -226,7 +226,7 @@ class TestLatticeOracle:
         def refuse(*args):
             raise AssertionError("the lattice oracle read a gather table")
 
-        for name in ("support_masks", "inverse_map", "product_map"):
+        for name in ("support_masks", "inverse_map", "_plan"):
             monkeypatch.setattr(groupscf, name, refuse)
         groupscf.element_supports.cache_clear()
         assert [lattice_superclass_oracle(spec, I) for I in labels] == expected

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import groupscf_oracle as oracle
 from groupscf_oracle import f_one, f_reg_minus_one, factor_vector
 from hopfscf import groupscf
-from hopfscf.compositions import subsets_of
+from hopfscf.compositions import mask_of, subsets_of
 from hopfscf.groupscf import (
     ClassFunction,
     GroupSpec,
@@ -154,7 +154,10 @@ def _typed(tables):
 
 def test_gather_tables_match_the_element_loops():
     """Every gather table, built as a coordinate sum, equals the element walk,
-    for every rank, every sorted `positions` and every (m, n, A) up to TABLE_TOP."""
+    for every rank and every sorted `positions` up to TABLE_TOP; so does the
+    plan of one m_A, for every (m, n, A): its (phi index a, psi index b,
+    element g, weight w) entries are those of the element walk `product_map`,
+    each once."""
     cases = 0
 
     def agree(name, *args):
@@ -172,9 +175,22 @@ def test_gather_tables_match_the_element_loops():
                     agree("restriction_map", nu, rank, positions)
                     agree("embedding_map", nu, rank, positions)
         for k in range(2, top_degree + 1):
+            weights = [(-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)]
             for n in range(1, k):
                 for A in itertools.combinations(range(1, k + 1), n):
-                    agree("product_map", nu, k - n, n, A)
+                    walked = oracle.product_map(nu, k - n, n, A)
+                    plan = groupscf._plan(nu, k - n, n, (mask_of(A),))
+                    held = [
+                        (a, b, g, w)
+                        for a, rows in enumerate(plan)
+                        for b, elements, ws in rows
+                        for g, w in zip(elements, ws, strict=True)
+                    ]
+                    assert len(plan) == nu ** (k - n - 1)
+                    assert sorted(held) == sorted(
+                        (a, b, g, weights[e]) for g, (a, b, e) in enumerate(zip(*walked))
+                    ), (nu, k - n, n, A)
+                    cases += 1
     assert cases > 0
 
 

@@ -109,6 +109,17 @@ class TestElements:
         with pytest.raises(ValueError):
             qsym.QSymTensor(("Pi", "M"))
 
+    def test_bases_that_are_not_a_pair_refused(self):
+        pair = ((1,), (2,))
+        for tensor, side, other in ((qsym.QSymTensor, "M", "L"), (NSymTensor, "H", "B")):
+            for bases in ((side,) * 3, (side,), ()):
+                with pytest.raises(ValueError, match="pair of bases"):
+                    tensor(bases)
+                with pytest.raises(ValueError, match="pair of bases"):
+                    tensor(bases, {pair: 1})
+            with pytest.raises(ValueError, match="pair of bases"):
+                tensor((side, other), {pair: 1}).convert((side,) * 3)
+
 
 class TestBTransition:
     def test_one_part_is_all_ones_H(self):
