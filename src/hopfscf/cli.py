@@ -135,18 +135,16 @@ def cmd_structconst(args) -> int:
     K = parse_subset(args.K)
     if not K <= set(range(1, k)):
         raise CliError(f"K={sorted(K)} is not a subset of [{k - 1}]")
-    rows = []
     k_text, K_text = str(k), _subset_literal(sorted(K))
-    for m in range(k + 1):
-        if args.filter_m is not None and m != args.filter_m:
-            continue
-        table = nsym.structure_constants_table(k, K, m)
-        for imask, jmask in sorted(table):
-            I, J = members_of(imask), members_of(jmask)
-            rows.append(
-                [k_text, K_text, str(m), _subset_literal(I), _subset_literal(J),
-                 str(table[imask, jmask])]
-            )
+    ms = range(k + 1) if args.filter_m is None else (args.filter_m,)
+    tables = {str(m): nsym.structure_constants_table(k, K, m) for m in ms}
+    masks = {mask for table in tables.values() for pair in table for mask in pair}
+    literals = {mask: _subset_literal(members_of(mask)) for mask in masks}  # one literal per mask
+    rows = [
+        [k_text, K_text, m_text, literals[imask], literals[jmask], str(table[imask, jmask])]
+        for m_text, table in tables.items()
+        for imask, jmask in sorted(table)
+    ]
     header = ["k", "K", "m", "I", "J", "polynomial"]
     if args.csv:
         buf = io.StringIO()

@@ -577,16 +577,22 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
     phi(a_L, .) on Q_{n-k}, and the restriction is sum_L kappa_L (x)
     phi(a_L, .), one pair per L whose row is not zero.
     """
-    nu = phi.spec.nu
     if not _is_standard(phi.spec, n):
         raise ValueError("coproduct operands must live on a standard group")
     if not 0 <= k <= n:
         raise ValueError(f"slice position k={k} out of range 0..{n}")
+    if 0 < k < n:
+        _superclass_nums(phi)  # raises outside the supercharacter function space
+    return _slice(phi, k, n)
+
+
+def _slice(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
+    """coproduct_k of a phi that has passed its checks."""
+    nu = phi.spec.nu
     if k == 0:
         return [(unit(nu), phi)]
     if k == n:
         return [(phi, unit(nu))]
-    _superclass_nums(phi)  # raises outside the supercharacter function space
     left_spec = GroupSpec.standard(nu, k)
     right_spec = GroupSpec.standard(nu, n - k)
     gather = restriction_map(nu, n - 1, tuple(p for p in range(n - 1) if p != k - 1))
@@ -602,8 +608,11 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
 
 
 def coproduct(phi: ClassFunction, n: int) -> dict[int, list[tuple[ClassFunction, ClassFunction]]]:
-    """All slices delta_k for k = 0..n."""
-    return {k: coproduct_k(phi, k, n) for k in range(n + 1)}
+    """All slices delta_k for k = 0..n, phi checked once as by coproduct_k."""
+    if not _is_standard(phi.spec, n):
+        raise ValueError("coproduct operands must live on a standard group")
+    _superclass_nums(phi)  # raises outside the supercharacter function space
+    return {k: _slice(phi, k, n) for k in range(n + 1)}
 
 
 

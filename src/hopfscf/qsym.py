@@ -67,30 +67,28 @@ def _transition(hub_factor, src: str, src_nu, tgt: str, tgt_nu) -> tuple:
     )
 
 
-def _powers(e, count: int) -> list:
-    """[e^0, e^1, ..., e^count], e^0 the int 1."""
-    out = [1]
-    for _ in range(count):
-        out.append(_times(out[-1], e))
-    return out
+# The interned side entries: shared, and never to be modified.  Their number
+# depends on the degree only; 4096 hold both rows of 200 transitions to degree 10.
+@lru_cache(maxsize=4096)
+def _side_entries(hub_factor, src: str, src_nu, tgt: str, tgt_nu, bit: int, count: int) -> tuple:
+    """The nonzero products of the composed factor's row for source bit `bit`
+    over `count` coordinates, as (j, entry) pairs, j the target bits set."""
+    row = dict(_transition(hub_factor, src, src_nu, tgt, tgt_nu)[bit])
+    e0, e1 = row.get(0, 0), row.get(1, 0)
+    return tuple((j, e) for j in range(count + 1) if (e := _times(e0 ** (count - j), e1 ** j)))
 
 
-def _side(row: tuple, coords: int) -> list:
+def _side(entries: tuple, coords: int) -> list:
     """The coordinates in `coords`, which share one source bit and so one row
     of the composed factor, as (entry, target submasks) pairs.  A submask's
-    entry is the product of the row's entries over coords, so it depends only
-    on how many target bits the submask sets: one pair per count."""
-    count = coords.bit_count()
-    if count == 0:
-        return [(1, (0,))]
-    if count == 1 or len(row) == 1:  # one submask per pair of the row
-        return [(_powers(e, count)[-1], (coords if bit else 0,)) for bit, e in row]
-    (_, e0), (_, e1) = row
-    by_count = [[] for _ in range(count + 1)]
+    entry depends only on how many target bits j it sets: one pair per j."""
+    if len(entries) == 1:
+        ((j, e),) = entries
+        return [(e, (coords if j else 0,))]
+    by_count = [[] for _ in range(coords.bit_count() + 1)]
     for sub in iter_submasks(coords):
         by_count[sub.bit_count()].append(sub)
-    p0, p1 = _powers(e0, count), _powers(e1, count)
-    return [(_times(p0[count - j], p1[j]), subs) for j, subs in enumerate(by_count)]
+    return [(e, by_count[j]) for j, e in entries]
 
 
 def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -> list:
@@ -101,15 +99,16 @@ def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -
     composed factor's entry at (source bit, target bit), so it depends only on
     the signature: how many target bits are set on the source's 0 coordinates
     and how many on its 1 coordinates.  The masks are grouped by signature
-    before any coefficient is touched, and each group's entry is built once
-    from powers of the factor's four entries: at most (n+1)^2/4 entries
-    instead of 2^(n-1) products of n-1 factors.  The groups partition the
-    target masks, so no mask appears twice."""
-    zeros, ones = _transition(hub_factor, src, src_nu, tgt, tgt_nu)
+    before any coefficient is touched, and each group's entry is one product
+    of two side entries, which `_side_entries` builds once per transition and
+    count: at most (n+1)^2/4 entries instead of 2^(n-1) products of n-1
+    factors.  The groups partition the target masks, so no mask appears twice."""
+    key, zeros = (hub_factor, src, src_nu, tgt, tgt_nu), _full_mask(n) & ~mask
+    ones = _side(_side_entries(*key, 1, mask.bit_count()), mask)
     return [
         (_times(e0, e1), [a | b for a in subs0 for b in subs1])
-        for e0, subs0 in _side(zeros, _full_mask(n) & ~mask)
-        for e1, subs1 in _side(ones, mask)
+        for e0, subs0 in _side(_side_entries(*key, 0, zeros.bit_count()), zeros)
+        for e1, subs1 in ones
     ]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
 
@@ -161,17 +162,24 @@ def _laurent_pair(terms: dict) -> tuple[dict, dict]:
     return num, {(a, b): d}
 
 
+# One display key and text (q^2*t, '' for (0, 0)) per exponent pair, both below 64.
+@lru_cache(maxsize=4096)
+def _monomial(mono: Monomial) -> tuple:
+    text = "*".join(var if e == 1 else f"{var}^{e}" for var, e in zip("qt", mono) if e)
+    return _display_key(mono), text, mono
+
+
 def _terms_str(terms: dict) -> str:
-    """Monomials by total degree then q-degree, both descending."""
+    """Monomials by total degree then q-degree, both descending; int coefficients."""
     if not terms:
         return "0"
     parts = []
-    for mono in sorted(terms, key=_display_key):
+    for _, text, mono in sorted(map(_monomial, terms)):
         coeff = terms[mono]
-        factors = [str(abs(coeff))] if abs(coeff) != 1 or mono == (0, 0) else []
-        factors += [var if e == 1 else f"{var}^{e}" for var, e in zip("qt", mono) if e]
+        if abs(coeff) != 1 or not text:
+            text = f"{abs(coeff)}*{text}" if text else str(abs(coeff))
         sign = ("-" if coeff < 0 else "") if not parts else ("- " if coeff < 0 else "+ ")
-        parts.append(sign + "*".join(factors))
+        parts.append(sign + text)
     return " ".join(parts)
 
 
@@ -320,6 +328,8 @@ class ScalarQT:
         return p if p is not None and all(c.denominator == 1 for c in p.terms.values()) else None
 
     def __str__(self) -> str:
+        if self.as_integer_poly() is not None:  # its own num over 1: printed in one pass
+            return _terms_str(self.terms)
         num, den = self._pair()
         return _terms_str(num) if den == _UNIT else f"{_terms_str(num)} / {_terms_str(den)}"
 

@@ -4,7 +4,8 @@ qsym.convert and nsym.convert expand each label by one composed 2x2 factor
 per coordinate; convert_oracle keeps the hub routes through M and H that they
 replaced.  Both must give the same terms, by value and by the printed string
 of every coefficient, on every ordered pair of bases: in QSym with Pi(nu) for
-nu = 2, 3 and 5, in NSym over Q(q,t).  The kernel's signature groups are
+nu = 2, 3 and 5, in NSym over Q(q,t).  The kernel's signature groups, and
+the side entries it caches once per transition, source bit and count, are
 checked against the per-coordinate products they replaced, and the CLI's
 `expand --json` against the hub routes' elements printed term by term.
 `Tensor.convert`, one side at a time through the element kernel, is checked
@@ -94,6 +95,70 @@ def test_grouped_kernel_matches_the_per_coordinate_products(algebra, src, tgt):
                     assert entry == slow[m] and str(entry) == str(slow[m]), (n, mask, m)
                     cases += 1
     assert cases > 0
+
+
+# -- the side entries, built once per transition, source bit and count ---------
+
+SIDE_COUNT = 8
+SIDE_KEYS = [
+    (HUB_FACTORS[algebra], *src, *tgt, bit, count)
+    for algebra, src, tgt in KERNEL_PAIRS
+    for bit in (0, 1)
+    for count in range(SIDE_COUNT + 1)
+]
+
+
+def test_side_entries_are_the_per_coordinate_products():
+    """Each cached entry is the product of the row's entries over `count`
+    coordinates, one at a time, when j of them carry target bit 1; every
+    nonzero product has its entry, by value, by type and by printed string."""
+    for key in SIDE_KEYS:
+        row = dict(qsym._transition(*key[:5])[key[5]])
+        count = key[6]
+        want = {}
+        for j in range(count + 1):
+            product = 1
+            for i in range(count):
+                product = product * row.get(1 if i < j else 0, 0)
+            if product:
+                want[j] = _coeff(product)
+        entries = qsym._side_entries(*key)
+        assert [j for j, _ in entries] == sorted(want), key
+        for j, entry in entries:
+            assert type(entry) is type(want[j]) and entry == want[j], (key, j)
+            assert str(ScalarQT.wrap(entry)) == str(ScalarQT.wrap(want[j]))
+    assert len(SIDE_KEYS) == 60 * 2 * 9
+
+
+def side_convert(algebra, src, tgt, terms):
+    if algebra == "qsym":
+        return qsym.convert(QSymElem(src[0], terms, nu=src[1]), tgt[0], nu=tgt[1])
+    return nsym.convert(NSymElem(src[0], terms), tgt[0])
+
+
+def test_side_entries_are_read_again_and_never_modified():
+    """A repeated conversion reads every side entry as a hit, with no new
+    miss, and scaling or adding a conversion's output leaves every cached
+    entry as it was."""
+    # counts up to SIDE_COUNT on both source bits
+    terms = {comp_of_set(SubsetLabel(9, 0b10110011)): ONE, comp_of_set(SubsetLabel(5, 0b0110)): Q}
+    for key in SIDE_KEYS:
+        qsym._side_entries(*key)
+    def printed_entries():
+        return {key: [(j, str(ScalarQT.wrap(e))) for j, e in qsym._side_entries(*key)] for key in SIDE_KEYS}
+
+    before = printed_entries()
+    for algebra, src, tgt in KERNEL_PAIRS:
+        first = side_convert(algebra, src, tgt, terms)
+        info = qsym._side_entries.cache_info()
+        again = side_convert(algebra, src, tgt, terms)
+        after = qsym._side_entries.cache_info()
+        assert after.misses == info.misses and after.hits == info.hits + 2 * len(terms)
+        assert_same(again, first)
+        for out in (first.scale(Q), first + again, first - again, first.scale(Fraction(-3, 2)) + first):
+            assert out.basis == first.basis
+    assert printed_entries() == before
+    assert isinstance(qsym._side_entries.cache_info().maxsize, int)
 
 
 # -- CLI output past the repr guard's degree 4 ---------------------------------

@@ -598,6 +598,28 @@ class TestCoproduct:
                 with pytest.raises(ValueError, match="not a superclass function"):
                     coproduct_k(phi, k, n)
 
+    def test_coproduct_checks_superclass_constancy_once(self, monkeypatch):
+        from hopfscf import groupscf
+
+        calls, check = [], groupscf._superclass_nums
+        monkeypatch.setattr(groupscf, "_superclass_nums", lambda phi: calls.append(phi) or check(phi))
+        for nu, n in [(2, 5), (3, 4), (2, 1), (2, 0)]:
+            phi = dot_chi(GroupSpec.standard(nu, n), {1} if n > 1 else set())
+            calls.clear()
+            coproduct(phi, n)
+            assert len(calls) == 1, (nu, n)
+            calls.clear()
+            for k in range(n + 1):
+                coproduct_k(phi, k, n)
+            assert len(calls) == max(n - 1, 0), (nu, n)
+        phi = counting(GroupSpec.standard(3, 4), ())
+        texts = []
+        for call in (lambda: coproduct(phi, 4), lambda: coproduct_k(phi, 2, 4)):
+            with pytest.raises(ValueError, match="not a superclass function") as info:
+                call()
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+
     def test_left_factors_are_interned_superclass_indicators(self):
         for nu, n in [(2, 5), (3, 4)]:
             phi = dot_chi(GroupSpec.standard(nu, n), {2})  # every row is nonzero

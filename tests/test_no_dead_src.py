@@ -43,6 +43,7 @@ ALLOWED = {
     "groupscf.relabel": PAPER + " (transport along the order-preserving bijection)",
     "groupscf.expand_kappa": PAPER + " (a superclass function's coordinates in the kappa basis)",
     "groupscf.restrict": PAPER + " (phi pulled back to the subgroup Q_T)",
+    "groupscf.coproduct_k": PAPER + " (the one slice delta_k, checked on its own)",
     "symring.generating_set_rank": ACCEPTANCE,
     "nsym.coproduct_bhat": ACCEPTANCE,
     "verify.pi_L_matrices_inverse": ACCEPTANCE,

@@ -3,7 +3,10 @@
 Values are drawn as num / den with num a random polynomial with rational
 coefficients and den either a monomial c * q^a * t^b (a Laurent value, the hot
 path) or a polynomial of up to three terms (a true quotient).  Every result
-must print exactly as the oracle prints it, which also pins the value.
+must print exactly as the oracle prints it, which also pins the value.  The
+printing test draws every case the printer tells apart: integer polynomials,
+which print straight from their terms, and negative exponents, non-integral
+coefficients, +-1 and constant terms, zero and true quotients.
 """
 
 from fractions import Fraction
@@ -92,6 +95,68 @@ def test_parse_round_trip_agrees(x):
     back = scalars.parse_scalar(text)
     assert back == a
     assert str(back) == str(oracle.parse_scalar(text)) == text
+
+
+# -- printing: every route of ScalarQT.__str__ ---------------------------------
+
+laurent_monomials = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _shifted(terms: dict) -> tuple[dict, dict]:
+    """A Laurent term dict as num / q^a t^b with num a polynomial."""
+    a = max(0, -min(q for q, _ in terms))
+    b = max(0, -min(t for _, t in terms))
+    return {(q + a, t + b): c for (q, t), c in terms.items()}, {(a, b): 1}
+
+
+printed_parts = st.one_of(
+    # integer polynomials: the direct route
+    st.dictionaries(monomials, st.integers(-6, 6).filter(bool), max_size=4).map(lambda p: (p, {(0, 0): 1})),
+    # negative exponents
+    st.dictionaries(laurent_monomials, nonzero_rationals, min_size=1, max_size=4).map(_shifted),
+    # non-integral Fraction coefficients
+    st.dictionaries(monomials, nonzero_rationals.filter(lambda c: c.denominator > 1), min_size=1, max_size=3)
+    .map(lambda p: (p, {(0, 0): 1})),
+    # +-1 coefficients beside a constant term, 0 included
+    st.tuples(st.dictionaries(monomials, st.sampled_from([-1, 1]), max_size=3), st.integers(-3, 3))
+    .map(lambda pc: ({**pc[0], (0, 0): pc[1]}, {(0, 0): 1})),
+    # true quotients
+    st.tuples(polys(), polys(min_size=2)),
+)
+
+PRINT_CASES = {
+    "integer polynomial": lambda x: x.as_integer_poly() is not None and not x.is_zero(),
+    "negative exponent": lambda x: x.terms is not None and any(q < 0 or t < 0 for q, t in x.terms),
+    "fraction coefficient": lambda x: x.terms is not None and any(type(c) is Fraction for c in x.terms.values()),
+    "unit coefficient": lambda x: x.terms is not None and any(c in (1, -1) for m, c in x.terms.items() if m != (0, 0)),
+    "constant term": lambda x: x.terms is not None and (0, 0) in x.terms,
+    "zero": lambda x: x.is_zero(),
+    "quotient": lambda x: x.quot is not None,
+}
+
+
+def test_printing_agrees_on_every_route():
+    """The one-pass print of an integer polynomial and the num / den print of
+    every other value both agree with the oracle, as do parse, .num and .den."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(printed_parts)
+    def check(parts):
+        num, den = parts
+        x = scalars.ScalarQT(num, den)
+        x0 = oracle.ScalarQT(oracle.PolyQT(num), oracle.PolyQT(den))
+        seen.update(name for name, holds in PRINT_CASES.items() if holds(x))
+        text = str(x)
+        assert text == str(x0)
+        back = scalars.parse_scalar(text)
+        assert back == x and str(back) == str(oracle.parse_scalar(text)) == text
+        assert x.num.terms == x0.num.terms and x.den.terms == x0.den.terms
+        assert str(x.num) == oracle.poly_to_str(x0.num) and str(x.den) == oracle.poly_to_str(x0.den)
+        assert x.terms is None or (x.num.terms is not x.terms and x.den.terms is not x.terms)
+
+    check()
+    assert seen == set(PRINT_CASES)
 
 
 @SETTINGS
