@@ -1,11 +1,11 @@
 """The characteristic isomorphism between graded superclass functions and QSym.
 
 ScfElem is the symbolic side: a `linear.LinComb` with rational coefficients
-on kappa / normalized-chi labels graded by degree.  It lowers to dense
-ClassFunctions only inside the diagram verifier, keeping the Hopf arithmetic
-independent of group bounds.  Both crossings carry one integer numerator per
-support mask, on Q_n the superclass label's mask; the per-term `to_dense` is
-the test oracle.
+on kappa / normalized-chi labels I, keyed by (degree, tag, mask of I).  It
+lowers to dense ClassFunctions only inside the diagram verifier, keeping the
+Hopf arithmetic independent of group bounds.  On Q_n a support mask is its
+superclass label's mask, so both crossings carry one integer numerator per
+key mask; the per-term `to_dense` is the test oracle.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
 denominator into int and Fraction coefficients.  The per-term route through
@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import index
 
 from . import groupscf, qsym
-from .compositions import Composition, SubsetLabel, comp_of_set, subsets_of
+from .compositions import Composition, SubsetLabel, comp_of_mask, members_of, subsets_of
 from .groupscf import CheckReport, ClassFunction, GroupSpec, check
 from .linear import LinComb, extend, tensor_terms
 from .qsym import QSymElem, QSymTensor
@@ -32,12 +32,13 @@ from .scalars import _exact_nu, _ratio, _rational
 KAPPA = "kappa"
 CHI_DOT = "chi_dot"
 
-Key = tuple[int, str, SubsetLabel]
+Key = tuple[int, str, int]
 
 
 class ScfElem(LinComb):
     """Element of the direct sum over n of the supercharacter function spaces:
-    int and Fraction coefficients on (degree, tag, label) keys, all for one nu."""
+    int and Fraction coefficients on (degree, tag, mask) keys, all for one nu.
+    A key's label may come in as a SubsetLabel of the degree or as its mask."""
 
     __slots__ = _TAG = ("nu",)
     _coeff = staticmethod(_rational)
@@ -47,17 +48,19 @@ class ScfElem(LinComb):
         super().__init__(terms)
 
     @staticmethod
-    def _key(key: Key) -> Key:
+    def _key(key) -> Key:
         degree, tag, label = key
         if tag not in (KAPPA, CHI_DOT):
             raise ValueError(f"unknown basis tag {tag!r}")
+        if not isinstance(label, SubsetLabel):
+            label = SubsetLabel(degree, label)
         if label.ambient != index(degree):
             raise ValueError(f"label {label} does not match degree {degree}")
-        return key
+        return degree, tag, label.mask
 
     def _label(self, key: Key) -> str:
-        degree, tag, label = key
-        return f"{tag}{list(label.members)} (deg {degree})"
+        degree, tag, mask = key
+        return f"{tag}{list(members_of(mask))} (deg {degree})"
 
     @classmethod
     def kappa(cls, nu: int, degree: int, members=()) -> "ScfElem":
@@ -72,9 +75,9 @@ class ScfElem(LinComb):
         """Expand a dense superclass function on Q_degree in the kappa basis."""
         if not groupscf._is_standard(phi.spec, degree):
             raise ValueError("dense lift expects a standard group")
-        nums, labels, den = groupscf._superclass_nums(phi), _labels(degree), phi.den
+        nums, den = groupscf._superclass_nums(phi), phi.den
         out = cls(phi.spec.nu)
-        out.terms = {(degree, KAPPA, labels[s]): _ratio(v, den) for s, v in nums.items() if v}
+        out.terms = {(degree, KAPPA, s): _ratio(v, den) for s, v in nums.items() if v}
         return out
 
     def to_dense(self, degree: int) -> ClassFunction:
@@ -83,7 +86,7 @@ class ScfElem(LinComb):
         (1-nu)^{-e} at each mask s, with e the members of s off I."""
         spec = GroupSpec.standard(self.nu, degree)
         nu, rank = self.nu, spec.rank
-        terms = [(tag, label.mask, c) for (d, tag, label), c in self.terms.items() if d == degree]
+        terms = [(tag, mask, c) for (d, tag, mask), c in self.terms.items() if d == degree]
         den = (nu - 1) ** rank * lcm(*(c.denominator for _, _, c in terms))
         acc = [0] * (1 << rank)
         for tag, mask, c in terms:
@@ -94,13 +97,6 @@ class ScfElem(LinComb):
                 by_e = [a // (1 - nu) ** e for e in range(rank + 1)]
                 acc = [v + by_e[(s & ~mask).bit_count()] for s, v in enumerate(acc)]
         return ClassFunction(spec, map(acc.__getitem__, groupscf.support_masks(nu, rank)), den)
-
-
-@lru_cache(maxsize=32)
-def _labels(degree: int) -> tuple[SubsetLabel, ...]:
-    """SubsetLabel(degree, mask) at index mask, for every mask: on the
-    standard group Q_degree a support mask is its superclass label's mask."""
-    return tuple(SubsetLabel(degree, mask) for mask in range(1 << max(degree - 1, 0)))
 
 
 @lru_cache(maxsize=4096)
@@ -120,7 +116,7 @@ def _ch_row(
     groups = [(scale * c, imasks) for c, imasks in expansion]
     d = lcm(*(c.denominator for c, _ in groups))
     return d, tuple(
-        (comp_of_set(SubsetLabel(n, imask)), c.numerator * (d // c.denominator))
+        (comp_of_mask(n, imask), c.numerator * (d // c.denominator))
         for c, imasks in groups
         for imask in imasks
     )
@@ -129,7 +125,7 @@ def _ch_row(
 def ch(x: ScfElem) -> QSymElem:
     """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
     terms = x.terms.items()
-    return _ch_sum(x.nu, ((n, t, lbl.mask, c.numerator, c.denominator) for (n, t, lbl), c in terms))
+    return _ch_sum(x.nu, ((n, t, mask, c.numerator, c.denominator) for (n, t, mask), c in terms))
 
 
 def _ch_sum(nu: int, terms) -> QSymElem:

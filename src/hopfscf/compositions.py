@@ -88,6 +88,11 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _full_mask(n: int) -> int:
+    """The mask of [n-1], empty for n <= 1."""
+    return (1 << (n - 1)) - 1 if n >= 1 else 0
+
+
 @dataclass(frozen=True, order=True)
 class SubsetLabel:
     """A subset of [ambient - 1] carried with its ambient size.
@@ -105,8 +110,7 @@ class SubsetLabel:
         check_ambient(self.ambient)
         if index(self.mask) < 0:
             raise ValueError(f"mask must be nonnegative, got {self.mask}")
-        limit = 1 << max(self.ambient - 1, 0) if self.ambient >= 1 else 1
-        if self.mask >= limit:
+        if self.mask > _full_mask(self.ambient):
             raise ValueError(
                 f"members {members_of(self.mask)} not contained in [{self.ambient - 1}]"
             )
@@ -124,8 +128,7 @@ class SubsetLabel:
         return self.mask.bit_count()
 
     def complement(self) -> "SubsetLabel":
-        full = (1 << (self.ambient - 1)) - 1 if self.ambient >= 1 else 0
-        return SubsetLabel(self.ambient, full ^ self.mask)
+        return SubsetLabel(self.ambient, _full_mask(self.ambient) ^ self.mask)
 
     def __repr__(self) -> str:
         return f"{{{','.join(str(i) for i in self.members)}}}<{self.ambient}>"
@@ -191,11 +194,7 @@ def iter_submasks(mask: int):
 
 def compositions_of(n: int):
     """All compositions of n, ordered by their subset mask."""
-    if n == 0:
-        yield EMPTY_COMPOSITION
-        return
-    full = (1 << (n - 1)) - 1
-    for mask in range(full + 1):
+    for mask in range(_full_mask(n) + 1):
         yield comp_of_set(SubsetLabel(n, mask))
 
 

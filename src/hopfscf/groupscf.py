@@ -6,11 +6,11 @@ evaluated on actual group elements.  Functions are stored densely over a
 mixed-radix enumeration of (g_s)_{s in S}, as int numerators over one
 positive common denominator, gcd-reduced so that equality stays exact.
 
-The dense kernels are gathers, and for m one scatter, plus integer
-multiplies.  Their tables (support masks, inverse, restriction, tensor
-embedding, and the keys of a product plan) are each a sum of per-coordinate
-terms, so `_coordinate_sum` builds them by outer sums over the coordinates,
-without visiting elements one by one.
+The dense kernels are gathers, and for m and the tensor embedding a
+scatter, plus integer multiplies.  Their tables (support masks, inverse,
+restriction, and the keys of a product plan) are each a sum of
+per-coordinate terms, so `_coordinate_sum` builds them by outer sums over
+the coordinates, without visiting elements one by one.
 The support-mask, inverse and restriction tables are built on first use per
 group shape and kept as `array`s in bounded LRU caches.  So is the plan of
 the product m per shape, `product_plan`: the m_A terms added over A, stored
@@ -18,8 +18,8 @@ by (phi index, psi index) pair as the elements that pair reaches with their
 weights summed, and sums that cancel dropped, so that m scatters from the
 pairs where both operands are nonzero and skips the rest; `_plan` builds it,
 and builds the plan of one m_A for `product_mA` on each call.  `cache_info()`
-on each cached function reports its hits and misses.  The tensor embedding is
-built on each call too: only the public `tensor_embed` reads it.
+on each cached function reports its hits and misses.  `tensor_embed` scatters
+through the restriction tables of its two factors, and builds no table.
 
 A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
 takes its spec from one bounded interning cache keyed on the degree and the
@@ -241,14 +241,6 @@ def _coordinate_sum(weights) -> list[int]:
     return table
 
 
-def _index_rows(nu: int, width: int, slots) -> list[list[int]]:
-    """Weights, over `width` coordinates, of the mixed-radix index of the
-    element whose j-th digit is coordinate slots[j]; a slot of None is the
-    identity there."""
-    place = {p: nu ** (len(slots) - 1 - j) for j, p in enumerate(slots)}
-    return [[x * place.get(p, 0) for x in range(nu)] for p in range(width)]
-
-
 @lru_cache(maxsize=64)
 def support_masks(nu: int, rank: int) -> array:
     """Per element, the bitmask of the positions where it is not the identity."""
@@ -269,15 +261,6 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
     identities in the rank-`rank` group."""
     rows = [[x * nu ** (rank - 1 - q) for x in range(nu)] for q in positions]
     return array("I", _coordinate_sum(rows))
-
-
-def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array, array]:
-    """Per element g of the rank-`rank` group, the indices of its parts on
-    `positions` and on the remaining positions."""
-    rest = tuple(p for p in range(rank) if p not in positions)
-    return tuple(
-        array("I", _coordinate_sum(_index_rows(nu, rank, part))) for part in (positions, rest)
-    )
 
 
 def _selector_places(nu: int, k: int, amask: int) -> tuple[list[int], list[int], int]:
@@ -382,7 +365,8 @@ def restrict(phi: ClassFunction, T) -> ClassFunction:
 
 
 def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    """(phi tensor_S psi)(a, b) = phi(a) psi(b) on the disjoint union of indices."""
+    """(phi tensor_S psi)(a, b) = phi(a) psi(b) on the disjoint union of indices,
+    at the sum of the target indices of a and b under their restriction maps."""
     sa, sb = phi.spec, psi.spec
     if sa.nu != sb.nu:
         raise ValueError("tensor factors must share nu")
@@ -391,9 +375,12 @@ def tensor_embed(phi: ClassFunction, psi: ClassFunction) -> ClassFunction:
             f"index sets {sa.index_set} and {sb.index_set} do not partition the target"
         )
     target = GroupSpec(sa.nu, tuple(sorted(sa.index_set + sb.index_set)))
-    positions = tuple(target.index_set.index(label) for label in sa.index_set)
-    ia, ib = embedding_map(sa.nu, target.rank, positions)
-    nums = map(mul, map(phi.nums.__getitem__, ia), map(psi.nums.__getitem__, ib))
+    at = target.index_set.index
+    ra, rb = (restriction_map(sa.nu, target.rank, tuple(map(at, s.index_set))) for s in (sa, sb))
+    nums = [0] * target.order
+    for i, x in zip(ra, phi.nums):
+        for j, y in zip(rb, psi.nums):
+            nums[i + j] = x * y
     return ClassFunction(target, nums, phi.den * psi.den)
 
 
@@ -555,12 +542,12 @@ def _superclass_nums(phi: ClassFunction) -> dict[int, int]:
 
 
 def expand_kappa(phi: ClassFunction) -> dict[frozenset, int | Fraction]:
-    """Coefficients of phi in the superclass-identifier basis, an int where
-    integral and a Fraction otherwise, keyed by label in the order of
-    `_superclass_nums`, which raises outside the supercharacter function
+    """The nonzero coefficients of phi in the superclass-identifier basis, an
+    int where integral and a Fraction otherwise, keyed by label in the order
+    of `_superclass_nums`, which raises outside the supercharacter function
     space."""
     labels, den = support_labels(phi.spec), phi.den
-    return {labels[s]: _ratio(v, den) for s, v in _superclass_nums(phi).items()}
+    return {labels[s]: _ratio(v, den) for s, v in _superclass_nums(phi).items() if v}
 
 
 # The interned left factors of coproduct_k: shared, and never to be modified.

@@ -23,6 +23,7 @@ from math import comb
 from .compositions import (
     Composition,
     SubsetLabel,
+    _full_mask,
     comp_of_mask,
     comp_of_set,
     iter_submasks,
@@ -33,7 +34,7 @@ from .compositions import (
     selectors,
 )
 from .linear import LinComb, extend, extend2
-from .qsym import QSymElem, Tensor, _convert_into, _full_mask, convert as qsym_convert
+from .qsym import QSymElem, Tensor, _convert_into, convert as qsym_convert
 from .scalars import ONE, Q, T, ZERO, ScalarQT, _lower, _rational, _times
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")

@@ -30,6 +30,7 @@ from functools import lru_cache
 from .compositions import (
     Composition,
     SubsetLabel,
+    _full_mask,
     comp_of_set,
     iter_submasks,
     overlapping_shuffles,
@@ -41,10 +42,6 @@ from .linear import LinComb, extend, extend2, tensor_terms
 from .scalars import ScalarQT, _coeff, _exact_nu, _times
 
 BASES = ("M", "L", "E", "Pi")
-
-
-def _full_mask(n: int) -> int:
-    return (1 << (n - 1)) - 1 if n >= 1 else 0
 
 
 # A hub factor F of a basis is its 2x2 transition into the hub at one

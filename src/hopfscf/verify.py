@@ -15,6 +15,7 @@ from collections import Counter
 from . import charmap, groupscf, nsym, qsym
 from .compositions import (
     SubsetLabel,
+    _full_mask,
     check_ambient,
     comp_of_set,
     complement,
@@ -30,7 +31,6 @@ from .qsym import (
     L_from_pi_entry,
     M_from_pi_entry,
     QSymElem,
-    _full_mask,
     pi_from_L_entry,
     pi_from_M_entry,
 )

@@ -17,7 +17,7 @@ from fractions import Fraction
 import convert_oracle
 from hopfscf import groupscf
 from hopfscf.charmap import CHI_DOT, ScfElem, _dense_basis
-from hopfscf.compositions import comp_of_set
+from hopfscf.compositions import SubsetLabel, comp_of_set, members_of
 from hopfscf.groupscf import ClassFunction, GroupSpec
 from hopfscf.qsym import QSymElem
 from hopfscf.scalars import rational
@@ -26,9 +26,10 @@ from hopfscf.scalars import rational
 def ch(x: ScfElem) -> QSymElem:
     """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
     total = QSymElem("M")
-    for (degree, tag, label), coeff in sorted(
-        x.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].members)
+    for (degree, tag, mask), coeff in sorted(
+        x.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], members_of(kv[0][2]))
     ):
+        label = SubsetLabel(degree, mask)
         comp = comp_of_set(label)
         if tag == CHI_DOT:
             elem = QSymElem("L", {comp: rational(coeff)})
@@ -43,7 +44,7 @@ def to_dense(x: ScfElem, degree: int) -> ClassFunction:
     """Lower the degree-n component to a dense function on Q_n(nu)."""
     spec = GroupSpec.standard(x.nu, degree)
     total = groupscf.one(spec).scale(0)
-    for (d, tag, label), coeff in x.terms.items():
+    for (d, tag, mask), coeff in x.terms.items():
         if d == degree:
-            total = total + _dense_basis(spec, tag, label.members).scale(coeff)
+            total = total + _dense_basis(spec, tag, SubsetLabel(d, mask).members).scale(coeff)
     return total

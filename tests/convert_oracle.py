@@ -15,13 +15,19 @@ tests check, live here too.
 from __future__ import annotations
 
 from hopfscf import nsym, qsym
-from hopfscf.compositions import Composition, SubsetLabel, comp_of_set, iter_submasks, set_of_comp
+from hopfscf.compositions import (
+    Composition,
+    SubsetLabel,
+    _full_mask,
+    comp_of_set,
+    iter_submasks,
+    set_of_comp,
+)
 from hopfscf.linear import _add_term
 from hopfscf.nsym import NSymElem, b_inverse_entry, b_to_H_masks
 from hopfscf.qsym import (
     QSymElem,
     M_from_pi_entry,
-    _full_mask,
     _transition,
     pi_from_M_entry,
 )

@@ -267,18 +267,6 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
     return array("I", out)
 
 
-def embedding_map(nu: int, rank: int, positions: tuple[int, ...]) -> tuple[array, array]:
-    """Per element g of the rank-`rank` group, the indices of its parts on
-    `positions` and on the remaining positions."""
-    rest = tuple(p for p in range(rank) if p not in positions)
-    left, right = _shape(nu, len(positions)), _shape(nu, len(rest))
-    ia, ib = [], []
-    for g in _shape(nu, rank).elements():
-        ia.append(index_of(left, (g[p] for p in positions)))
-        ib.append(index_of(right, (g[p] for p in rest)))
-    return array("I", ia), array("I", ib)
-
-
 def product_map(nu: int, m: int, n: int, A: tuple[int, ...]) -> tuple[array, array, array]:
     """The composite gather of m_A on Q_{m+n}(nu); A is sorted.
 

@@ -80,7 +80,8 @@ class TestDenseToSymbolic:
         for n in range(6):
             phi = random_superclass_function(rng, nu, n)
             labels = support_labels(phi.spec)
-            view = [(labels[s], Fraction(v, phi.den)) for s, v in _superclass_nums(phi).items()]
+            nums = _superclass_nums(phi).items()
+            view = [(labels[s], Fraction(v, phi.den)) for s, v in nums if v]
             assert list(expand_kappa(phi).items()) == view
 
     @pytest.mark.parametrize("nu", [2, 3, 5])
@@ -91,18 +92,31 @@ class TestDenseToSymbolic:
             for _ in range(4):
                 phi = random_superclass_function(rng, nu, n)
                 labels = support_labels(phi.spec)
-                view = {labels[s]: Fraction(v, phi.den) for s, v in _superclass_nums(phi).items()}
+                nums = _superclass_nums(phi).items()
+                view = {labels[s]: Fraction(v, phi.den) for s, v in nums if v}
                 expanded = expand_kappa(phi)
                 lifted = {
-                    frozenset(label.members): c
-                    for (_, _, label), c in ScfElem.from_dense(phi, n).terms.items()
+                    labels[mask]: c for (_, _, mask), c in ScfElem.from_dense(phi, n).terms.items()
                 }
-                assert expanded == view
-                assert lifted == {I: v for I, v in view.items() if v}
+                assert expanded == lifted == view
                 for c in [*expanded.values(), *lifted.values()]:
                     assert type(c) is (int if c.denominator == 1 else Fraction), c
                     kinds.add(type(c))
         assert kinds == {int, Fraction}
+
+    def test_expand_kappa_keeps_only_the_nonzero_coordinates(self):
+        # kappa_{1} * kappa_{1} on Q_4(2) lands in Q_8(2): 128 supports, 12 reached
+        spec = GroupSpec.standard(2, 4)
+        product = groupscf.product_m(kappa(spec, {1}), kappa(spec, {1}), 4, 4)
+        want = {
+            (1, 5): 2, (1, 4): 6, (1, 4, 6, 7): -2, (1, 4, 5, 6): -2, (1, 3): 12,
+            (1, 3, 6, 7): -4, (1, 3, 5, 6): -4, (1, 3, 4, 5): -6, (1, 3, 4, 5, 6, 7): 2,
+            (1, 2, 3, 4): -6, (1, 2, 3, 4, 6, 7): 2, (1, 2, 3, 4, 5, 6): 2,
+        }
+        got = expand_kappa(product)
+        assert got == {frozenset(I): v for I, v in want.items()}
+        for members in subsets_of(8):
+            assert got.get(frozenset(members), 0) == want.get(members, 0)
 
     @pytest.mark.parametrize("nu", [2, 3, 5])
     def test_from_dense_of_kappa_is_the_kappa_element(self, nu):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import charmap_oracle as oracle
 from hopfscf import qsym
-from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, _ch_row, _labels, ch
-from hopfscf.compositions import Composition, SubsetLabel
+from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, _ch_row, ch
+from hopfscf.compositions import Composition, SubsetLabel, _full_mask
 
 NUS = (2, 3, 5)
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -23,7 +23,7 @@ def all_labels(top: int):
     for nu in NUS:
         for n in range(top + 1):
             for tag in (KAPPA, CHI_DOT):
-                for mask in range(qsym._full_mask(n) + 1):
+                for mask in range(_full_mask(n) + 1):
                     yield nu, n, tag, mask
 
 
@@ -41,7 +41,7 @@ def scf_elems(draw):
     x = ScfElem(nu)
     for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(0, 6))
-        mask = draw(st.integers(0, qsym._full_mask(n)))
+        mask = draw(st.integers(0, _full_mask(n)))
         tag = draw(st.sampled_from((KAPPA, CHI_DOT)))
         x = x + ScfElem(nu, {(n, tag, SubsetLabel(n, mask)): draw(rationals)})
     return x
@@ -87,7 +87,7 @@ def test_cancellation_inside_one_sum():
         if tag != CHI_DOT:
             continue
         terms = {(n, CHI_DOT, SubsetLabel(n, imask)): Fraction(1)}
-        for jmask in range(qsym._full_mask(n) + 1):
+        for jmask in range(_full_mask(n) + 1):
             c = qsym.pi_from_L_entry(n, imask, jmask, nu) / (nu - 1) ** jmask.bit_count()
             terms[(n, KAPPA, SubsetLabel(n, jmask))] = -c
         y = ScfElem(nu, terms)
@@ -102,7 +102,7 @@ def random_scf_elem(rng: random.Random, nu: int) -> ScfElem:
     terms = {}
     for _ in range(rng.randint(1, 8)):
         n = rng.randint(0, 6)
-        label = SubsetLabel(n, rng.randint(0, qsym._full_mask(n)))
+        label = SubsetLabel(n, rng.randint(0, _full_mask(n)))
         coeff = rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
         terms[(n, rng.choice((KAPPA, CHI_DOT)), label)] = coeff
     return ScfElem(nu, terms)
@@ -124,6 +124,5 @@ def test_to_dense_matches_oracle():
 
 def test_caches_are_bounded():
     assert isinstance(_ch_row.cache_info().maxsize, int)
-    assert isinstance(_labels.cache_info().maxsize, int)
     assert isinstance(qsym._l_product_masks.cache_info().maxsize, int)
     assert isinstance(qsym._m_product.cache_info().maxsize, int)

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 import convert_oracle as oracle
 from hopfscf import cli, nsym, qsym
-from hopfscf.compositions import Composition, SubsetLabel, comp_of_set, compositions_of, set_of_comp
+from hopfscf.compositions import (
+    Composition,
+    SubsetLabel,
+    _full_mask,
+    comp_of_set,
+    compositions_of,
+    set_of_comp,
+)
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
 from hopfscf.scalars import ONE, Q, T, ScalarQT, _coeff, rational
@@ -85,7 +92,7 @@ def test_grouped_kernel_matches_the_per_coordinate_products(algebra, src, tgt):
     hub_factor = HUB_FACTORS[algebra]
     cases = 0
     for n in range(KERNEL_DEGREE + 1):
-        for mask in range(qsym._full_mask(n) + 1):
+        for mask in range(_full_mask(n) + 1):
             groups = qsym._expand(hub_factor, *src, *tgt, n, mask)
             slow = oracle.expand_per_coordinate(hub_factor, *src, *tgt, n, mask)
             masks = [m for _, ms in groups for m in ms]
@@ -214,7 +221,7 @@ scalars = st.lists(monomials, min_size=1, max_size=3).map(lambda ms: sum(ms, rat
 @st.composite
 def labels(draw):
     n = draw(st.integers(0, 6))
-    return comp_of_set(SubsetLabel(n, draw(st.integers(0, qsym._full_mask(n)))))
+    return comp_of_set(SubsetLabel(n, draw(st.integers(0, _full_mask(n)))))
 
 
 term_dicts = st.dictionaries(labels(), scalars, min_size=1, max_size=6)
@@ -241,7 +248,7 @@ TENSOR_CASES = [(tensor, (s, t)) for tensor, sides in TENSOR_SIDES.items() for s
 # a multi-term denominator makes a true quotient, not a Laurent polynomial
 quotients = st.builds(lambda c, d: c / d, scalars, st.sampled_from([Q + T, 1 + Q, Q - 2 * T]))
 small_labels = st.integers(0, 4).flatmap(
-    lambda n: st.integers(0, qsym._full_mask(n)).map(lambda m: comp_of_set(SubsetLabel(n, m)))
+    lambda n: st.integers(0, _full_mask(n)).map(lambda m: comp_of_set(SubsetLabel(n, m)))
 )
 
 

@@ -25,7 +25,7 @@ import fqsym_oracle as fqsym
 from fqsym_oracle import FQSymElem
 from hopfscf import nsym, qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem
-from hopfscf.compositions import SubsetLabel, comp_of_set
+from hopfscf.compositions import SubsetLabel, _full_mask, comp_of_set
 from hopfscf.linear import LinComb, extend, extend2, tensor_terms
 from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
@@ -51,7 +51,7 @@ scalars = st.lists(monomials, min_size=1, max_size=2).map(lambda ms: sum(ms, rat
 @st.composite
 def subsets(draw):
     n = draw(st.integers(0, MAX_DEGREE))
-    return SubsetLabel(n, draw(st.integers(0, qsym._full_mask(n))))
+    return SubsetLabel(n, draw(st.integers(0, _full_mask(n))))
 
 
 compositions = subsets().map(comp_of_set)

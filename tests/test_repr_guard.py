@@ -4,8 +4,9 @@ One sha256 per element class over the `repr` of a fixed family of elements:
 every QSym basis (Pi at nu = 2 and 3) and every NSym basis, converted into
 every basis of its algebra on every composition of degree at most 4, with
 products, sums, differences and scalings; both algebras' coproduct tensors
-and their conversions; `comm` images and products in Sym; FQSym products.
-A second sha256 per class covers `to_json_dict` for QSym, NSym and Sym.  The
+and their conversions; `comm` images and products in Sym; FQSym products;
+superclass functions at nu = 2 and 3, as basis elements, sums, scalings and
+lifts of dense products and coproduct slices.  A second sha256 per class covers `to_json_dict` for QSym, NSym and Sym.  The
 digests were recorded before the element classes shared one linear-combination
 core, so any change to a printed term, its order or its coefficient shows up
 here.
@@ -16,13 +17,16 @@ Print the current table with `python tests/test_repr_guard.py`.
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 import fqsym_oracle as fqsym
 from fqsym_oracle import FQSymElem
-from hopfscf import nsym, qsym
-from hopfscf.compositions import compositions_of
+from hopfscf import groupscf, nsym, qsym
+from hopfscf.charmap import ScfElem
+from hopfscf.compositions import compositions_of, subsets_of
+from hopfscf.groupscf import GroupSpec
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
 from hopfscf.scalars import Q, T, parse_scalar
@@ -126,6 +130,26 @@ def fqsym_family():
     yield x * FQSymElem.F((1,)).scale(WEIGHT)
 
 
+def scf_family():
+    for nu in (2, 3):
+        for n in range(MAX_DEGREE + 1):
+            for members in subsets_of(n):
+                yield ScfElem.kappa(nu, n, members)
+                yield ScfElem.chi_dot(nu, n, members)
+        x = ScfElem.kappa(nu, 3, {1}).scale(Fraction(2, 3)) + ScfElem.chi_dot(nu, 4, {1, 3})
+        y = ScfElem.chi_dot(nu, 2, {1}).scale(Fraction(-5, 4)) + ScfElem.kappa(nu, 0)
+        yield x + y
+        yield x - x
+        yield x - y.scale(-3)
+        yield (x + y).scale(Fraction(7, 6))
+        phi = groupscf.kappa(GroupSpec.standard(nu, 2), {1})
+        psi = groupscf.kappa(GroupSpec.standard(nu, 2), ())
+        yield ScfElem.from_dense(groupscf.product_m(phi, psi, 2, 2), 4)
+        for left, right in groupscf.coproduct_k(groupscf.dot_chi(GroupSpec.standard(nu, 4), {2}), 2, 4):
+            yield ScfElem.from_dense(left, 2)
+            yield ScfElem.from_dense(right, 2)
+
+
 FAMILIES = {
     "qsym": qsym_family,
     "nsym": nsym_family,
@@ -133,6 +157,7 @@ FAMILIES = {
     "nsym_tensor": nsym_tensor_family,
     "sym": sym_family,
     "fqsym": fqsym_family,
+    "scf": scf_family,
 }
 JSON_FAMILIES = ("qsym", "nsym", "sym")
 
@@ -158,6 +183,7 @@ REPR_DIGESTS = {
     'nsym_tensor': '064241e33080b388d1a960a048a86bee2b3c64a8785a9dd321d8d631c3c67f84',
     'sym': '0c8367724b5d9bf3f72b1fc720d29b6671d1690843d79e9376814f4a98d8be0e',
     'fqsym': 'ca53af571898ccdd0c7c3bd5d379f052e55c3dece16752771ece4c2e9125734f',
+    'scf': '959567f426586b3c74f59108c36c39ca02368aa22c074f9045b4a53d625ce75d',
 }
 
 JSON_DIGESTS = {
