@@ -87,16 +87,16 @@ class ScfElem(LinComb):
         spec = GroupSpec.standard(self.nu, degree)
         nu, rank = self.nu, spec.rank
         terms = [(tag, mask, c) for (d, tag, mask), c in self.terms.items() if d == degree]
-        den = (nu - 1) ** rank * lcm(*(c.denominator for _, _, c in terms))
+        weights, unit = groupscf._off_weights(nu, rank - 1)  # (1-nu)^{-e} over unit
+        den = lcm(*(c.denominator for _, _, c in terms))
         acc = [0] * (1 << rank)
         for tag, mask, c in terms:
             a = c.numerator * (den // c.denominator)
             if tag == KAPPA:
-                acc[mask] += a
+                acc[mask] += a * unit
             else:
-                by_e = [a // (1 - nu) ** e for e in range(rank + 1)]
-                acc = [v + by_e[(s & ~mask).bit_count()] for s, v in enumerate(acc)]
-        return ClassFunction(spec, map(acc.__getitem__, groupscf.support_masks(nu, rank)), den)
+                acc = [v + a * weights[(s & ~mask).bit_count()] for s, v in enumerate(acc)]
+        return ClassFunction(spec, map(acc.__getitem__, groupscf.support_masks(nu, rank)), den * unit)
 
 
 @lru_cache(maxsize=4096)

@@ -156,15 +156,16 @@ def comp_of_mask(n: int, mask: int) -> Composition:
     return tuple.__new__(Composition, parts)
 
 
+def mask_of_comp(alpha: Composition) -> int:
+    """The mask of alpha's partial sums but the last, refused past the bound first."""
+    check_ambient(alpha.size)
+    return sum(1 << (s - 1) for s in itertools.accumulate(alpha[:-1]))
+
+
 def set_of_comp(alpha: Composition | Iterable[int]) -> SubsetLabel:
     """Inverse of comp_of_set: partial sums of alpha except the last."""
     alpha = Composition(alpha)
-    total = 0
-    points = []
-    for p in alpha[:-1]:
-        total += p
-        points.append(total)
-    return SubsetLabel.of(alpha.size, points)
+    return SubsetLabel(alpha.size, mask_of_comp(alpha))
 
 
 def complement(alpha: Composition | Iterable[int]) -> Composition:
@@ -194,14 +195,15 @@ def iter_submasks(mask: int):
 
 def compositions_of(n: int):
     """All compositions of n, ordered by their subset mask."""
+    if check_ambient(n) < 0:
+        raise ValueError(f"ambient must be nonnegative, got {n}")
     for mask in range(_full_mask(n) + 1):
-        yield comp_of_set(SubsetLabel(n, mask))
+        yield comp_of_mask(n, mask)
 
 
 def subsets_of(n: int):
     """Every subset of [n-1] as a sorted tuple, by size, then lexicographically."""
-    for r in range(max(n, 1)):
-        yield from itertools.combinations(range(1, n), r)
+    return map(members_of, itertools.chain.from_iterable(selectors(n - 1, r) for r in range(max(n, 1))))
 
 
 def run_maxima(mask: int, k: int) -> int:
@@ -211,7 +213,7 @@ def run_maxima(mask: int, k: int) -> int:
 
 def selectors(k: int, n: int):
     """Every size-n subset A of [k] as a mask, in itertools.combinations order:
-    the one enumerator of every selector loop (nsym, and qsym's L product)."""
+    the one fixed-size enumerator (nsym, qsym's L product and subsets_of)."""
     return (sum(map((1).__lshift__, A)) for A in itertools.combinations(range(k), n))
 
 

@@ -313,17 +313,16 @@ def chi(spec: GroupSpec, I) -> ClassFunction:
     """
     I = _require_subset(I, spec.index_set, "supercharacter label")
     off = ~_mask_of(spec, I) & ((1 << spec.rank) - 1)
-    width = spec.rank - len(I)
-    by_count = [(-1) ** e * (spec.nu - 1) ** (width - e) for e in range(width + 1)]
-    nums = [by_count[(s & off).bit_count()] for s in support_masks(spec.nu, spec.rank)]
+    weights, _ = _off_weights(spec.nu, off.bit_count() - 1)
+    nums = [weights[(s & off).bit_count()] for s in support_masks(spec.nu, spec.rank)]
     return ClassFunction(spec, nums, 1)
 
 
 def dot_chi(spec: GroupSpec, I) -> ClassFunction:
     """chi normalized by its value at the identity, (nu-1)^{|S \\ I|}."""
     I = _require_subset(I, spec.index_set, "supercharacter label")
-    off = spec.rank - len(I)
-    return chi(spec, I).scale(Fraction(1, (spec.nu - 1) ** off))
+    _, den = _off_weights(spec.nu, spec.rank - len(I) - 1)
+    return ClassFunction(spec, chi(spec, I).nums, den)
 
 
 @lru_cache(maxsize=64)
@@ -417,10 +416,9 @@ def _scalar_product(phi: ClassFunction, psi: ClassFunction, m: int) -> ClassFunc
 
 @lru_cache(maxsize=256)
 def _off_weights(nu: int, k: int) -> tuple[tuple[int, ...], int]:
-    """(-1/(nu-1))^e for e = 0..k+1 as numerators over one denominator.
-
-    m_A on Q_k carries at most k + 1 factors (nu-1)^{-1}(reg - 1).
-    """
+    """(-1/(nu-1))^e for e = 0..k+1 as numerators over one denominator: the
+    weights of at most k + 1 factors (nu-1)^{-1}(reg - 1), as m_A on Q_k and
+    a chi off k + 1 indices carry them."""
     return tuple((-1) ** e * (nu - 1) ** (k + 1 - e) for e in range(k + 2)), (nu - 1) ** (k + 1)
 
 

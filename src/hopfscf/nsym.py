@@ -24,8 +24,8 @@ from .compositions import (
     Composition,
     SubsetLabel,
     _full_mask,
+    check_ambient,
     comp_of_mask,
-    comp_of_set,
     iter_submasks,
     mask_of,
     near_concat,
@@ -246,7 +246,7 @@ def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], Scalar
     entry by entry.  The table is memoised on (k, mask of K, m) and shared by
     every caller, so it must not be modified.
     """
-    if not 0 <= m <= k:
+    if not 0 <= m <= check_ambient(k):  # the bound first: the selectors of [k] are built next
         raise ValueError(f"m={m} is not in [0, {k}]")
     K = frozenset(K)
     if not K <= set(range(1, k)):
@@ -274,7 +274,7 @@ def _table(k: int, kmask: int, m: int) -> dict[tuple[int, int], ScalarQT]:
 def coproduct_B_comp(k: int, K) -> NSymTensor:
     """Delta B(q,t)_{comp(K)} straight from the structure constants."""
     terms = {
-        (comp_of_set(SubsetLabel(m, imask)), comp_of_set(SubsetLabel(k - m, jmask))): _lower(coeff)
+        (comp_of_mask(m, imask), comp_of_mask(k - m, jmask)): _lower(coeff)
         for m in range(k + 1)
         for (imask, jmask), coeff in structure_constants_table(k, K, m).items()
     }

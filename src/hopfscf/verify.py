@@ -14,14 +14,15 @@ from collections import Counter
 
 from . import charmap, groupscf, nsym, qsym
 from .compositions import (
-    SubsetLabel,
     _full_mask,
     check_ambient,
-    comp_of_set,
+    comp_of_mask,
     complement,
     compositions_of,
+    mask_of,
+    mask_of_comp,
+    members_of,
     overlapping_shuffles,
-    set_of_comp,
     subsets_of,
 )
 from .groupscf import CheckReport, GroupSpec, check
@@ -220,9 +221,9 @@ def suite_omega(max_degree: int = 6) -> CheckReport:
     def bhat_image(alpha):
         n = alpha.size
         lhs = nsym.omega(nsym.Bhat(alpha))
-        imask = set_of_comp(alpha.reverse()).complement().mask
+        imask = _full_mask(n) ^ mask_of_comp(alpha.reverse())
         terms = {
-            comp_of_set(SubsetLabel(n, hmask)): coeff
+            comp_of_mask(n, hmask): coeff
             for hmask, coeff in nsym.b_to_H_masks(n, imask, qs=-Q, ts=Q + T).items()
         }
         if lhs != NSymElem("H", terms):
@@ -253,7 +254,7 @@ def suite_omega(max_degree: int = 6) -> CheckReport:
 
 def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
     """For fixed (I, J): per-K selector counts of the two A-set descriptions."""
-    size = SubsetLabel.of(m, I).size + SubsetLabel.of(n, J).size
+    size = len(I) + len(J)
     selectors = list(nsym.admissible_selectors(m + n, m, I, J))
     return {
         "size": Counter(kmask for kmask, c2 in selectors if (kmask & ~c2).bit_count() == size),
@@ -262,15 +263,11 @@ def _overlap_selector_counts(m: int, n: int, I, J) -> dict:
 
 
 def _overlap_shuffles(m: int, n: int, I, J) -> dict:
-    """Overlapping shuffles of the complements of comp(I) and comp(J)."""
-    return overlapping_shuffles(
-        comp_of_set(SubsetLabel.of(m, I).complement()),
-        comp_of_set(SubsetLabel.of(n, J).complement()),
+    """Overlapping shuffles of the complements of comp(I) and comp(J), by K's mask."""
+    words = overlapping_shuffles(
+        comp_of_mask(m, _full_mask(m) ^ mask_of(I)), comp_of_mask(n, _full_mask(n) ^ mask_of(J))
     )
-
-
-def _weight(k: int, kmask: int):
-    return comp_of_set(SubsetLabel(k, kmask).complement())
+    return {_full_mask(m + n) ^ mask_of_comp(w): count for w, count in words.items()}
 
 
 def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
@@ -280,13 +277,13 @@ def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
         counts = _overlap_selector_counts(m, n, I, J)
         shuffles = _overlap_shuffles(m, n, I, J)
         for kmask in range(_full_mask(k) + 1):
-            expected = shuffles.get(_weight(k, kmask), 0)
+            expected = shuffles.get(kmask, 0)
             got_b = counts["size"].get(kmask, 0)
             got_c = counts["empty"].get(kmask, 0)
             if not expected == got_b == got_c:
                 return (
                     f"m={m} n={n} I={sorted(I)} J={sorted(J)} "
-                    f"K={SubsetLabel(k, kmask).members}: "
+                    f"K={members_of(kmask)}: "
                     f"{expected} vs {got_b} vs {got_c}"
                 )
 
@@ -296,12 +293,11 @@ def suite_overlap(max_degree: int = 8, count_bound: int = 4) -> CheckReport:
         shuffles = _overlap_shuffles(m, n, I, J)
         constants = nsym.structure_constants_sweep(k, m, I, J)
         for kmask in range(_full_mask(k) + 1):
-            K = SubsetLabel(k, kmask).members
             poly = constants.get(kmask, ZERO).as_integer_poly()
             if poly is None:
-                return f"non-polynomial constant at K={K}"
-            if poly.eval_at(1, 0) != shuffles.get(_weight(k, kmask), 0):
-                return f"C(1,0) mismatch m={m} n={n} I={sorted(I)} J={sorted(J)} K={K}"
+                return f"non-polynomial constant at K={members_of(kmask)}"
+            if poly.eval_at(1, 0) != shuffles.get(kmask, 0):
+                return f"C(1,0) mismatch m={m} n={n} I={sorted(I)} J={sorted(J)} K={members_of(kmask)}"
 
     def routes(pair):
         alpha, beta = pair
@@ -335,7 +331,7 @@ def suite_integrality(max_k: int = 6) -> CheckReport:
     def closed_sum(case):
         k, K = case
         via_const = nsym.coproduct_B_comp(k, K)
-        alpha = comp_of_set(SubsetLabel.of(k, K))
+        alpha = comp_of_mask(k, mask_of(K))
         if via_const != nsym.coproduct(nsym.B(alpha)):
             return f"k={k} K={sorted(K)}"
 

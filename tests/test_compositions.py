@@ -141,6 +141,31 @@ class TestCompSetBijection:
         with pytest.raises(AmbientBoundError):
             SubsetLabel.of(100, {1})
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'qsym.convert(qsym.M((65,)), "L")',
+            "qsym.product(qsym.L((65,)), qsym.L((1,)))",
+            "qsym.coproduct(qsym.L((65,)))",
+            "qsym.antipode(qsym.M((1,) * 65))",
+            'nsym.convert(nsym.B((65,)), "H")',
+            "nsym.coproduct_B_comp(65, ())",
+            "nsym.structure_constants_table(65, (), 32)",
+        ],
+    )
+    def test_every_mask_crossing_refuses_degree_65_first(self, call):
+        # each crossing from a composition to its mask checks the bound before
+        # any work; a regression hangs or answers, so run capped in a fresh interpreter
+        script = f"from hopfscf import nsym, qsym\nprint({call})"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=_cap_memory,
+        )
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1] == (
+            "hopfscf.compositions.AmbientBoundError: ambient 65 exceeds supported bound 64"
+        )
+
     def test_negative_mask_refused_at_once(self):
         # a negative mask has no finite member list, so the refusal must not
         # build one: run in a fresh interpreter, capped in time and memory
