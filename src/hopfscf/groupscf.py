@@ -20,6 +20,8 @@ pairs where both operands are nonzero and skips the rest; `_plan` builds it,
 and builds the plan of one m_A for `product_mA` on each call.  `cache_info()`
 on each cached function reports its hits and misses.  `tensor_embed` scatters
 through the restriction tables of its two factors, and builds no table.
+A Hall Gram row of `verify_axioms` reads its function only where it is
+nonzero, and the sublattice that the lattice oracle walks is cached per group.
 
 A dense op pays its bookkeeping once per group shape: `GroupSpec.standard`
 takes its spec from one bounded interning cache keyed on the degree and the
@@ -331,6 +333,12 @@ def element_supports(spec: GroupSpec) -> tuple[frozenset[int], ...]:
     return tuple(map(spec.support_of, spec.elements()))
 
 
+@lru_cache(maxsize=64)
+def sublattice(spec: GroupSpec) -> tuple[frozenset[int], ...]:
+    """The members Q_J of the sublattice {Q_J : J subset of S}, as their labels J."""
+    return tuple(frozenset(c) for r in range(spec.rank + 1) for c in itertools.combinations(spec.index_set, r))
+
+
 def lattice_superclass_oracle(spec: GroupSpec, I) -> ClassFunction:
     """Superclass of Q_I computed straight from the normal-subgroup lattice.
 
@@ -339,10 +347,10 @@ def lattice_superclass_oracle(spec: GroupSpec, I) -> ClassFunction:
     membership depends only on its support, so each support is decided once.
     """
     I = _require_subset(I, spec.index_set, "lattice member")
-    members = [frozenset(c) for r in range(spec.rank + 1)
-               for c in itertools.combinations(spec.index_set, r)]
+    members = sublattice(spec)
     below = [M for M in members if M < I]
-    covered = [M for M in below if not any(M < P < I for P in below)]
+    # every P in below is already < I, so M < P alone says Q_M is not covered
+    covered = [M for M in below if not any(M < P for P in below)]
     kept = {
         supp: int(supp <= I and not any(supp <= M for M in covered)) for supp in members
     }
@@ -616,16 +624,23 @@ def hall_inner(phi: ClassFunction, psi: ClassFunction) -> Fraction:
 
 def _hall_gram(functions: list[ClassFunction]) -> list[list[int]]:
     """Upper triangle of sum_g f_i(g) f_j(g^{-1}) over the numerators:
-    row i lists j = i, i+1, ...; divide by den_i den_j |G| for the Hall product."""
+    row i lists j = i, i+1, ...; divide by den_i den_j |G| for the Hall product.
+    Row i reads f_i only where it is nonzero, and each f_j at those inverses; a
+    row with no zero is one dense pass over the f_j gathered at every inverse."""
     if not functions:
         return []
     spec = functions[0].spec
     inverse = inverse_map(spec.nu, spec.rank)
-    flipped = [tuple(map(f.nums.__getitem__, inverse)) for f in functions]
-    return [
-        [sum(map(mul, f.nums, g)) for g in flipped[i:]]
-        for i, f in enumerate(functions)
-    ]
+    flipped, rows = None, []
+    for i, f in enumerate(functions):
+        if all(f.nums):
+            flipped = flipped or [tuple(map(g.nums.__getitem__, inverse)) for g in functions]
+            rows.append([sum(map(mul, f.nums, g)) for g in flipped[i:]])
+        else:
+            values = list(itertools.compress(f.nums, f.nums))
+            at = list(itertools.compress(inverse, f.nums))
+            rows.append([sum(map(mul, values, map(g.nums.__getitem__, at))) for g in functions[i:]])
+    return rows
 
 
 @dataclass
@@ -689,15 +704,13 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
         if kappa_gram[i][j - i] != 0:
             return f"<kappa_{sorted(I)}, kappa_{sorted(J)}> != 0"
 
-    # the dense value for kappa is (nu-1)^{|I|} / nu^{|S|}, the reciprocal of
-    # the display it is usually quoted as
+    # the Gram diagonal is den^2 |G| times the norm: (nu-1)^{|S \ I|} for chi, and for kappa
+    # (nu-1)^{|I|} / |G|, the reciprocal of the display it is usually quoted as
     def norms(item):
         i, I = item
-        chi_norm = Fraction(chi_gram[i][0], chi_list[i].den ** 2 * spec.order)
-        if chi_norm != (spec.nu - 1) ** (spec.rank - len(I)):
+        if chi_gram[i][0] != (spec.nu - 1) ** (spec.rank - len(I)) * chi_list[i].den ** 2 * spec.order:
             return f"chi norm at I={sorted(I)}"
-        kappa_norm = Fraction(kappa_gram[i][0], kappa_list[i].den ** 2 * spec.order)
-        if kappa_norm != Fraction((spec.nu - 1) ** len(I), spec.order):
+        if kappa_gram[i][0] != (spec.nu - 1) ** len(I) * kappa_list[i].den ** 2:
             return f"kappa norm at I={sorted(I)}"
 
     def lattice(item):
@@ -708,7 +721,9 @@ def verify_axioms(spec: GroupSpec) -> CheckReport:
     empty = kappa_list[0]
     identity_only = tuple(1 if i == 0 else 0 for i in range(spec.order))
     distinct = len(subsets)
-    total = sum(kappa_list[1:], empty)
+    den = lcm(*(f.den for f in kappa_list))
+    scaled = (map((den // f.den).__mul__, f.nums) for f in kappa_list)
+    total = ClassFunction(spec, map(sum, zip(*scaled)), den)
     # orthogonality needs two superclasses, and rank 0 has one
     pairs = itertools.combinations(enumerate(subsets), 2)
     orthogonal = [check("Hall orthogonality", pairs, orthogonality)] if distinct >= 2 else []

@@ -156,6 +156,7 @@ def specialize(x: NSymElem, q0, t0) -> NSymElem:
 
 def product(x: NSymElem, y: NSymElem) -> NSymElem:
     """Concatenation in H and Bhat, near-concatenation in B, through H otherwise."""
+    check_ambient(sum(max(map(sum, z.terms), default=0) for z in (x, y)))  # once, before any term
     if not (x.basis == y.basis and x.basis in ("H", "B", "Bhat")):
         x, y = convert(x, "H"), convert(y, "H")
     combine = near_concat if x.basis == "B" else Composition.concat

@@ -31,6 +31,7 @@ from .compositions import (
     Composition,
     SubsetLabel,
     _full_mask,
+    check_ambient,
     comp_of_mask,
     comp_of_set,
     iter_submasks,
@@ -261,6 +262,7 @@ def convert(x: QSymElem, target: str, nu: int | None = None) -> QSymElem:
 def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int, int], ...]:
     """Multiset of a_shuffle masks over all selectors A, as (mask, mult) pairs:
     c1(A) joined with the preshuffle stripped of c(A), read from the masks."""
+    check_ambient(m + n)  # the product's degree, refused before any selector
     masks = (selector_masks(imask, jmask, amask, m + n) for amask in selectors(m + n, n))
     counts = Counter(c1 | pre & ~c2 for pre, c1, c2 in masks)
     return tuple(sorted(counts.items()))
@@ -269,6 +271,7 @@ def _l_product_masks(m: int, n: int, imask: int, jmask: int) -> tuple[tuple[int,
 @lru_cache(maxsize=4096)
 def _m_product(ca: Composition, cb: Composition) -> tuple[tuple[Composition, int], ...]:
     """M_ca M_cb as (composition, multiplicity) pairs: the overlapping shuffles."""
+    check_ambient(ca.size + cb.size)  # the product's degree, refused before any shuffle
     return tuple(overlapping_shuffles(ca, cb).items())
 
 

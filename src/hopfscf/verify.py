@@ -156,15 +156,19 @@ def suite_diagrams(nu_degrees: dict[int, int] | None = None) -> CheckReport:
     ))
 
 
-def _axiom_failures(shape: tuple[int, int]):
-    report = groupscf.verify_axioms(GroupSpec.standard(*shape))
-    if not report.passed:
-        return "; ".join(f"{name}: {detail}" for name, detail in report.failures())
-
-
 def suite_group_axioms(nu_degrees: dict[int, int] | None = None) -> CheckReport:
+    """One row per (nu, n), from one report per distinct group: Q_0 = Q_1."""
+    reports: dict[GroupSpec, CheckReport] = {}
+
+    def failures(shape: tuple[int, int]):
+        spec = GroupSpec.standard(*shape)
+        if spec not in reports:
+            reports[spec] = groupscf.verify_axioms(spec)
+        if not reports[spec].passed:
+            return "; ".join(f"{name}: {detail}" for name, detail in reports[spec].failures())
+
     return _per_nu("group-axioms", nu_degrees, lambda nu, bound: (
-        check(f"nu={nu} n={n}: axioms C1-C3, norms, lattice", [(nu, n)], _axiom_failures)
+        check(f"nu={nu} n={n}: axioms C1-C3, norms, lattice", [(nu, n)], failures)
         for n in range(bound + 1)
     ))
 

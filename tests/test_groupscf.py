@@ -229,6 +229,7 @@ class TestLatticeOracle:
         for name in ("support_masks", "inverse_map", "_plan"):
             monkeypatch.setattr(groupscf, name, refuse)
         groupscf.element_supports.cache_clear()
+        groupscf.sublattice.cache_clear()
         assert [lattice_superclass_oracle(spec, I) for I in labels] == expected
 
     def test_corrupt_support_masks_fail_the_lattice_check(self, monkeypatch):
@@ -371,6 +372,7 @@ class TestProduct:
             "restriction_map",
             "product_plan",
             "element_supports",
+            "sublattice",
             "_standard_spec",
             "_off_weights",
             "_left_kappa",
@@ -752,6 +754,39 @@ class TestAxioms:
         with pytest.raises(GroupBoundError):
             verify.suite_group_axioms({3: 2, 2: 9})
         assert ran == []
+
+    def test_each_group_is_checked_once(self, monkeypatch):
+        from hopfscf import groupscf, verify
+
+        seen = []
+
+        def recording(spec):
+            seen.append(spec)
+            return verify_axioms(spec)
+
+        monkeypatch.setattr(groupscf, "verify_axioms", recording)
+        report = verify.suite_group_axioms({2: 3})
+        # Q_0 = Q_1: the two trivial-group rows share one report
+        assert len(report.checks) == 4 and report.passed
+        assert seen == [GroupSpec.standard(2, n) for n in (0, 2, 3)]
+        seen.clear()
+        assert verify.suite_group_axioms({2: 3}).checks == report.checks
+        assert len(seen) == 3  # a report lives for one call
+
+    def test_group_axioms_rows(self):
+        from hopfscf import verify
+
+        assert verify.suite_group_axioms({2: 4, 3: 3}).checks == [
+            ("nu=2 n=0: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=2 n=1: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=2 n=2: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=2 n=3: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=2 n=4: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=3 n=0: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=3 n=1: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=3 n=2: axioms C1-C3, norms, lattice", True, ""),
+            ("nu=3 n=3: axioms C1-C3, norms, lattice", True, ""),
+        ]
 
     def test_oversized_diagrams_request_refused_before_any_degree(self, monkeypatch):
         from hopfscf import charmap, verify

@@ -123,6 +123,43 @@ def test_hall_inner_matches_oracle(data):
     assert hall_inner(phi, psi) == oracle.hall_inner(phi, psi)
 
 
+def _gram_matches_hall_inner(functions):
+    gram = groupscf._hall_gram(functions)
+    assert [len(row) for row in gram] == list(range(len(functions), 0, -1))
+    for i, f in enumerate(functions):
+        for j, g in enumerate(functions[i:], i):
+            assert gram[i][j - i] == hall_inner(f, g) * f.den * g.den * f.spec.order, (i, j)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 5])
+@pytest.mark.parametrize("rank", range(5))
+@pytest.mark.parametrize("family", [kappa, chi, dot_chi])
+def test_hall_gram_matches_hall_inner(family, rank, nu):
+    spec = GroupSpec.standard(nu, rank + 1)
+    _gram_matches_hall_inner([family(spec, I) for I in subsets_of(rank + 1)])
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def gram_rows(draw):
+    """Random functions on one group, each row route drawn: at least one with
+    no zero value and at least one with a zero, in a drawn order."""
+    spec = draw(specs(max_rank=3))
+    dense = st.lists(nonzero_rationals, min_size=spec.order, max_size=spec.order)
+    sparse = st.lists(st.just(Fraction(0)) | rationals, min_size=spec.order, max_size=spec.order)
+    rows = draw(st.lists(dense, min_size=1, max_size=3)) + draw(st.lists(sparse, min_size=1, max_size=3))
+    rows[-1][draw(st.integers(0, spec.order - 1))] = 0
+    return [ClassFunction(spec, values) for values in draw(st.permutations(rows))]
+
+
+@SETTINGS
+@given(gram_rows())
+def test_hall_gram_matches_hall_inner_on_random_functions(functions):
+    _gram_matches_hall_inner(functions)
+
+
 @SETTINGS
 @given(st.data())
 def test_chi_matches_factor_vector(data):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import hopfscf.linear as linear
+import hopfscf.nsym as nsym
 import hopfscf.qsym as qsym
 from convert_oracle import b_dual_in_M, b_to_H_matrix_is_triangular
 from hopfscf.compositions import (
+    AmbientBoundError,
     Composition,
     SubsetLabel,
     comp_of_set,
@@ -220,6 +222,19 @@ class TestProducts:
                 assert prod.basis == "Bhat"
                 assert convert(prod, "H") == convert(Bhat(alpha), "H"), alpha
 
+    @pytest.mark.parametrize("basis", ["H", "B"])
+    def test_product_past_the_degree_bound_is_refused_before_any_term(self, basis, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a term was built past the degree bound")
+
+        monkeypatch.setattr(nsym, "extend2", refuse)
+        with pytest.raises(AmbientBoundError):
+            nsym.product(NSymElem.basis_elem(basis, (64,)), NSymElem.basis_elem(basis, (1,)))
+
+    def test_product_at_the_degree_bound_is_built(self):
+        assert H((63,)) * H((1,)) == H((63, 1))
+        assert B((63,)) * B((1,)) == B((64,))
+
 
 class TestCoproduct:
     def test_delta_H2(self):
@@ -348,7 +363,6 @@ class TestStructureConstants:
             structure_constants_table(3, {7}, 1)  # K outside [k-1]
 
     def test_integrality_builds_each_table_once(self):
-        import hopfscf.nsym as nsym
         from hopfscf import verify
 
         nsym._table.cache_clear()

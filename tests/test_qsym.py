@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import hopfscf.qsym as qsym
-from hopfscf.compositions import Composition, compositions_of, overlapping_shuffles
+from hopfscf.compositions import AmbientBoundError, Composition, compositions_of, overlapping_shuffles
 from hopfscf.qsym import (
     E,
     L,
@@ -147,6 +147,25 @@ class TestProduct:
             # two lookups per pair: a cold pass misses once and hits once each
             assert after.misses - before.misses == (0 if warm else len(pairs))
             assert after.hits - before.hits == (2 if warm else 1) * len(pairs)
+
+
+    @pytest.mark.parametrize("basis", ["M", "L"])
+    def test_product_past_the_degree_bound_is_refused_before_any_term(self, basis, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a term was built past the degree bound")
+
+        for rule in ("overlapping_shuffles", "selector_masks"):
+            monkeypatch.setattr(qsym, rule, refuse)
+        with pytest.raises(AmbientBoundError):
+            qsym.product(QSymElem.basis_elem(basis, (64,)), QSymElem.basis_elem(basis, (1,)))
+        with pytest.raises(AmbientBoundError):  # the top degrees of the factors add up
+            qsym.product(QSymElem(basis, {Composition((60, 3)): 1, Composition((1,)): 1}), L((2,)) + L((1,)))
+
+    def test_product_at_the_degree_bound_is_built(self):
+        assert M((63,)) * M((1,)) == M((63, 1)) + M((1, 63)) + M((64,))
+        # 64 is inserted into 1..63 before each letter or at the end
+        shuffles = {Composition((i, 64 - i)): 1 for i in range(1, 64)}
+        assert L((63,)) * L((1,)) == QSymElem("L", {Composition((64,)): 1, **shuffles})
 
 
 class TestCoproduct:
