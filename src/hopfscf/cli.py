@@ -24,9 +24,6 @@ from . import nsym, qsym, verify
 from .compositions import AmbientBoundError, Composition, check_ambient, members_of
 from .groupscf import GroupBoundError
 
-QSYM_BASES = qsym.BASES
-NSYM_BASES = nsym.BASES
-
 
 class CliError(ValueError):
     """User input that cannot be parsed; exits with status 2."""
@@ -64,13 +61,13 @@ def parse_elem(text: str):
         raise CliError(f"element must look like BASIS:(parts), got {text!r}")
     basis = basis.strip()
     comp = parse_composition(comp_text)
-    if basis in NSYM_BASES:
+    if basis in nsym.BASES:
         return "nsym", basis, comp
-    if basis in QSYM_BASES:
+    if basis in qsym.BASES:
         return "qsym", basis, comp
     raise CliError(
-        f"unknown basis {basis!r}; QSym: {', '.join(QSYM_BASES)}; "
-        f"NSym: {', '.join(NSYM_BASES)}"
+        f"unknown basis {basis!r}; QSym: {', '.join(qsym.BASES)}; "
+        f"NSym: {', '.join(nsym.BASES)}"
     )
 
 
@@ -95,9 +92,9 @@ def _format_table(header: list[str], rows: list[list[str]]) -> str:
 def cmd_expand(args) -> int:
     algebra, basis, comp = parse_elem(args.elem)
     target = args.to.strip()
-    if algebra == "nsym" and target not in NSYM_BASES:
+    if algebra == "nsym" and target not in nsym.BASES:
         raise CliError(f"cannot expand an NSym element in basis {target!r}")
-    if algebra == "qsym" and target not in QSYM_BASES:
+    if algebra == "qsym" and target not in qsym.BASES:
         raise CliError(f"cannot expand a QSym element in basis {target!r}")
     nu = args.nu
     if "Pi" not in (basis, target):

@@ -35,7 +35,7 @@ from .compositions import (
 )
 from .linear import LinComb, extend, extend2
 from .qsym import QSymElem, Tensor, _convert_into, convert as qsym_convert
-from .scalars import ONE, Q, T, ZERO, ScalarQT, _lower, _rational, _times
+from .scalars import Q, T, ZERO, ScalarQT, _lower, _rational, _times
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
@@ -120,23 +120,6 @@ def b_to_H_masks(n: int, imask: int, qs: ScalarQT = Q, ts: ScalarQT = T) -> dict
         meet = sub.bit_count()
         out[base | sub] = qs ** (size_i - meet) * ts**meet
     return out
-
-
-def b_matrix_entry(n: int, imask: int, jmask: int) -> ScalarQT:
-    """The transition-matrix entry M_{I,J} = q^{|J\\I|} t^{|J n I|} [I u J = [n-1]]."""
-    if (imask | jmask) != _full_mask(n):
-        return ZERO
-    return Q ** (jmask & ~imask).bit_count() * T ** (jmask & imask).bit_count()
-
-
-def b_inverse_entry(n: int, imask: int, jmask: int) -> ScalarQT:
-    """The inverse-matrix entry N_{I,J} = q^{|J|-(n-1)} (-t)^{(n-1)-|I|-|J|} [I n J empty]."""
-    if n == 0:
-        return ONE
-    if imask & jmask:
-        return ZERO
-    si, sj = imask.bit_count(), jmask.bit_count()
-    return Q ** (sj - (n - 1)) * (-T) ** ((n - 1) - si - sj)
 
 
 def convert(x: NSymElem, target: str) -> NSymElem:

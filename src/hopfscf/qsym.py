@@ -113,7 +113,8 @@ def _expand(hub_factor, src: str, src_nu, tgt: str, tgt_nu, n: int, mask: int) -
 
 def _m_factor(basis: str, nu: int | None) -> tuple:
     """The hub factor into M: L_K = sum_{I >= K} M_I, E_K = sum_{I <= K} M_I,
-    and M_from_pi_entry one coordinate at a time."""
+    and Pi's closed-form display (tests/transition_oracle.py) one coordinate
+    at a time."""
     if basis == "Pi":
         return (Fraction(nu - 1, nu), 1), (Fraction(-1, nu), 0)
     return {
@@ -194,50 +195,6 @@ def E(parts) -> QSymElem:
 
 def Pi(parts, nu: int) -> QSymElem:
     return QSymElem.basis_elem("Pi", parts, nu=nu)
-
-
-# ---------------------------------------------------------------------------
-# Transition displays at the subset level (fixed degree n, masks over [n-1])
-
-
-def pi_from_L_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
-    """Coefficient of Pi_{comp(J)} in L_{comp(I)}."""
-    _exact_nu(nu)
-    j_minus_i = (jmask & ~imask).bit_count()
-    meet = (imask & jmask).bit_count()
-    return Fraction((-1) ** j_minus_i * (nu - 1) ** meet)
-
-
-def L_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
-    """Coefficient of L_{comp(I)} in Pi_{comp(J)}."""
-    _exact_nu(nu)
-    if n == 0:
-        return Fraction(1)
-    j_minus_i = (jmask & ~imask).bit_count()
-    union_c = (n - 1) - (imask | jmask).bit_count()
-    return Fraction((-1) ** j_minus_i * (nu - 1) ** union_c, nu ** (n - 1))
-
-
-def pi_from_M_entry(n: int, imask: int, jmask: int, nu: int) -> Fraction:
-    """Coefficient of Pi_{comp(J)} in M_{comp(I)}; zero unless I u J = [n-1]."""
-    _exact_nu(nu)
-    if (imask | jmask) != _full_mask(n):
-        return Fraction(0)
-    j_minus_i = (jmask & ~imask).bit_count()
-    meet = (imask & jmask).bit_count()
-    return Fraction((-nu) ** j_minus_i * (nu - 1) ** meet)
-
-
-def M_from_pi_entry(n: int, jmask: int, imask: int, nu: int) -> Fraction:
-    """Coefficient of M_{comp(I)} in Pi_{comp(J)}; zero unless I n J is empty."""
-    _exact_nu(nu)
-    if n == 0:
-        return Fraction(1)
-    if imask & jmask:
-        return Fraction(0)
-    jj = jmask.bit_count()
-    ii = imask.bit_count()
-    return Fraction(1, (1 - nu) ** jj) * Fraction(nu - 1, nu) ** ((n - 1) - ii)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,9 @@ from .compositions import (
 )
 from .groupscf import CheckReport, GroupSpec, check
 from .linear import extend
-from .nsym import NSymElem, b_inverse_entry, b_matrix_entry
-from .qsym import (
-    L_from_pi_entry,
-    M_from_pi_entry,
-    QSymElem,
-    pi_from_L_entry,
-    pi_from_M_entry,
-)
-from .scalars import ONE, ZERO, Q, T, _exact_nu
+from .nsym import NSymElem
+from .qsym import QSymElem
+from .scalars import ONE, ZERO, Q, T
 
 # the default degree bound per nu of each per-nu dense suite
 _NU_DEFAULTS = {"diagrams": {2: 6, 3: 5}, "group-axioms": {2: 7, 3: 5}}
@@ -348,65 +342,6 @@ def suite_integrality(max_k: int = 6) -> CheckReport:
         check("C^K_IJ(q,t) lies in Z[q,t]", constants, integral),
         check("closed sum matches the H-route coproduct", _subsets_upto(max_k), closed_sum),
     ])
-
-
-# ---------------------------------------------------------------------------
-# transition-matrix inverse checks (acceptance: Pi/L, Pi/M, B/H)
-
-
-def pi_L_matrices_inverse(n: int, nu: int) -> bool:
-    """The two Pi/L displays multiply to the identity, both ways."""
-    _exact_nu(nu)
-    size = 1 << max(n - 1, 0)
-    scale = nu ** max(n - 1, 0)
-    A = [
-        [int(pi_from_L_entry(n, r, c, nu)) for c in range(size)]
-        for r in range(size)
-    ]
-    Bs = [
-        [int(L_from_pi_entry(n, r, c, nu) * scale) for c in range(size)]
-        for r in range(size)
-    ]
-    # L_I = sum_J A[I][J] Pi_J and Pi_J = (1/scale) sum_I Bs[J][I] L_I
-    for X, Y in ((A, Bs), (Bs, A)):
-        Yt = list(zip(*Y))
-        for i in range(size):
-            row = X[i]
-            for j in range(size):
-                s = sum(a * b for a, b in zip(row, Yt[j]))
-                if s != (scale if i == j else 0):
-                    return False
-    return True
-
-
-def _sparse_inverses(n: int, x_entry, y_entry) -> bool:
-    """XY = YX = I for the two 2^(n-1)-square matrices with entries
-    x_entry(row, col) and y_entry(row, col), multiplied as sparse rows."""
-    size = 1 << max(n - 1, 0)
-    X, Y = (
-        [{j: v for j in range(size) if (v := entry(i, j))} for i in range(size)]
-        for entry in (x_entry, y_entry)
-    )
-    for A, B in ((X, Y), (Y, X)):
-        for i, row in enumerate(A):
-            if extend(row.items(), lambda l: B[l].items()) != {i: 1}:
-                return False
-    return True
-
-
-def pi_M_matrices_inverse(n: int, nu: int) -> bool:
-    """The two Pi/M displays multiply to the identity, both ways (sparse)."""
-    _exact_nu(nu)
-    return _sparse_inverses(
-        n, lambda i, j: pi_from_M_entry(n, i, j, nu), lambda i, j: M_from_pi_entry(n, i, j, nu)
-    )
-
-
-def bh_matrices_inverse(n: int) -> bool:
-    """The B-to-H matrix and its stated inverse satisfy MN = NM = I symbolically."""
-    return _sparse_inverses(
-        n, lambda i, j: b_matrix_entry(n, i, j), lambda i, j: b_inverse_entry(n, i, j)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,10 @@ from hopfscf.compositions import (
     set_of_comp,
 )
 from hopfscf.linear import _add_term
-from hopfscf.nsym import NSymElem, b_inverse_entry, b_to_H_masks
-from hopfscf.qsym import (
-    QSymElem,
-    M_from_pi_entry,
-    _transition,
-    pi_from_M_entry,
-)
+from hopfscf.nsym import NSymElem, b_to_H_masks
+from hopfscf.qsym import QSymElem, _transition
 from hopfscf.scalars import ONE, Q, T, ScalarQT, _times, rational
+from transition_oracle import M_from_pi_entry, b_inverse_entry, pi_from_M_entry
 
 # ---------------------------------------------------------------------------
 # The conversion kernel, one coordinate at a time

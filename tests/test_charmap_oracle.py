@@ -12,6 +12,7 @@ import charmap_oracle as oracle
 from hopfscf import qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, _ch_row, ch
 from hopfscf.compositions import Composition, SubsetLabel, _full_mask
+from transition_oracle import pi_from_L_entry
 
 NUS = (2, 3, 5)
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -88,7 +89,7 @@ def test_cancellation_inside_one_sum():
             continue
         terms = {(n, CHI_DOT, SubsetLabel(n, imask)): Fraction(1)}
         for jmask in range(_full_mask(n) + 1):
-            c = qsym.pi_from_L_entry(n, imask, jmask, nu) / (nu - 1) ** jmask.bit_count()
+            c = pi_from_L_entry(n, imask, jmask, nu) / (nu - 1) ** jmask.bit_count()
             terms[(n, KAPPA, SubsetLabel(n, jmask))] = -c
         y = ScfElem(nu, terms)
         assert len(y.terms) > 1

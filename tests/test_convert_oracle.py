@@ -33,6 +33,7 @@ from hopfscf.compositions import (
 from hopfscf.nsym import NSymElem
 from hopfscf.qsym import QSymElem
 from hopfscf.scalars import ONE, Q, T, ScalarQT, _coeff, rational
+from transition_oracle import L_from_pi_entry, pi_from_L_entry
 
 NUS = (2, 3, 5)
 MAX_DEGREE = 7
@@ -327,18 +328,18 @@ def test_pi_reach_at_degree_12():
     """At n = 12 and nu = 3.  A literal L -> Pi -> L round trip of one label
     multiplies 2^11 rows of 2^11 terms; instead, L -> Pi and Pi -> L are
     checked entry by entry against the pi_from_L_entry and L_from_pi_entry
-    displays (mutually inverse by verify's inverse-matrix suite), and M -> Pi
+    displays (mutually inverse by transition_oracle's inverse checks), and M -> Pi
     -> M, whose rows are sparse, round-trips every label with |I| <= 2."""
     n, nu = 12, 3
     imask = 0b10100110001
     to_pi = qsym.convert(qsym.L(comp_of_set(SubsetLabel(n, imask))), "Pi", nu)
     assert len(to_pi.terms) == 1 << (n - 1)
     for comp, coeff in to_pi.terms.items():
-        assert coeff == rational(qsym.pi_from_L_entry(n, imask, set_of_comp(comp).mask, nu))
+        assert coeff == rational(pi_from_L_entry(n, imask, set_of_comp(comp).mask, nu))
     to_l = qsym.convert(qsym.Pi(comp_of_set(SubsetLabel(n, imask)), nu), "L")
     assert len(to_l.terms) == 1 << (n - 1)
     for comp, coeff in to_l.terms.items():
-        assert coeff == rational(qsym.L_from_pi_entry(n, imask, set_of_comp(comp).mask, nu))
+        assert coeff == rational(L_from_pi_entry(n, imask, set_of_comp(comp).mask, nu))
     cases = 0
     for mask in range(1 << (n - 1)):
         if mask.bit_count() <= 2:

@@ -12,20 +12,29 @@ coproduct of an L element is the coproduct of its M conversion, and the
 antipode satisfies sum S(x1) x2 = counit(x) 1 on elements in M, L, E and
 Pi(nu) at nu 2, 3 and 5.  These elements are sums of one to three terms of
 mixed degree, total degree at most 5, with int, Fraction and q,t coefficients.
+
+NSym is a bialgebra: Delta(xy) = Delta(x) Delta(y) and both counit laws hold
+on sums of one to three terms in H, B or Bhat, with the same coefficients and
+total degree at most 4, so B's near-concatenation and Bhat's concatenation
+are checked against the H coproduct.  The duality pairing of NSym with QSym
+turns each structure into the other's: <fg, x> = <f (x) g, Delta x> and
+<Delta f, x (x) y> = <f, xy>, with the pairing of pure tensors written here
+as <f1 (x) f2, x1 (x) x2> = <f1, x1><f2, x2>.
 """
 
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfscf import groupscf, qsym
+from hopfscf import groupscf, nsym, qsym
 from hopfscf.charmap import CHI_DOT, KAPPA, ScfElem, ch
 from hopfscf.compositions import SubsetLabel, _full_mask, compositions_of
 from hopfscf.linear import extend, tensor_terms
+from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import QSymElem, QSymTensor
-from hopfscf.scalars import Q, T, rational
+from hopfscf.scalars import ZERO, Q, T, rational
 
 SETTINGS = settings(max_examples=60, deadline=None)
 TOP_DEGREE = 4
@@ -144,3 +153,75 @@ def test_the_antipode_law(x):
 
     expected = QSymElem.unit("M").scale(qsym.counit(x))
     assert QSymElem("M", extend(coproduct.terms.items(), convolved)) == expected
+
+
+# -- NSym's bialgebra laws, and its duality with QSym ------------------------
+
+NSYM_TOP = 4
+NSYM_BASES = ("H", "B", "Bhat")
+
+
+@st.composite
+def nsym_sums(draw, top: int, basis: str | None = None) -> NSymElem:
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = draw(st.sampled_from(list(compositions_of(draw(st.integers(0, top))))))
+        terms[alpha] = draw(coefficients)
+    return NSymElem(basis or draw(st.sampled_from(NSYM_BASES)), terms)
+
+
+@st.composite
+def nsym_pairs(draw):
+    """Two sums of total degree at most NSYM_TOP, in one basis at least half
+    the time, so the closed product rules of B and Bhat are drawn."""
+    m = draw(st.integers(0, NSYM_TOP))
+    x = draw(nsym_sums(m))
+    return x, draw(nsym_sums(NSYM_TOP - m, draw(st.sampled_from((x.basis, *NSYM_BASES)))))
+
+
+@st.composite
+def qsym_pairs(draw):
+    """Two sums in the parameter-free bases, of total degree at most NSYM_TOP."""
+    m = draw(st.integers(0, NSYM_TOP))
+    return tuple(draw(qsym_sums(draw(st.sampled_from("MLE")), top)) for top in (m, NSYM_TOP - m))
+
+
+def tensor_pairing(f: NSymTensor, x: QSymTensor):
+    """<f1 (x) f2, x1 (x) x2> = <f1, x1><f2, x2>, extended bilinearly: in the
+    dual hubs H_a (x) H_b pairs with M_c (x) M_d to 1 when (a, b) = (c, d)."""
+    h, m = f.convert(("H", "H")).terms, x.convert(("M", "M")).terms
+    return sum((c * m[pair] for pair, c in h.items() if pair in m), ZERO)
+
+
+@SETTINGS
+@given(nsym_pairs())
+@example((nsym.B((1,)), nsym.B((1, 1))))  # B(1)B(1,1) = B(2,1), not B(1,2)
+def test_the_nsym_coproduct_is_multiplicative(pair):
+    x, y = pair
+    assert nsym.coproduct(x * y) == nsym.coproduct(x).product(nsym.coproduct(y))
+
+
+@SETTINGS
+@given(nsym_sums(NSYM_TOP))
+def test_the_nsym_counit_laws(x):
+    terms = nsym.coproduct(x).terms.items()
+    left = extend(terms, lambda ab: ((ab[1], nsym.counit(nsym.H(ab[0]))),))
+    right = extend(terms, lambda ab: ((ab[0], nsym.counit(nsym.H(ab[1]))),))
+    assert NSymElem("H", left) == x
+    assert NSymElem("H", right) == x
+
+
+@SETTINGS
+@given(nsym_pairs(), st.sampled_from("MLE").flatmap(lambda basis: qsym_sums(basis, NSYM_TOP)))
+def test_the_pairing_takes_the_nsym_product_to_the_qsym_coproduct(pair, x):
+    f, g = pair
+    fg = NSymTensor((f.basis, g.basis), dict(tensor_terms(f.terms, g.terms)))
+    assert nsym.pairing(f * g, x) == tensor_pairing(fg, qsym.coproduct(x))
+
+
+@SETTINGS
+@given(nsym_sums(NSYM_TOP), qsym_pairs())
+def test_the_pairing_takes_the_nsym_coproduct_to_the_qsym_product(f, pair):
+    x, y = pair
+    xy = QSymTensor((x.basis, y.basis), dict(tensor_terms(x.terms, y.terms)))
+    assert tensor_pairing(nsym.coproduct(f), xy) == nsym.pairing(f, x * y)

@@ -46,9 +46,6 @@ ALLOWED = {
     "groupscf.coproduct_k": PAPER + " (the one slice delta_k, checked on its own)",
     "symring.generating_set_rank": ACCEPTANCE,
     "nsym.coproduct_bhat": ACCEPTANCE,
-    "verify.pi_L_matrices_inverse": ACCEPTANCE,
-    "verify.pi_M_matrices_inverse": ACCEPTANCE,
-    "verify.bh_matrices_inverse": ACCEPTANCE,
     "qsym.Pi": "public API: the Pi(nu) basis element constructor, as M and L are",
     "charmap.ScfElem.chi_dot": "public API: the chi_dot basis element constructor, twin of ScfElem.kappa",
     "charmap.ScfElem.to_dense": "public API: an element as a dense function; perfbench calls it",

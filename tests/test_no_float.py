@@ -30,7 +30,14 @@ from hopfscf.nsym import NSymElem, NSymTensor
 from hopfscf.qsym import Pi, QSymElem, QSymTensor
 from hopfscf.scalars import Q, T, rational
 from hopfscf.symring import Partition, SymElem, generating_set_rank
-from hopfscf.verify import pi_L_matrices_inverse, pi_M_matrices_inverse
+from transition_oracle import (
+    L_from_pi_entry,
+    M_from_pi_entry,
+    pi_from_L_entry,
+    pi_from_M_entry,
+    pi_L_matrices_inverse,
+    pi_M_matrices_inverse,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfscf"
 
@@ -86,10 +93,10 @@ INEXACT_COEFFICIENT = {
     "Pi nu": lambda c: Pi((1, 2), c),
     "GroupSpec nu": lambda c: GroupSpec.standard(c, 3),
     "ScfElem nu": lambda c: ScfElem.kappa(c, 3, {1}),
-    "pi_from_L_entry nu": lambda c: qsym.pi_from_L_entry(2, 0, 1, c),
-    "L_from_pi_entry nu": lambda c: qsym.L_from_pi_entry(3, 0, 0, c),
-    "pi_from_M_entry nu": lambda c: qsym.pi_from_M_entry(2, 0, 1, c),
-    "M_from_pi_entry nu": lambda c: qsym.M_from_pi_entry(2, 0, 0, c),
+    "pi_from_L_entry nu": lambda c: pi_from_L_entry(2, 0, 1, c),
+    "L_from_pi_entry nu": lambda c: L_from_pi_entry(3, 0, 0, c),
+    "pi_from_M_entry nu": lambda c: pi_from_M_entry(2, 0, 1, c),
+    "M_from_pi_entry nu": lambda c: M_from_pi_entry(2, 0, 0, c),
     "pi_L_matrices_inverse nu": lambda c: pi_L_matrices_inverse(3, c),
     "pi_M_matrices_inverse nu": lambda c: pi_M_matrices_inverse(3, c),
 }

