@@ -7,18 +7,20 @@ mixed-radix enumeration of (g_s)_{s in S}, as int numerators over one
 positive common denominator, gcd-reduced so that equality stays exact.
 
 The dense kernels are gathers, and for m and the tensor embedding a
-scatter, plus integer multiplies.  Their tables (support masks, inverse,
-restriction, and the keys of a product plan) are each a sum of
-per-coordinate terms, so `_coordinate_sum` builds them by outer sums over
-the coordinates, without visiting elements one by one.
+scatter, plus integer multiplies.  Their gather tables (support masks,
+inverse and restriction) are each a sum of per-coordinate terms, so
+`_coordinate_sum` builds them by outer sums over the coordinates, without
+visiting elements one by one.
 The support-mask, inverse and restriction tables are built on first use per
 group shape and kept as `array`s in bounded LRU caches.  So is the plan of
-the product m per shape, `product_plan`: the m_A terms added over A, stored
-by (phi index, psi index) pair as the elements that pair reaches with their
-weights summed, and sums that cancel dropped, so that m scatters from the
-pairs where both operands are nonzero and skips the rest; `_plan` builds it,
-and builds the plan of one m_A for `product_mA` on each call.  `cache_info()`
-on each cached function reports its hits and misses.  `tensor_embed` scatters
+the product m per shape, `product_plan`: the m_A terms summed over every A,
+stored by (phi index, psi index) pair as the elements that pair reaches with
+their weights, and sums that cancel dropped, so that m scatters from the
+pairs where both operands are nonzero and skips the rest.  `_plan` builds it
+in one transfer over the selector's slots, top down, that merges the equal
+partial terms of different A as they meet; with each slot's side fixed, it
+builds the plan of one m_A for `product_mA` on each call.  `cache_info()` on
+each cached function reports its hits and misses.  `tensor_embed` scatters
 through the restriction tables of its two factors, and builds no table.
 A Hall Gram row of `verify_axioms` reads its function only where it is
 nonzero, and the sublattice that the lattice oracle walks is cached per group.
@@ -47,7 +49,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, index, mul, sub
 
-from .compositions import MAX_AMBIENT, mask_of, members_of, run_maxima, selectors, subsets_of
+from .compositions import MAX_AMBIENT, mask_of, subsets_of
 from .scalars import _exact_nu, _ratio, _rational
 
 DEFAULT_MAX_GROUP_ORDER = 1 << 20
@@ -265,22 +267,6 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
     return array("I", _coordinate_sum(rows))
 
 
-def _selector_places(nu: int, k: int, amask: int) -> tuple[list[int], list[int], int]:
-    """Per coordinate of Q_k(nu), the place of its digit in the phi index and
-    in the psi index of m_A (0 where restricted away), and the mask c2 of the
-    marker factors; A is a mask.  Each side drops its top slot, the pad: one
-    top is k and the other a run maximum, so both are restricted away."""
-    rest = ((1 << k) - 1) ^ amask
-    c2 = run_maxima(rest, k)
-    dropped = run_maxima(amask, k) | c2
-    places = [[0] * (k - 1), [0] * (k - 1)]
-    for side, place in zip((rest, amask), places):
-        for j, i in enumerate(reversed(members_of(side)[:-1])):
-            if not dropped >> (i - 1) & 1:
-                place[i - 1] = nu ** j
-    return *places, c2
-
-
 # ---------------------------------------------------------------------------
 # Superclass identifiers and supercharacters
 
@@ -440,6 +426,7 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     tensors on the marker factor: 1 on c1, (nu-1)^{-1}(reg - 1) on c2.  So
     m_A(phi, psi)(g) = phi(a) psi(b) (-1/(nu-1))^e, a and b indexing g's two
     sides and e counting the markers on c2 where g is not the identity.
+    Its plan is `_plan`'s transfer with each slot on the side A gives it.
     """
     _check_product_operands(phi, psi, m, n)
     if m == 0 or n == 0:
@@ -447,33 +434,50 @@ def product_mA(phi: ClassFunction, psi: ClassFunction, A, m: int, n: int) -> Cla
     A = frozenset(A)
     if len(A) != n or not A <= set(range(1, m + n + 1)):
         raise ValueError(f"A must be a size-{n} subset of [{m + n}], got {sorted(A)}")
-    return _scatter(phi, psi, m, n, _plan(phi.spec.nu, m, n, (mask_of(A),)))
+    return _scatter(phi, psi, m, n, _plan(phi.spec.nu, m, n, mask_of(A)))
 
 
-def _plan(nu: int, m: int, n: int, amasks) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
-    """The terms of m_A on Q_{m+n}(nu) summed over the selector masks A in
-    `amasks`, the one builder of those terms.
+def _plan(nu: int, m: int, n: int, amask: int | None = None) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
+    """The terms of m_A on Q_{m+n}(nu) summed over every selector mask A, or
+    of the one A that `amask` gives: the one builder of those terms.
 
     Every (phi index a, psi index b, element g) of m_A, its `_off_weights`
     numerator (-1)^e (nu-1)^(k+1-e) summed over those A and a zero sum
     dropped, stored by operand pair: plan[a] lists the rows (b, the elements
     g as an array, their weights as a tuple of ints, equal ints shared), so
     that a scatter reads only the rows where phi(a) and psi(b) are both
-    nonzero.  One pass per A builds it: the keys (a nu^(n-1) + b) nu^(k-1) + g
-    are one coordinate sum, and the weights are read off the support masks.
+    nonzero.  One transfer over the slots k, ..., 1, each on phi's side (0)
+    or psi's (1), builds it: equal partial terms merge as they meet, and one
+    that cancels goes no further.  A state (phi slots above, side of the slot
+    above) maps each partial key (a nu^(n-1) + b) nu^(k-1) + g to its weight.
+    A run maximum, a slot just below the other side, is restricted away, and
+    so is each pad, the top of a side; a run maximum of phi's is a marker,
+    weighing -1 at a nonzero digit.  Every other weight is nu-1, and a kept
+    slot with c members of its side above puts its digit at nu^(c-1) in that
+    side's index.  Slot k has no digit; the start weight (nu-1)^2 is the pads'.
     """
     k = m + n
-    weights, _ = _off_weights(nu, k)
     size, width = nu ** (k - 1), nu ** (n - 1)
-    masks = support_masks(nu, k - 1)
-    sums: dict[int, int] = {}
-    get = sums.get
-    for amask in amasks:
-        pa, pb, c2 = _selector_places(nu, k, amask)
-        places = [(a * width + b) * size + nu ** (k - 2 - p) for p, (a, b) in enumerate(zip(pa, pb))]
-        terms = map(weights.__getitem__, map(int.bit_count, map(c2.__and__, masks)))
-        for key, w in zip(_coordinate_sum([range(0, nu * u, u) for u in places]), terms):
-            sums[key] = get(key, 0) + w
+    states = {(1 - side, side): {0: (nu - 1) ** 2} for side in (0, 1) if amask is None or amask >> k - 1 & 1 == side}
+    for i in range(k - 1, 0, -1):
+        steps: dict[tuple[int, int], dict[int, int]] = {}
+        for above, up in list(states):  # each source freed once read
+            sums = states.pop((above, up))
+            for side in (0, 1) if amask is None else (amask >> i - 1 & 1,):
+                if (c := (k - i - above if side else above)) == (m, n)[side]:
+                    continue  # side's slots all placed above
+                # a pad below k is a run maximum; a kept slot has c >= 1
+                place = nu ** (k - 1 - i) + (nu ** (c - 1) * (1 if side else width) * size if up == side else 0)
+                marker = -1 if up != side and not side else nu - 1
+                # below slot 1 no side is read, so there all terms meet in one state
+                into = steps.setdefault((above + 1 - side, side if i > 1 else 0), {})
+                for d in range(nu):
+                    step, f = d * place, marker if d else nu - 1
+                    for key, w in sums.items():
+                        if w:
+                            into[key + step] = into.get(key + step, 0) + w * f
+        states = steps
+    (sums,) = states.values()
     keys = sorted(filter(sums.get, sums))
     shared, ws = {}, list(map(sums.__getitem__, keys))
     elements, ws = array("I", map(size.__rmod__, keys)), tuple(map(shared.setdefault, ws, ws))
@@ -485,10 +489,16 @@ def _plan(nu: int, m: int, n: int, amasks) -> tuple[tuple[tuple[int, array, tupl
     return tuple(map(tuple, plan))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def product_plan(nu: int, m: int, n: int) -> tuple[tuple[tuple[int, array, tuple[int, ...]], ...], ...]:
-    """The plan of m = sum_A m_A on Q_{m+n}(nu), `_plan` over every selector."""
-    return _plan(nu, m, n, selectors(m + n, n))
+    """The plan of m = sum_A m_A on Q_{m+n}(nu), `_plan` over every selector.
+    A miss refuses a shape that no product reaches before any work."""
+    _exact_nu(nu)
+    for name, degree in (("m", m), ("n", n)):
+        if index(degree) < 1:
+            raise ValueError(f"{name} must be at least 1, got {degree}")
+    GroupSpec.standard(nu, m + n)
+    return _plan(nu, m, n)
 
 
 def _scatter(phi: ClassFunction, psi: ClassFunction, m: int, n: int, plan) -> ClassFunction:

@@ -400,6 +400,22 @@ class TestProduct:
         with pytest.raises(ValueError, match="standard groups"):
             product_mA(phi, relabel(psi, (2,)), {1, 2}, 3, 2)  # non-standard group
 
+    def test_product_plan_refuses_shapes_no_product_reaches(self):
+        from hopfscf import groupscf
+
+        with pytest.raises(ValueError, match="^nu must be at least 2, got 1$"):
+            groupscf.product_plan(1, 2, 2)
+        with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+            groupscf.product_plan(2, 0, 3)
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            groupscf.product_plan(2, 3, 0)
+        groupscf.product_plan(2, 2, 2)  # a cached int shape does not answer for nu = 2.0
+        with pytest.raises(TypeError, match="^nu must be an int, got 2.0$"):
+            groupscf.product_plan(2.0, 2, 2)
+        # refused by the group bound before any table is built
+        with pytest.raises(GroupBoundError, match="^group order 2\\^79 exceeds bound 1048576"):
+            groupscf.product_plan(2, 40, 40)
+
     @pytest.mark.parametrize(
         "op",
         [product_m, lambda phi, psi, m, n: product_mA(phi, psi, set(range(1, n + 1)), m, n)],

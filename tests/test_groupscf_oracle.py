@@ -1,5 +1,6 @@
 """The integer gather kernels of groupscf against the per-element Fraction oracle."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -214,7 +215,7 @@ def test_gather_tables_match_the_element_loops():
             for n in range(1, k):
                 for A in itertools.combinations(range(1, k + 1), n):
                     walked = oracle.product_map(nu, k - n, n, A)
-                    plan = groupscf._plan(nu, k - n, n, (mask_of(A),))
+                    plan = groupscf._plan(nu, k - n, n, mask_of(A))
                     held = [
                         (a, b, g, w)
                         for a, rows in enumerate(plan)
@@ -343,6 +344,17 @@ def test_product_plan_keeps_only_nonzero_summed_weights():
     assert cases > 0
     assert sizes[2, 4, 4] == 934  # of 70 * 2^7 = 8,960 gathered
     assert sizes[3, 3, 3] == 2843  # of 20 * 3^5 = 4,860 gathered
+    # past TABLE_TOP, where the element walk is slow, each summed plan is
+    # pinned by its term count, its pair count and a digest of its repr
+    for shape, terms, pairs, digest in [
+        ((2, 5, 5), 8422, 256, "9adc205e46d003e7"),
+        ((3, 4, 3), 14737, 243, "12cfdcf4054a61b2"),
+        ((3, 4, 4), 83083, 729, "22d831e284440dae"),
+    ]:
+        plan = groupscf.product_plan(*shape)
+        assert sum(len(elements) for rows in plan for _, elements, _ in rows) == terms, shape
+        assert sum(map(len, plan)) == pairs, shape
+        assert hashlib.sha256(repr(plan).encode()).hexdigest()[:16] == digest, shape
 
 
 def sparse_functions(spec: GroupSpec):
