@@ -8,18 +8,18 @@ superclass label's mask, so both crossings carry one integer numerator per
 key mask; the per-term `to_dense` is the test oracle.
 `ch` sums one cached integer row of M coefficients per basis label, expanded
 by qsym's Kronecker-factor kernel from L or Pi(nu) into M, over one common
-denominator into int and Fraction coefficients.  The per-term route through
-the hub conversion of tests/convert_oracle.py is the test oracle
-(tests/charmap_oracle.py).  A dense function crosses to QSym one way, through
-`ch(ScfElem.from_dense(...))`, and the diagram verifier maps each distinct one
-once per call.
+denominator found before the sum, and reduces each sum once into an int or a
+Fraction.  The per-term route through the hub conversion of
+tests/convert_oracle.py is the test oracle (tests/charmap_oracle.py).  A dense
+function crosses to QSym one way, through `ch(ScfElem.from_dense(...))`, and
+the diagram verifier maps each distinct one once per call.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import index
 
 from . import groupscf, qsym
@@ -50,11 +50,12 @@ class ScfElem(LinComb):
     @staticmethod
     def _key(key) -> Key:
         degree, tag, label = key
+        degree = index(degree)
         if tag not in (KAPPA, CHI_DOT):
             raise ValueError(f"unknown basis tag {tag!r}")
         if not isinstance(label, SubsetLabel):
             label = SubsetLabel(degree, label)
-        if label.ambient != index(degree):
+        if label.ambient != degree:
             raise ValueError(f"label {label} does not match degree {degree}")
         return degree, tag, label.mask
 
@@ -73,6 +74,7 @@ class ScfElem(LinComb):
     @classmethod
     def from_dense(cls, phi: ClassFunction, degree: int) -> "ScfElem":
         """Expand a dense superclass function on Q_degree in the kappa basis."""
+        degree = index(degree)
         if not groupscf._is_standard(phi.spec, degree):
             raise ValueError("dense lift expects a standard group")
         nums, den = groupscf._superclass_nums(phi), phi.den
@@ -123,28 +125,24 @@ def _ch_row(
 
 
 def ch(x: ScfElem) -> QSymElem:
-    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}."""
-    terms = x.terms.items()
-    return _ch_sum(x.nu, ((n, t, mask, c.numerator, c.denominator) for (n, t, mask), c in terms))
-
-
-def _ch_sum(nu: int, terms) -> QSymElem:
-    """Sum of num/den times ch(label) over (degree, tag, mask, num, den) terms:
-    each label's cached integer row, summed over one common denominator into
-    int or Fraction coefficients."""
-    den, acc = 1, {}  # acc[comp] / den is the coefficient of M_comp
-    for degree, tag, mask, num, d0 in terms:
-        d, row = _ch_row(nu, degree, tag, mask)
-        e = d * d0
-        if den % e:
-            grow = e // gcd(den, e)
-            acc = {comp: v * grow for comp, v in acc.items()}
-            den *= grow
+    """chi_dot^I goes to L_{comp(I)}; kappa_I to (nu-1)^{|I|} Pi(nu)_{comp(I)}.
+    Each label's cached integer row is summed over one common denominator,
+    the lcm of every term's row denominator times its coefficient's, so the
+    sum never rescales; each sum is reduced once into an int or a Fraction."""
+    rows, den = [], 1
+    for (n, tag, mask), c in x.terms.items():
+        d, row = _ch_row(x.nu, n, tag, mask)
+        e = d * c.denominator
+        rows.append((e, c.numerator, row))
+        den = lcm(den, e)
+    acc = {}  # acc[comp] / den is the coefficient of M_comp
+    for e, num, row in rows:
         a = num * (den // e)
-        for comp, c in row:
-            acc[comp] = acc.get(comp, 0) + a * c
-    terms = {comp: _ratio(v, den) for comp, v in acc.items() if v}
-    return QSymElem("M")._with_terms(terms)
+        for comp, v in row:
+            acc[comp] = acc.get(comp, 0) + a * v
+    out = QSymElem("M")
+    out.terms = {comp: _ratio(v, den) for comp, v in acc.items() if v}
+    return out
 
 
 def _dense_basis(spec: GroupSpec, tag: str, members) -> ClassFunction:

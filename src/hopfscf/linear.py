@@ -28,7 +28,9 @@ linearly by `extend` or bilinearly by `extend2`; those two are where a
 linear combination is accumulated, always into a fresh dict.  Every
 coefficient product is `scalars._times` and every sum `_add_term`, and both
 lower a q,t cancellation to an int or a Fraction: no element stores a
-constant ScalarQT.
+constant ScalarQT.  The one exception is `extend2` on two all-rational
+dicts, which clears their denominators and sums an int rule coefficient's
+products as plain ints, dividing each nonzero sum once at the end.
 """
 
 from __future__ import annotations
@@ -77,16 +79,25 @@ def extend2(x_terms: dict, y_terms: dict, rule) -> dict:
     it yields counts va * vb * c.
 
     Two all-rational dicts are cleared of their denominators dx and dy first,
-    so the sums run on ints and each output is divided by dx * dy once; a
-    dict holding a ScalarQT is extended as it is."""
+    so an int c adds a plain int product, any other c goes through `_times`
+    and `_add_term`, and each nonzero sum is divided by dx * dy once; a dict
+    holding a ScalarQT is extended as it is."""
     dx, dy = _denominator(x_terms), _denominator(y_terms)
     if not (dx and dy):
         return extend(tensor_terms(x_terms, y_terms), lambda ab: rule(*ab))
     xs = {a: v.numerator * (dx // v.denominator) for a, v in x_terms.items()}
     ys = {b: v.numerator * (dy // v.denominator) for b, v in y_terms.items()}
+    acc: dict = {}
+    for a, va in xs.items():
+        for b, vb in ys.items():
+            v = va * vb
+            for key, c in rule(a, b):
+                if type(c) is int:
+                    acc[key] = acc.get(key, 0) + v * c
+                else:
+                    _add_term(acc, key, _times(v, c))
     d = dx * dy
-    acc = extend(tensor_terms(xs, ys), lambda ab: rule(*ab))
-    return {k: _ratio(v, d) if type(v) is int else _times(v, Fraction(1, d)) for k, v in acc.items()}
+    return {k: _ratio(v, d) if type(v) is int else _times(v, Fraction(1, d)) for k, v in acc.items() if v}
 
 
 class LinComb:

@@ -47,8 +47,10 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _ratio(num: int, den: int):
-    """num / den for ints, den nonzero, as `_rational` would give it."""
+    """num / den for ints, den nonzero, as `_rational` would give it.  Memoised:
+    the crossings from integer sums to coefficients meet few distinct pairs."""
     return Fraction(num, den) if num % den else num // den
 
 

@@ -27,6 +27,14 @@ class TestScfElem:
         with pytest.raises(ValueError):
             ScfElem(2, {(3, "kappa", SubsetLabel.of(4, {1})): Fraction(1)})
 
+    def test_a_key_stores_its_degree_as_an_int(self):
+        x = ScfElem(2, {(True, "kappa", 0): 1})
+        lifted = ScfElem.from_dense(kappa(GroupSpec.standard(2, 1), set()), True)
+        for elem in (x, lifted):
+            [(degree, _, _)] = elem.terms
+            assert type(degree) is int and degree == 1
+            assert repr(elem) == "(1)*kappa[] (deg 1)"
+
     @pytest.mark.parametrize("nu", [1, 0, -2])
     def test_nu_below_two_refused(self, nu):
         with pytest.raises(ValueError, match=f"nu must be at least 2, got {nu}"):

@@ -18,6 +18,7 @@ NUS = (2, 3, 5)
 SETTINGS = settings(max_examples=80, deadline=None)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+PRIMES = (7, 11, 13, 17, 19)
 
 
 def all_labels(top: int):
@@ -48,6 +49,20 @@ def scf_elems(draw):
     return x
 
 
+@st.composite
+def coprime_scf_elems(draw):
+    """One term in each of at least two degrees, whose coefficients have
+    pairwise coprime denominators, so no term's denominator divides another's."""
+    nu = draw(st.sampled_from(NUS))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=2, max_size=len(PRIMES), unique=True))
+    terms = {}
+    for n, p in zip(degrees, draw(st.permutations(PRIMES))):
+        label = SubsetLabel(n, draw(st.integers(0, _full_mask(n))))
+        num = draw(st.integers(-6, 6).filter(bool))
+        terms[(n, draw(st.sampled_from((KAPPA, CHI_DOT))), label)] = Fraction(num, p)
+    return ScfElem(nu, terms)
+
+
 def test_every_basis_label_matches_oracle():
     labels = list(all_labels(7))
     assert len(labels) == len(NUS) * 2 * 128
@@ -67,7 +82,7 @@ def test_rows_are_integer_over_least_denominator():
 
 
 @SETTINGS
-@given(scf_elems())
+@given(st.one_of(scf_elems(), coprime_scf_elems()))
 def test_random_sums_match_oracle(x):
     assert_same(ch(x), oracle.ch(x))
 

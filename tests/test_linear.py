@@ -328,8 +328,11 @@ coefficients = {
 }
 # mostly rational, so that both dicts often take the cleared route
 mixes = [["int"], ["Fraction"], ["int", "Fraction"]] * 3 + [["q,t"], ["quotient"], list(coefficients)]
-# a rule yields its coefficients in normal form too: an int, or a Fraction that is not integral
-rule_coefficients = st.one_of(nonzero, st.builds(Fraction, nonzero, st.integers(2, 4)).map(_coeff))
+# a rule yields its coefficients in normal form too: an int, a Fraction that is
+# not integral, or a Laurent ScalarQT, which the cleared route sums apart from the ints
+rule_coefficients = st.one_of(
+    nonzero, st.builds(Fraction, nonzero, st.integers(2, 4)).map(_coeff), scalars.map(_coeff).filter(bool)
+)
 
 
 def normal_terms(draw, labels):
@@ -344,6 +347,8 @@ def test_extend2_matches_the_tensor_terms_route(data):
     draw = data.draw
     x, y = normal_terms(draw, "abc"), normal_terms(draw, "uvw")
     outs = st.lists(st.tuples(st.sampled_from(["o", "p", "q"]), rule_coefficients), max_size=3)
+    # a pair that cancels: a rule may yield its first output again, negated
+    outs = outs.flatmap(lambda out: st.sampled_from([out, out + [(k, -c) for k, c in out[:1]]]))
     table = {(a, b): draw(outs) for a in "abc" for b in "uvw"}
     rule = lambda a, b: table[a, b]  # noqa: E731
     got = extend2(x, y, rule)

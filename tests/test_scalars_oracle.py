@@ -12,7 +12,7 @@ coefficients, +-1 and constant terms, zero and true quotients.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalars_oracle as oracle
@@ -178,3 +178,29 @@ def test_division_by_monomials_stays_laurent():
     assert x.quot is None
     assert str(x) == str((oracle.Q + oracle.T * 2) / (oracle.Q**2 * oracle.T * c))
     assert str(x) == "-2*q - 4*t / 3*q^2*t"
+
+
+# `_ratio` turns an int sum over a common denominator into a coefficient through
+# a memo keyed by (num, den) and their types; its oracle is `_rational` of the
+# Fraction, checked for one num over several denominators, so that a memo that
+# ignored den would answer one of them wrongly
+past_64_bits = st.integers(2**64, 2**70)
+wide_ints = st.one_of(st.integers(-40, 40), past_64_bits, past_64_bits.map(lambda v: -v))
+
+
+@SETTINGS
+@given(wide_ints, wide_ints.filter(bool), wide_ints.filter(bool))
+@example(0, -3, 5)
+@example(2**65 + 1, -(2**65 + 1), 2**64)
+@example(-7, -2, 14)
+def test_ratio_is_the_reduced_fraction(num, den, other):
+    for n, d in [(num, den), (num, other), (num, -den), (num * den, den), (num * other, -other)]:
+        got, want = scalars._ratio(n, d), scalars._rational(Fraction(n, d))
+        assert (type(got), got) == (type(want), want)
+
+
+def test_ratio_memo_keeps_a_bool_key_apart_from_the_int():
+    scalars._ratio.cache_clear()
+    assert scalars._ratio(True, 3) == scalars._ratio(1, 3) == Fraction(1, 3)
+    assert scalars._ratio.cache_info().misses == scalars._ratio.cache_info().currsize == 2
+    assert type(scalars._ratio(True, 1)) is int
