@@ -30,12 +30,13 @@ from .compositions import (
     mask_of,
     near_concat,
     ranks_within,
+    run_maxima,
     selector_masks,
     selectors,
 )
 from .linear import LinComb, extend, extend2
 from .qsym import QSymElem, Tensor, _convert_into, convert as qsym_convert
-from .scalars import Q, T, ZERO, ScalarQT, _lower, _rational, _times
+from .scalars import Q, T, ZERO, ScalarQT, _lower, _rational
 
 BASES = ("H", "Lambda", "R", "Estar", "B", "Bhat")
 
@@ -191,7 +192,7 @@ def admissible_selectors(k: int, m: int, I, J):
     """(mask of K, mask of c2(A)) for every admissible selector A of size
     n = k - m, one whose preshuffle misses c(A), and every K in the interval
     I#J <= K <= (I#J) u c(A)."""
-    n = k - m
+    n = check_ambient(k) - m  # the bound first: the selectors of [k] are built next
     imask, jmask = SubsetLabel.of(m, I).mask, SubsetLabel.of(n, J).mask
     for amask in selectors(k, n):
         pre, c1, c2 = selector_masks(imask, jmask, amask, k)
@@ -203,32 +204,28 @@ def admissible_selectors(k: int, m: int, I, J):
 def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
     """All C^K_{I,J}(q,t) at once, keyed by the mask of K.
 
-    One pass over the admissible selectors A, distributing each A over its
-    interval of K; agrees with structure_constants_table per K.
+    One pass over the admissible selectors A, each adding its weight to its
+    interval of K (`_add_weight`); agrees with structure_constants_table per K.
     """
-    weights = (
-        (kmask, (Q + T) ** (kmask & c2mask).bit_count() * T ** (kmask & ~c2mask).bit_count())
-        for kmask, c2mask in admissible_selectors(k, m, I, J)
-    )
-    acc = extend(weights, lambda kmask: ((kmask, 1),))
-    denom = T ** (SubsetLabel.of(m, I).size + SubsetLabel.of(k - m, J).size)
-    return {kmask: coeff / denom for kmask, coeff in acc.items()}
+    sizes = SubsetLabel.of(m, I).size + SubsetLabel.of(k - m, J).size
+    acc: dict[int, dict] = {}
+    for kmask, c2 in admissible_selectors(k, m, I, J):
+        _add_weight(acc.setdefault(kmask, {}), (kmask & c2).bit_count(), (kmask & ~c2).bit_count() - sizes)
+    return {kmask: ScalarQT(terms) for kmask, terms in acc.items()}
 
 
 def structure_constants_table(k: int, K, m: int) -> dict[tuple[int, int], ScalarQT]:
     """Every nonzero C^K_{I,J}(q,t) for fixed k, K and m, keyed by (imask, jmask).
 
-    One pass over the selectors A of size n = k - m.  The admissibility tests
-    of the closed sum together say preshuffle(I, J, A) = K \\ c(A), and for
-    a fixed A the preshuffle determines (I, J), so each A adds to one row.  I
-    holds the ranks within [k] \\ A of the elements of K \\ c(A) outside A, and
-    J the ranks within A of those inside A.  K \\ c(A) never holds the largest
-    element of A or of its complement: that element is k or lies in c(A).
-    The weight (q+t)^{|K n c2|} t^{|K \\ c2| - |I| - |J|} equals
-    (q+t)^{|K n c2|} t^{|K n c1|}, and each selector adds its binomial
-    monomials straight into its row.  Agrees with structure_constants_sweep
-    entry by entry.  The table is memoised on (k, mask of K, m) and shared by
-    every caller, so it must not be modified.
+    One pass over the selectors A of size n = k - m.  The admissibility tests of
+    the closed sum together say preshuffle(I, J, A) = K \\ c(A), and for a fixed
+    A the preshuffle determines (I, J), so each A adds its weight (`_add_weight`)
+    to one row.  I holds the ranks within [k] \\ A of the elements of K \\ c(A)
+    outside A, and J the ranks within A of those inside A.  K \\ c(A) never holds
+    the largest element of A or of its complement: that element is k or lies in
+    c(A).  Agrees with structure_constants_sweep entry by entry.  The table is
+    memoised on (k, mask of K, m) and shared by every caller, so it must not be
+    modified.
     """
     if not 0 <= m <= check_ambient(k):  # the bound first: the selectors of [k] are built next
         raise ValueError(f"m={m} is not in [0, {k}]")
@@ -244,19 +241,26 @@ def _table(k: int, kmask: int, m: int) -> dict[tuple[int, int], ScalarQT]:
     full = (1 << k) - 1
     rows: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for amask in selectors(k, k - m):
-        _, c1, c2 = selector_masks(0, 0, amask, k)
+        c1, c2 = run_maxima(amask, k), run_maxima(full ^ amask, k)
         target = kmask & ~(c1 | c2)
         row = (ranks_within(target, full ^ amask), ranks_within(target, amask))
-        terms = rows.setdefault(row, {})
-        e_qt, e_t = (kmask & c2).bit_count(), (kmask & c1).bit_count()
-        for i in range(e_qt + 1):  # (q+t)^e_qt t^e_t, binomially
-            mono = (i, e_qt - i + e_t)
-            terms[mono] = terms.get(mono, 0) + comb(e_qt, i)
+        _add_weight(rows.setdefault(row, {}), (kmask & c2).bit_count(), (kmask & c1).bit_count())
     return {row: ScalarQT(terms) for row, terms in rows.items()}
+
+
+def _add_weight(terms: dict[tuple[int, int], int], e_qt: int, e_t: int) -> dict:
+    """Add the binomial monomials of (q+t)^e_qt t^e_t, a selector A's weight, to
+    terms.  At an admissible A, t^{|K \\ c2| - |I| - |J|} = t^{|K n c1|}."""
+    for i in range(e_qt + 1):
+        mono = (i, e_qt - i + e_t)
+        terms[mono] = terms.get(mono, 0) + comb(e_qt, i)
+    return terms
 
 
 def coproduct_B_comp(k: int, K) -> NSymTensor:
     """Delta B(q,t)_{comp(K)} straight from the structure constants."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     terms = {
         (comp_of_mask(m, imask), comp_of_mask(k - m, jmask)): _lower(coeff)
         for m in range(k + 1)
@@ -266,10 +270,12 @@ def coproduct_B_comp(k: int, K) -> NSymTensor:
 
 
 def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQT | int]]:
-    """Per-selector terms of Delta Bhat(q,t)_k: one for each A inside [k],
-    with weight (q+t)^{|c2(A)|} t^{|c1(A)|} on Bhat_{alpha_A} (x) Bhat_{beta_A}.
-    alpha_A lists the run lengths of A, whose partial sums are the ranks
-    within A of its run maxima but the last; beta_A the same for [k] \\ A."""
+    """Per-selector terms of Delta Bhat(q,t)_k: one for each A inside [k], the
+    monomials `_add_weight` adds for its weight (q+t)^{|c2(A)|} t^{|c1(A)|}, on
+    Bhat_{alpha_A} (x) Bhat_{beta_A}.  alpha_A and beta_A list the run lengths
+    of A and of [k] \\ A, whose partial sums rank their run maxima but the last."""
+    if check_ambient(k) < 0:  # both before the selectors of [k] are built
+        raise ValueError(f"k must be nonnegative, got {k}")
 
     def runs(pool: int, maxima: int) -> Composition:
         size = pool.bit_count()
@@ -277,11 +283,10 @@ def bhat_coproduct_terms(k: int) -> list[tuple[Composition, Composition, ScalarQ
 
     out = []
     full = (1 << k) - 1
-    for r in range(k + 1):
-        for amask in selectors(k, r):
-            _, c1, c2 = selector_masks(0, 0, amask, k)
-            coeff = _times((Q + T) ** c2.bit_count(), T ** c1.bit_count())
-            out.append((runs(amask, c1), runs(full ^ amask, c2), coeff))
+    for amask in itertools.chain.from_iterable(selectors(k, r) for r in range(k + 1)):
+        c1, c2 = run_maxima(amask, k), run_maxima(full ^ amask, k)
+        coeff = _lower(ScalarQT(_add_weight({}, c2.bit_count(), c1.bit_count())))
+        out.append((runs(amask, c1), runs(full ^ amask, c2), coeff))
     return out
 
 

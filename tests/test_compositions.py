@@ -151,6 +151,8 @@ class TestCompSetBijection:
             'nsym.convert(nsym.B((65,)), "H")',
             "nsym.coproduct_B_comp(65, ())",
             "nsym.structure_constants_table(65, (), 32)",
+            "nsym.structure_constants_sweep(65, 1, (), ())",
+            "nsym.coproduct_bhat(65)",
         ],
     )
     def test_every_mask_crossing_refuses_degree_65_first(self, call):

@@ -334,6 +334,38 @@ class TestStructureConstants:
                             K = SubsetLabel(k, kmask).members
                             direct = structure_constant_by_selectors(k, K, m, I, J)
                             assert sweep.get(kmask, ZERO) == direct
+                            if kmask in sweep:  # verify and perfbench read these as scalars, never lowered
+                                got = sweep[kmask]
+                                assert type(got) is ScalarQT and str(got) == str(direct), (k, m, I, J, K)
+
+    def test_bhat_coefficients_are_the_papers_weights(self):
+        # each selector A inside [k] weighs (q+t)^{|c2(A)|} t^{|c1(A)|}, an int 1
+        # when both are empty; the terms list the A by size, then lexicographically
+        def run_maxima(members, k):
+            return {x for x in members if x + 1 not in members and x != k}
+
+        for k in range(9):
+            universe = frozenset(range(1, k + 1))
+            selected = [frozenset(A) for r in range(k + 1) for A in itertools.combinations(sorted(universe), r)]
+            terms = bhat_coproduct_terms(k)
+            assert len(terms) == len(selected) == 2**k
+            for A, (_, _, coeff) in zip(selected, terms):
+                c1, c2 = run_maxima(A, k), run_maxima(universe - A, k)
+                expected = (Q + T) ** len(c2) * T ** len(c1) if c1 or c2 else 1
+                assert type(coeff) is type(expected) and str(coeff) == str(expected), (k, sorted(A))
+                assert coeff == expected
+
+    def test_negative_degree_refused_by_coproduct_B_comp(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+            coproduct_B_comp(-1, ())
+
+    def test_negative_degree_refused_by_bhat_coproduct_terms(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative, got -1$"):
+            bhat_coproduct_terms(-1)
+
+    def test_negative_degree_refused_by_coproduct_bhat(self):
+        with pytest.raises(ValueError, match="^k must be nonnegative, got -2$"):
+            coproduct_bhat(-2)
 
     def test_table_matches_per_entry(self):
         # every (k <= 6, K, m, I, J), zero entries included: 5,917 in all
