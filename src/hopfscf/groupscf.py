@@ -31,10 +31,14 @@ bound (read on every call, so a lowered bound still refuses), the operand
 checks compare index sets with [degree - 1] and build no spec, and the
 weights `_off_weights` of m are cached per (nu, degree).
 `expand_kappa` reads a function's coordinates as ints where integral and
-Fractions otherwise, the normal form of `scalars._rational`.  `kappa`, `chi`
-and `dot_chi` build a fresh function on each call; the left factors kappa_L
-that `coproduct_k` hands out are interned in a bounded cache instead, shared
-and never to be modified.
+Fractions otherwise, the normal form of `scalars._rational`.  The superclass
+basis is interned per (group, label): `kappa` and `chi` check their label on
+every call and then read a bounded cache of kappa_I and chi^I, and `one` is
+cached per group.  `dot_chi` shares its chi's numerators, the left factors
+kappa_L of `coproduct_k` are read from the kappa cache, and the unit factors
+are the interned `one` of the trivial group.  Every cached function is shared
+and never to be modified.  `coproduct` and `coproduct_k` read the group bound
+once per call and intern each slice's specs under it.
 """
 
 from __future__ import annotations
@@ -271,6 +275,10 @@ def restriction_map(nu: int, rank: int, positions: tuple[int, ...]) -> array:
 # Superclass identifiers and supercharacters
 
 
+# The superclass basis is interned per (group, label): each function below is
+# built once and then shared, so it must not be modified.  1024 entries hold
+# every label of Q_k for k <= 10 at one nu.
+@lru_cache(maxsize=64)
 def one(spec: GroupSpec) -> ClassFunction:
     return ClassFunction(spec, (1,) * spec.order, 1)
 
@@ -286,7 +294,11 @@ def _mask_of(spec: GroupSpec, I) -> int:
 
 def kappa(spec: GroupSpec, I) -> ClassFunction:
     """Indicator of the superclass cl_I: elements with support exactly I."""
-    I = _require_subset(I, spec.index_set, "superclass label")
+    return _kappa(spec, _require_subset(I, spec.index_set, "superclass label"))
+
+
+@lru_cache(maxsize=1024)
+def _kappa(spec: GroupSpec, I: frozenset[int]) -> ClassFunction:
     want = _mask_of(spec, I)
     nums = [1 if s == want else 0 for s in support_masks(spec.nu, spec.rank)]
     return ClassFunction(spec, nums, 1)
@@ -299,7 +311,11 @@ def chi(spec: GroupSpec, I) -> ClassFunction:
     value at g is (-1)^e (nu-1)^{|S \\ I| - e} with e the number of indices
     off I where g is not the identity.
     """
-    I = _require_subset(I, spec.index_set, "supercharacter label")
+    return _chi(spec, _require_subset(I, spec.index_set, "supercharacter label"))
+
+
+@lru_cache(maxsize=1024)
+def _chi(spec: GroupSpec, I: frozenset[int]) -> ClassFunction:
     off = ~_mask_of(spec, I) & ((1 << spec.rank) - 1)
     weights, _ = _off_weights(spec.nu, off.bit_count() - 1)
     nums = [weights[(s & off).bit_count()] for s in support_masks(spec.nu, spec.rank)]
@@ -307,10 +323,12 @@ def chi(spec: GroupSpec, I) -> ClassFunction:
 
 
 def dot_chi(spec: GroupSpec, I) -> ClassFunction:
-    """chi normalized by its value at the identity, (nu-1)^{|S \\ I|}."""
+    """chi normalized by its value at the identity, (nu-1)^{|S \\ I|}.  It
+    shares the interned chi's numerators: one of them is +-1, so no gcd
+    reduction copies them."""
     I = _require_subset(I, spec.index_set, "supercharacter label")
     _, den = _off_weights(spec.nu, spec.rank - len(I) - 1)
-    return ClassFunction(spec, chi(spec, I).nums, den)
+    return ClassFunction(spec, _chi(spec, I).nums, den)
 
 
 @lru_cache(maxsize=64)
@@ -566,11 +584,6 @@ def expand_kappa(phi: ClassFunction) -> dict[frozenset, int | Fraction]:
     return {labels[s]: _ratio(v, den) for s, v in _superclass_nums(phi).items() if v}
 
 
-# The interned left factors of coproduct_k: shared, and never to be modified.
-# 1024 entries hold every superclass of Q_k for k <= 10 at one nu.
-_left_kappa = lru_cache(maxsize=1024)(kappa)
-
-
 def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
     """delta_k as a list of pure tensor summands (left on Q_k, right on Q_{n-k}).
 
@@ -586,18 +599,19 @@ def coproduct_k(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction,
         raise ValueError(f"slice position k={k} out of range 0..{n}")
     if 0 < k < n:
         _superclass_nums(phi)  # raises outside the supercharacter function space
-    return _slice(phi, k, n)
+    return _slice(phi, k, n, max_group_order())
 
 
-def _slice(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, ClassFunction]]:
-    """coproduct_k of a phi that has passed its checks."""
+def _slice(phi: ClassFunction, k: int, n: int, bound: int) -> list[tuple[ClassFunction, ClassFunction]]:
+    """coproduct_k of a phi that has passed its checks, its factors' specs
+    interned under the group bound that its caller read once."""
     nu = phi.spec.nu
     if k == 0:
-        return [(unit(nu), phi)]
+        return [(one(_standard_spec(nu, 0, bound)), phi)]
     if k == n:
-        return [(phi, unit(nu))]
-    left_spec = GroupSpec.standard(nu, k)
-    right_spec = GroupSpec.standard(nu, n - k)
+        return [(phi, one(_standard_spec(nu, 0, bound)))]
+    left_spec = _standard_spec(nu, k, bound)
+    right_spec = _standard_spec(nu, n - k, bound)
     gather = restriction_map(nu, n - 1, tuple(p for p in range(n - 1) if p != k - 1))
     keep = tuple(map(phi.nums.__getitem__, gather))
     width = right_spec.order
@@ -606,7 +620,8 @@ def _slice(phi: ClassFunction, k: int, n: int) -> list[tuple[ClassFunction, Clas
         start = width * sum(nu ** (k - 1 - i) for i in L)
         row = keep[start:start + width]
         if any(row):
-            out.append((_left_kappa(left_spec, L), ClassFunction(right_spec, row, phi.den)))
+            # L comes from subsets_of(k), so it needs no label check
+            out.append((_kappa(left_spec, frozenset(L)), ClassFunction(right_spec, row, phi.den)))
     return out
 
 
@@ -615,7 +630,8 @@ def coproduct(phi: ClassFunction, n: int) -> dict[int, list[tuple[ClassFunction,
     if not _is_standard(phi.spec, n):
         raise ValueError("coproduct operands must live on a standard group")
     _superclass_nums(phi)  # raises outside the supercharacter function space
-    return {k: _slice(phi, k, n) for k in range(n + 1)}
+    bound = max_group_order()
+    return {k: _slice(phi, k, n, bound) for k in range(n + 1)}
 
 
 

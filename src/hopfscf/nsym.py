@@ -193,7 +193,11 @@ def admissible_selectors(k: int, m: int, I, J):
     n = k - m, one whose preshuffle misses c(A), and every K in the interval
     I#J <= K <= (I#J) u c(A)."""
     n = check_ambient(k) - m  # the bound first: the selectors of [k] are built next
-    imask, jmask = SubsetLabel.of(m, I).mask, SubsetLabel.of(n, J).mask
+    return _admissible(k, SubsetLabel.of(m, I).mask, SubsetLabel.of(n, J).mask, n)
+
+
+def _admissible(k: int, imask: int, jmask: int, n: int):
+    """admissible_selectors on the masks of I and J, with n = k - m."""
     for amask in selectors(k, n):
         pre, c1, c2 = selector_masks(imask, jmask, amask, k)
         if not pre & (c1 | c2):
@@ -206,10 +210,14 @@ def structure_constants_sweep(k: int, m: int, I, J) -> dict[int, ScalarQT]:
 
     One pass over the admissible selectors A, each adding its weight to its
     interval of K (`_add_weight`); agrees with structure_constants_table per K.
+    I and J are each read once, so they may be one-shot iterators.
     """
-    sizes = SubsetLabel.of(m, I).size + SubsetLabel.of(k - m, J).size
+    if not 0 <= m <= check_ambient(k):  # the bound first, as structure_constants_table
+        raise ValueError(f"m={m} is not in [0, {k}]")
+    I, J = SubsetLabel.of(m, I), SubsetLabel.of(k - m, J)
+    sizes = I.size + J.size
     acc: dict[int, dict] = {}
-    for kmask, c2 in admissible_selectors(k, m, I, J):
+    for kmask, c2 in _admissible(k, I.mask, J.mask, k - m):
         _add_weight(acc.setdefault(kmask, {}), (kmask & c2).bit_count(), (kmask & ~c2).bit_count() - sizes)
     return {kmask: ScalarQT(terms) for kmask, terms in acc.items()}
 

@@ -204,6 +204,46 @@ class TestKappaAndChi:
                 assert ClassFunction(spec, total) == chi(spec, I), I
 
 
+class TestInternedBasis:
+    def test_one_function_per_group_and_label(self):
+        spec = GroupSpec.standard(3, 4)
+        assert kappa(spec, [1, 2]) is kappa(spec, {1, 2}) is kappa(GroupSpec(3, (1, 2, 3)), (2, 1))
+        assert chi(spec, [3]) is chi(spec, {3})
+        assert one(spec) is one(GroupSpec(3, (1, 2, 3)))
+        assert unit(3) is one(GroupSpec.standard(3, 0))
+        assert kappa(spec, {1}) is not kappa(GroupSpec.standard(3, 5), {1})
+
+    @pytest.mark.parametrize("nu,n", [(2, 5), (3, 4), (5, 3)])
+    def test_the_interned_basis_equals_a_fresh_build(self, nu, n):
+        from hopfscf import groupscf
+
+        spec = GroupSpec.standard(nu, n)
+        masks = groupscf.support_masks(nu, spec.rank)
+        for I in subsets(spec.index_set):
+            want = sum(1 << p for p, label in enumerate(spec.index_set) if label in I)
+            off = spec.rank - len(I)
+            # kappa_I is 1 on support exactly I; chi^I is (-1)^e (nu-1)^(off - e),
+            # e counting the positions off I where the element is not the identity
+            indicator = [int(s == want) for s in masks]
+            character = [(-1) ** e * (nu - 1) ** (off - e) for e in ((s & ~want).bit_count() for s in masks)]
+            assert kappa(spec, I) == ClassFunction(spec, indicator, 1)
+            assert chi(spec, I) == ClassFunction(spec, character, 1)
+            assert dot_chi(spec, I) == ClassFunction(spec, character, (nu - 1) ** off)
+            assert dot_chi(spec, I).nums is chi(spec, I).nums  # gcd 1: the tuple is shared
+        assert one(spec) == ClassFunction(spec, [1] * nu ** spec.rank, 1)
+
+    @pytest.mark.parametrize("build", [kappa, chi, dot_chi])
+    def test_a_bad_label_raises_on_every_call_after_a_good_one_is_cached(self, build):
+        spec = GroupSpec.standard(2, 4)
+        build(spec, {2})
+        for _ in range(2):
+            for label in ({0}, {4}, {1, 5}):
+                with pytest.raises(ValueError, match="is not a subset of the index set"):
+                    build(spec, label)
+            with pytest.raises(TypeError):
+                build(spec, {2.0})
+
+
 class TestLatticeOracle:
     def test_identity_class(self):
         spec = GroupSpec.standard(2, 4)
@@ -240,8 +280,16 @@ class TestLatticeOracle:
         swapped = array("I", masks)
         swapped[1], swapped[-1] = masks[-1], masks[1]
         assert swapped != masks
+        # the interned basis is built from the support masks: drop what was built
+        # from the true table, and after the run what was built from the corrupt one
+        groupscf._kappa.cache_clear()
+        groupscf._chi.cache_clear()
         monkeypatch.setattr(groupscf, "support_masks", lambda nu, rank: swapped)
-        failed = [name for name, _ in verify_axioms(spec).failures()]
+        try:
+            failed = [name for name, _ in verify_axioms(spec).failures()]
+        finally:
+            groupscf._kappa.cache_clear()
+            groupscf._chi.cache_clear()
         assert "lattice superclasses" in failed
 
 
@@ -375,7 +423,9 @@ class TestProduct:
             "sublattice",
             "_standard_spec",
             "_off_weights",
-            "_left_kappa",
+            "_kappa",
+            "_chi",
+            "one",
         )
         tables = {name: getattr(groupscf, name) for name in names}
         for name, table in tables.items():
@@ -646,6 +696,37 @@ class TestCoproduct:
                 spec = GroupSpec.standard(nu, k)
                 assert [left for left, _ in first] == [kappa(spec, L) for L in subsets(range(1, k))]
                 assert all(a is b for (a, _), (b, _) in zip(first, again))
+
+    def test_factors_are_the_interned_basis(self):
+        for nu, n in [(2, 5), (3, 4)]:
+            phi = dot_chi(GroupSpec.standard(nu, n), {2})  # every row is nonzero
+            slices = coproduct(phi, n)
+            assert slices[0][0][0] is slices[n][0][1] is one(GroupSpec.standard(nu, 0))
+            for k in range(1, n):
+                left_spec = GroupSpec.standard(nu, k)
+                labels = list(subsets(range(1, k)))
+                for pairs in (slices[k], coproduct_k(phi, k, n)):
+                    assert len(pairs) == len(labels)
+                    assert all(left is kappa(left_spec, L) for (left, _), L in zip(pairs, labels))
+
+    def test_a_lowered_or_malformed_bound_refuses_every_coproduct(self, monkeypatch):
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        phi = dot_chi(GroupSpec.standard(3, 5), {2})
+        coproduct(phi, 5)
+        coproduct_k(phi, 3, 5)
+        # Q_3(3) and Q_4(3) have 9 and 27 elements
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "8")
+        for _ in range(2):
+            for call in (lambda: coproduct(phi, 5), lambda: coproduct_k(phi, 3, 5), lambda: coproduct_k(phi, 1, 5)):
+                with pytest.raises(GroupBoundError, match="exceeds bound 8"):
+                    call()
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "lots")
+        for _ in range(2):
+            for call in (lambda: coproduct(phi, 5), *(lambda k=k: coproduct_k(phi, k, 5) for k in range(6))):
+                with pytest.raises(GroupBoundError, match="must be an integer, got 'lots'"):
+                    call()
+        monkeypatch.setenv("HOPF_SCF_MAX_GROUP", "1000")
+        assert coproduct_k(phi, 3, 5) == coproduct(phi, 5)[3]
 
     def test_slices_build_functions_on_standard_groups_only(self, monkeypatch):
         # the restriction to Q_{[n-1] \ {k}} is read by gather, not built

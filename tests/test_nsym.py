@@ -338,6 +338,19 @@ class TestStructureConstants:
                                 got = sweep[kmask]
                                 assert type(got) is ScalarQT and str(got) == str(direct), (k, m, I, J, K)
 
+    def test_sweep_reads_each_label_once(self):
+        # a one-shot iterator gives the constants of its tuple
+        for k, m, I, J in [(3, 2, (1,), ()), (5, 3, (1, 2), (1,)), (5, 1, (), (2, 3))]:
+            assert structure_constants_sweep(k, m, iter(I), iter(J)) == structure_constants_sweep(k, m, I, J)
+
+    @pytest.mark.parametrize("m", [3, 4, -1])
+    def test_sweep_refuses_m_outside_0_to_k(self, m):
+        # the message names m and k, as structure_constants_table's does
+        with pytest.raises(ValueError, match=f"^m={m} is not in \\[0, 2\\]$"):
+            structure_constants_sweep(2, m, (), ())
+        with pytest.raises(ValueError, match=f"^m={m} is not in \\[0, 2\\]$"):
+            structure_constants_table(2, (), m)
+
     def test_bhat_coefficients_are_the_papers_weights(self):
         # each selector A inside [k] weighs (q+t)^{|c2(A)|} t^{|c1(A)|}, an int 1
         # when both are empty; the terms list the A by size, then lexicographically
